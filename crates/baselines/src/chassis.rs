@@ -152,8 +152,8 @@ impl BaselineChassis {
         total
     }
 
-    /// Simulates inference, mirroring `AuroraSimulator::simulate`'s
-    /// contract.
+    /// Simulates inference over `g` through the given layer shapes,
+    /// producing the same report shape as `AuroraSimulator::run`.
     ///
     /// # Panics
     /// Panics if the design does not support the model (check

@@ -2,7 +2,8 @@
 //! below the tile-execution time it overlaps with.
 
 use aurora_graph::generate;
-use aurora_mapping::{degree_aware, hashing, nqueen, plan::plan_bypass};
+use aurora_mapping::plan::{plan_bypass_into, PlanScratch, SegmentPlan};
+use aurora_mapping::{degree_aware, hashing, nqueen};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_mapping(c: &mut Criterion) {
@@ -24,8 +25,19 @@ fn bench_mapping(c: &mut Criterion) {
     });
 
     let mapping = degree_aware::map(0..n as u32, &degrees, k, 16);
+    let mut scratch = PlanScratch::new();
+    let mut rows = vec![SegmentPlan::default(); k];
+    let mut cols = vec![SegmentPlan::default(); k];
     c.bench_function("plan_bypass_8k_vertices", |b| {
-        b.iter(|| plan_bypass(black_box(&mapping), g.edges()))
+        b.iter(|| {
+            plan_bypass_into(
+                black_box(&mapping.view()),
+                g.edges(),
+                &mut scratch,
+                &mut rows,
+                &mut cols,
+            )
+        })
     });
 }
 

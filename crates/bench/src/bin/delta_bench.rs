@@ -32,7 +32,7 @@
 use aurora_bench::cli::{fail, Args};
 use aurora_bench::emit::{Cell, Table};
 use aurora_core::{
-    chain_digest, AcceleratorConfig, AuroraSimulator, EngineCore, GraphDelta, GraphSpec, SimRequest,
+    chain_digest, AcceleratorConfig, AuroraSimulator, GraphDelta, GraphSpec, SimRequest,
 };
 use aurora_graph::Csr;
 use aurora_model::{LayerShape, ModelId};
@@ -129,7 +129,7 @@ fn from_scratch(req: &SimRequest, g: &Csr) -> (aurora_core::SimReport, f64) {
         graph: GraphSpec::Inline(g.clone()),
         ..req.clone()
     };
-    let sim = AuroraSimulator::new(req.config).with_engine_core(EngineCore::Arena);
+    let sim = AuroraSimulator::new(req.config);
     let start = Instant::now();
     let report = sim.run(&fresh_req).expect("from-scratch run");
     (report, start.elapsed().as_secs_f64() * 1e3)
@@ -149,7 +149,7 @@ struct StreamOutcome {
 /// Opens a session on `req`, applies `deltas` sliding-window edits of
 /// `churn` edges each, and checks every contract the bench gates.
 fn run_stream(req: &SimRequest, deltas: usize, window_len: u32, churn: usize) -> StreamOutcome {
-    let sim = AuroraSimulator::new(req.config).with_engine_core(EngineCore::Arena);
+    let sim = AuroraSimulator::new(req.config);
     let mut session = sim.open_session(req).expect("session opens");
     // the open replays the one-shot run exactly
     let (fresh0, _) = from_scratch(req, session.graph());

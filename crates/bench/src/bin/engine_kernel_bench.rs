@@ -1,27 +1,24 @@
-//! Old-vs-new timing for the engine's per-tile pipeline.
+//! Wall-clock timing and steady-state allocation audit of the engine's
+//! per-tile pipeline.
 //!
 //! ```text
-//! engine_kernel_bench [--reps N] [--quick] [--gate RATIO] [--alloc-budget N]
+//! engine_kernel_bench [--reps N] [--quick] [--alloc-budget N]
 //! ```
 //!
-//! Runs the same simulation through both engine cores — the legacy
-//! per-tile-`Vec` pipeline and the arena-backed SoA pipeline — on R-MAT
-//! workloads at the paper's k=8 sub-array radix. Every pair of reports
-//! is asserted byte-identical (serialised JSON), so the bench doubles
-//! as an end-to-end equivalence check on full-size graphs; the printed
-//! speedup is wall-clock only.
+//! Runs GCN 64→32→16 on R-MAT workloads at the paper's k=8 sub-array
+//! radix and prints the best-of-`reps` wall time per workload (`--quick`:
+//! rmat-4k only, 3 reps). Report contents are pinned by the
+//! `engine_golden` test; this binary only times them.
 //!
-//! With `--gate RATIO` the run fails unless the largest workload's
-//! speedup reaches the ratio. With `--alloc-budget N` the run fails if
-//! a warmed-up arena run attributes more than N heap allocations to the
-//! steady-state stages (tile precompute + mapping + engine walk) —
-//! the regression gate `scripts/check.sh` uses. Bit-identity is always
-//! a hard failure.
+//! With `--alloc-budget N` the run fails if a warmed-up run attributes
+//! more than N heap allocations to the steady-state stages (tile
+//! precompute + mapping + engine walk) — the regression gate
+//! `scripts/check.sh` uses.
 
 use aurora_bench::cli::{fail, Args};
 use aurora_bench::emit::{Cell, Table};
 use aurora_bench::run_inline;
-use aurora_core::{AcceleratorConfig, AuroraSimulator, EngineCore, SimReport};
+use aurora_core::{AcceleratorConfig, AuroraSimulator, SimReport};
 use aurora_graph::{generate, Csr};
 use aurora_model::{LayerShape, ModelId};
 use aurora_telemetry::span;
@@ -29,23 +26,21 @@ use aurora_telemetry::Stage;
 use std::time::Instant;
 
 /// Best-of-`reps` wall time of `f`, in milliseconds.
-fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     let mut best = f64::INFINITY;
-    let mut last = None;
     for _ in 0..reps {
         let start = Instant::now();
-        let out = f();
+        f();
         best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        last = Some(out);
     }
-    (best, last.expect("reps >= 1"))
+    best
 }
 
 fn run(sim: &AuroraSimulator, g: &Csr, shapes: &[LayerShape]) -> SimReport {
     run_inline(sim, g, ModelId::Gcn, shapes, "engine_kernel_bench", 1.0)
 }
 
-/// Allocations a warmed-up arena run attributes to the steady-state
+/// Allocations a warmed-up run attributes to the steady-state
 /// stages, per stage (tile precompute, mapping, engine walk).
 fn steady_allocs(sim: &AuroraSimulator, g: &Csr, shapes: &[LayerShape]) -> [(Stage, u64); 3] {
     aurora_telemetry::alloc::set_alloc_profiling(true);
@@ -65,7 +60,6 @@ fn steady_allocs(sim: &AuroraSimulator, g: &Csr, shapes: &[LayerShape]) -> [(Sta
 fn main() {
     let mut reps = 10usize;
     let mut quick = false;
-    let mut gate = 0.0f64;
     let mut alloc_budget: Option<u64> = None;
     let mut args = Args::from_env();
     while let Some(arg) = args.next() {
@@ -75,7 +69,6 @@ fn main() {
                 quick = true;
                 reps = 3;
             }
-            "--gate" => gate = args.parse("--gate"),
             "--alloc-budget" => alloc_budget = Some(args.parse("--alloc-budget")),
             other => fail(&format!("unknown flag {other}")),
         }
@@ -95,40 +88,26 @@ fn main() {
         ));
     }
 
-    let cfg = AcceleratorConfig::small(k);
-    let legacy_sim = AuroraSimulator::new(cfg).with_engine_core(EngineCore::Legacy);
-    let arena_sim = AuroraSimulator::new(cfg).with_engine_core(EngineCore::Arena);
+    let sim = AuroraSimulator::new(AcceleratorConfig::small(k));
 
     let mut t = Table::new(format!(
         "engine_kernel_bench — k={k}, GCN 64→32→16, best of {reps}"
     ))
-    .columns(&["workload", "edges", "legacy ms", "arena ms", "speedup"]);
-
-    let mut last_speedup = 0.0f64;
+    .columns(&["workload", "edges", "ms"]);
     for (name, g) in &graphs {
-        let (legacy_ms, legacy) = time_ms(reps, || run(&legacy_sim, g, &shapes));
-        let (arena_ms, arena) = time_ms(reps, || run(&arena_sim, g, &shapes));
-        let legacy_json = serde_json::to_string(&legacy).expect("serialise");
-        let arena_json = serde_json::to_string(&arena).expect("serialise");
-        assert_eq!(
-            legacy_json, arena_json,
-            "{name}: arena report must be bit-identical to the legacy core"
-        );
-        last_speedup = legacy_ms / arena_ms;
+        let ms = time_ms(reps, || run(&sim, g, &shapes));
         t.row(vec![
             Cell::Str((*name).to_string()),
             Cell::UInt(g.num_edges() as u64),
-            Cell::float(legacy_ms, 2),
-            Cell::float(arena_ms, 2),
-            Cell::ratio(last_speedup, 1),
+            Cell::float(ms, 2),
         ]);
     }
-    t.note("reports asserted bit-identical; wall-clock only, cycles unchanged by construction");
+    t.note("host wall-clock only; report contents are pinned by the engine_golden test");
     t.print();
 
     // Steady-state allocation audit on the largest workload.
     let (_, g) = graphs.last().expect("at least one workload");
-    let stages = steady_allocs(&arena_sim, g, &shapes);
+    let stages = steady_allocs(&sim, g, &shapes);
     let total: u64 = stages.iter().map(|(_, c)| c).sum();
     println!();
     println!("steady-state allocations (warmed arena, one run):");
@@ -145,10 +124,5 @@ fn main() {
             ));
         }
         println!("  within budget of {budget}");
-    }
-    if gate > 0.0 && last_speedup < gate {
-        fail(&format!(
-            "speedup {last_speedup:.2}x below the {gate:.2}x gate on the largest workload"
-        ));
     }
 }

@@ -37,9 +37,8 @@ use aurora_core::{AuroraSimulator, SimReport, SimRequest};
 use aurora_graph::Csr;
 use aurora_model::{LayerShape, ModelId};
 
-/// One-shot Aurora run through the request API — what the deprecated
-/// `simulate*` convenience wrappers used to do for the bench binaries.
-/// Panics on request-build or simulation errors, like the wrappers did.
+/// One-shot Aurora run of an in-memory graph through the request API,
+/// for the bench binaries. Panics on request-build or simulation errors.
 pub fn run_inline(
     sim: &AuroraSimulator,
     g: &Csr,

@@ -3,14 +3,14 @@
 //! The per-tile pipeline used to allocate fresh `Vec`s for every tile of
 //! every layer — degrees, placements, per-PE loads, bypass plans, NoC
 //! configs, report roll-ups. This module keeps all of that working
-//! memory alive across tiles, layers *and* `simulate*` calls:
+//! memory alive across tiles, layers *and* runs:
 //!
 //! * [`WorkerArena`] — one per pool worker thread (thread-local),
 //!   holding the buffers a single tile's pure precompute needs. Fan-out
 //!   over the worker pool touches only warmed-up thread-locals, so the
 //!   parallel region is allocation-free after the first layer.
 //! * [`TileArena`] — one per *calling* thread (thread-local, taken at
-//!   the start of `run_resolved_core` and put back at the end), holding
+//!   the start of the engine's layer loop and put back at the end), holding
 //!   the structure-of-arrays slabs the tiles write into
 //!   ([`TileSlabs`]) and the sequential walk's reusable roll-up
 //!   buffers ([`SeqScratch`]).
@@ -172,13 +172,8 @@ impl TileSlabs {
     ) {
         self.pe_of.resize(num_vertices, 0);
         self.high.resize(num_tiles * high_cap, 0);
-        let zero = SegmentPlan {
-            index: 0,
-            from: 0,
-            to: 0,
-        };
-        self.row_segs.resize(num_tiles * k, zero);
-        self.col_segs.resize(num_tiles * k, zero);
+        self.row_segs.resize(num_tiles * k, SegmentPlan::default());
+        self.col_segs.resize(num_tiles * k, SegmentPlan::default());
         self.outs.clear();
         self.outs.resize(num_tiles, TileOut::default());
         self.noc_cfgs.clear();
@@ -323,7 +318,7 @@ thread_local! {
 }
 
 /// Takes the calling thread's engine scratch (or a fresh one). Pair
-/// with [`put_engine_scratch`]; a nested `simulate*` on the same thread
+/// with [`put_engine_scratch`]; a nested run on the same thread
 /// simply gets a fresh arena.
 pub(crate) fn take_engine_scratch() -> Box<TileArena> {
     ENGINE_SCRATCH

@@ -30,7 +30,7 @@
 //! stays `d₀` — the serve router hashes it for shard affinity, so every
 //! line of one session lands on the worker holding the warm state.
 
-use crate::engine::{AuroraSimulator, DirtyScope, EngineCore, SessionState};
+use crate::engine::{AuroraSimulator, DirtyScope, SessionState};
 use crate::report::SimReport;
 use crate::request::{SimError, SimRequest};
 use aurora_graph::{Csr, GraphBuilder};
@@ -394,7 +394,7 @@ impl SimSession {
         req.validate()?;
         let mut config = req.config;
         config.trace_instructions |= req.options.trace_instructions;
-        let sim = AuroraSimulator::new(config).with_engine_core(EngineCore::Arena);
+        let sim = AuroraSimulator::new(config);
         let graph = req.graph.resolve()?;
         let workload = req.workload_label();
         let mut state = SessionState::default();

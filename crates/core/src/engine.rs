@@ -21,11 +21,11 @@ use crate::request::{GraphSpec, SimError, SimRequest};
 use crate::workflow::Workflow;
 use aurora_energy::{ActivityCounts, EnergyModel};
 use aurora_graph::{Csr, Tiling, TilingConfig};
-use aurora_mapping::plan::{plan_bypass, SegmentPlan};
-use aurora_mapping::{degree_aware, hashing, MapView, MappingPolicy, VertexMapping};
+use aurora_mapping::plan::{plan_bypass_into, SegmentPlan};
+use aurora_mapping::{degree_aware, hashing, MapView, MappingPolicy};
 use aurora_mem::MemoryController;
 use aurora_model::{LayerShape, ModelId, Phase, Workload};
-use aurora_noc::{BypassSegment, NocConfig, RouteTable};
+use aurora_noc::{NocConfig, RouteTable};
 use aurora_partition::{partition, PartitionStrategy, TileIndex};
 use aurora_telemetry::span::{self, Stage};
 use aurora_telemetry::{names, tracks, Scope, Telemetry};
@@ -48,8 +48,8 @@ pub(crate) struct ProfileKey {
 
 /// Cross-layer cache of [`RouteTable`]s (keyed by NoC configuration) and
 /// per-tile unit-flit [`TrafficProfile`]s, held for the duration of one
-/// `simulate*` call. Later layers over the same tiling rescale a cached
-/// profile by their own `flits_per_msg` instead of re-binning edges.
+/// run. Later layers over the same tiling rescale a cached profile by
+/// their own `flits_per_msg` instead of re-binning edges.
 ///
 /// All lookups and insertions happen on the sequential path of the
 /// engine, so hit/miss resolution — and therefore every telemetry
@@ -250,31 +250,8 @@ impl SessionState {
     }
 }
 
-/// Pure per-tile precomputation: everything about a tile that does not
-/// touch the memory controller, telemetry, or the instruction trace.
-/// Tiles are independent, so this part fans out over the worker pool
-/// (`AURORA_THREADS`); the stateful walk that consumes it stays
-/// sequential, keeping cycle results bit-identical at every thread count.
-///
-/// This owned form is the [`EngineCore::Legacy`] product, kept as the
-/// bit-identity oracle; the default arena path writes the same values
-/// into [`TileSlabs`] instead.
-struct TilePre {
-    mapping: VertexMapping,
-    rho_a: f64,
-    rho_b: f64,
-    noc_cfg: NocConfig,
-    num_vertices: usize,
-    num_edges: usize,
-    halo: u64,
-    t_a: u64,
-    t_b: u64,
-    est_b: OnChipEstimate,
-}
-
 /// A borrowed view of one precomputed tile — the only shape the
-/// sequential traffic step and the stateful walk consume, so both
-/// engine cores share them verbatim.
+/// sequential traffic step and the stateful walk consume.
 struct TileView<'a> {
     map: MapView<'a>,
     noc_cfg: &'a NocConfig,
@@ -288,76 +265,42 @@ struct TileView<'a> {
     est_b: OnChipEstimate,
 }
 
-/// The layer's precomputed tiles, in whichever representation the
-/// active [`EngineCore`] produced.
-enum PreTiles<'a> {
-    Legacy(Vec<TilePre>),
-    Arena {
-        slabs: &'a TileSlabs,
-        num_tiles: usize,
-        policy: MappingPolicy,
-        k: usize,
-        high_cap: usize,
-    },
+/// The layer's precomputed tiles: the SoA slabs the parallel precompute
+/// wrote, plus what it takes to slice one tile's [`TileView`] out of
+/// them.
+struct LayerTiles<'a> {
+    slabs: &'a TileSlabs,
+    policy: MappingPolicy,
+    k: usize,
+    high_cap: usize,
 }
 
-impl PreTiles<'_> {
-    fn len(&self) -> usize {
-        match self {
-            PreTiles::Legacy(v) => v.len(),
-            PreTiles::Arena { num_tiles, .. } => *num_tiles,
-        }
-    }
-
+impl LayerTiles<'_> {
     fn view(&self, ti: usize) -> TileView<'_> {
-        match self {
-            PreTiles::Legacy(v) => {
-                let pre = &v[ti];
-                TileView {
-                    map: pre.mapping.view(),
-                    noc_cfg: &pre.noc_cfg,
-                    rho_a: pre.rho_a,
-                    rho_b: pre.rho_b,
-                    num_vertices: pre.num_vertices,
-                    num_edges: pre.num_edges,
-                    halo: pre.halo,
-                    t_a: pre.t_a,
-                    t_b: pre.t_b,
-                    est_b: pre.est_b,
-                }
-            }
-            PreTiles::Arena {
-                slabs,
-                policy,
-                k,
-                high_cap,
-                ..
-            } => {
-                let out = &slabs.outs[ti];
-                let s_pes: &[usize] = match policy {
-                    MappingPolicy::DegreeAware => &slabs.s_pes,
-                    MappingPolicy::Hashing => &[],
-                };
-                TileView {
-                    map: MapView {
-                        policy: *policy,
-                        range: out.start..out.end,
-                        pe_of: &slabs.pe_of[out.start as usize..out.end as usize],
-                        k: *k,
-                        s_pes,
-                        high_degree: &slabs.high[ti * high_cap..][..out.n_high],
-                    },
-                    noc_cfg: &slabs.noc_cfgs[ti],
-                    rho_a: out.rho_a,
-                    rho_b: out.rho_b,
-                    num_vertices: out.num_vertices,
-                    num_edges: out.num_edges,
-                    halo: out.halo,
-                    t_a: out.t_a,
-                    t_b: out.t_b,
-                    est_b: out.est_b,
-                }
-            }
+        let slabs = self.slabs;
+        let out = &slabs.outs[ti];
+        let s_pes: &[usize] = match self.policy {
+            MappingPolicy::DegreeAware => &slabs.s_pes,
+            MappingPolicy::Hashing => &[],
+        };
+        TileView {
+            map: MapView {
+                policy: self.policy,
+                range: out.start..out.end,
+                pe_of: &slabs.pe_of[out.start as usize..out.end as usize],
+                k: self.k,
+                s_pes,
+                high_degree: &slabs.high[ti * self.high_cap..][..out.n_high],
+            },
+            noc_cfg: &slabs.noc_cfgs[ti],
+            rho_a: out.rho_a,
+            rho_b: out.rho_b,
+            num_vertices: out.num_vertices,
+            num_edges: out.num_edges,
+            halo: out.halo,
+            t_a: out.t_a,
+            t_b: out.t_b,
+            est_b: out.est_b,
         }
     }
 }
@@ -374,30 +317,11 @@ struct TileTask<'a> {
     out: &'a mut TileOut,
 }
 
-/// Which per-tile precompute implementation the engine runs.
-///
-/// The arena core is the default and is bit-identical to the legacy
-/// core at every thread count (`engine_kernel_bench` and the
-/// `engine_equivalence` suite enforce this); the legacy core is kept
-/// verbatim as the pre-refactor oracle and costs fresh allocations per
-/// tile. The toggle deliberately lives on the simulator — not in
-/// [`AcceleratorConfig`] or [`SimRequest`] — so a request's
-/// content-addressed digest is unaffected by which core serves it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineCore {
-    /// Arena-backed structure-of-arrays pipeline (default).
-    #[default]
-    Arena,
-    /// Per-tile `Vec` pipeline, the pre-arena implementation.
-    Legacy,
-}
-
 /// The Aurora accelerator simulator.
 #[derive(Debug, Clone)]
 pub struct AuroraSimulator {
     config: AcceleratorConfig,
     telemetry: Telemetry,
-    engine_core: EngineCore,
 }
 
 impl AuroraSimulator {
@@ -407,21 +331,7 @@ impl AuroraSimulator {
         Self {
             config,
             telemetry: Telemetry::disabled(),
-            engine_core: EngineCore::default(),
         }
-    }
-
-    /// Selects the per-tile precompute implementation (default:
-    /// [`EngineCore::Arena`]). Reports are bit-identical either way;
-    /// benches and equivalence tests use this to pin the oracle path.
-    pub fn with_engine_core(mut self, core: EngineCore) -> Self {
-        self.engine_core = core;
-        self
-    }
-
-    /// The active engine core.
-    pub fn engine_core(&self) -> EngineCore {
-        self.engine_core
     }
 
     /// The paper's 32 × 32 @ 700 MHz instance.
@@ -464,7 +374,6 @@ impl AuroraSimulator {
         let sim = AuroraSimulator {
             config,
             telemetry: self.telemetry.clone(),
-            engine_core: self.engine_core,
         };
         let workload = req.workload_label();
         let density = req.options.input_density;
@@ -476,14 +385,14 @@ impl AuroraSimulator {
         let mut report = match &req.graph {
             // borrow inline graphs; only spec variants synthesize
             GraphSpec::Inline(g) => {
-                sim.run_resolved_core(g, req.model, &req.layers, &workload, density)?
+                sim.run_core(g, req.model, &req.layers, &workload, density, None)?
             }
             spec => {
                 let g = {
                     let _span = span::enter(Stage::GraphLoad);
                     spec.resolve()?
                 };
-                sim.run_resolved_core(&g, req.model, &req.layers, &workload, density)?
+                sim.run_core(&g, req.model, &req.layers, &workload, density, None)?
             }
         };
         if let Some(m) = &profile_mark {
@@ -492,79 +401,10 @@ impl AuroraSimulator {
         Ok(report)
     }
 
-    /// Simulates `model` inference over `g` through the given layer
-    /// shapes. `workload` is a free-form label for the report. Input
-    /// features are assumed dense; see [`Self::simulate_with_density`].
-    ///
-    /// Thin shim over [`Self::run`] that panics on [`SimError`],
-    /// preserving the historical signature. New code should build a
-    /// [`SimRequest`] and call `run` — one validated, serializable
-    /// entry point for every caller.
-    #[deprecated(note = "build a SimRequest and call AuroraSimulator::run")]
-    pub fn simulate(
-        &self,
-        g: &Csr,
-        model: ModelId,
-        shapes: &[LayerShape],
-        workload: &str,
-    ) -> SimReport {
-        #[allow(deprecated)]
-        self.simulate_with_density(g, model, shapes, workload, 1.0)
-    }
-
-    /// Like [`Self::simulate`], with the input feature matrix's density.
-    /// Aurora's flexible PEs and NoC move *compressed* sparse feature
-    /// payloads during the first layer's message passing, so sparse inputs
-    /// shrink on-chip traffic — and dense inputs (Reddit's > 50 %) deny
-    /// that advantage, which is exactly why "the performance gain on the
-    /// Reddit dataset is not so significant" (§VI-D). Hidden layers are
-    /// dense activations and are unaffected.
-    ///
-    /// Thin shim over [`Self::run`] that panics on [`SimError`],
-    /// preserving the historical signature. The graph is cloned into an
-    /// inline request — callers on hot paths should build the
-    /// [`SimRequest`] once and reuse it.
-    #[deprecated(note = "build a SimRequest and call AuroraSimulator::run")]
-    pub fn simulate_with_density(
-        &self,
-        g: &Csr,
-        model: ModelId,
-        shapes: &[LayerShape],
-        workload: &str,
-        input_density: f64,
-    ) -> SimReport {
-        assert!(!shapes.is_empty(), "need at least one layer");
-        assert!((0.0..=1.0).contains(&input_density), "density in [0, 1]");
-        let req = SimRequest::builder(model)
-            .config(self.config)
-            .inline_graph(g.clone())
-            .layers(shapes)
-            .workload(workload)
-            .input_density(input_density)
-            .build()
-            .unwrap_or_else(|e| panic!("simulation failed: {e}"));
-        self.run(&req)
-            .unwrap_or_else(|e| panic!("simulation failed: {e}"))
-    }
-
-    /// The resolved-graph execution path shared by [`Self::run`] and
-    /// [`Self::try_simulate_batch`].
-    fn run_resolved_core(
-        &self,
-        g: &Csr,
-        model: ModelId,
-        shapes: &[LayerShape],
-        workload: &str,
-        input_density: f64,
-    ) -> Result<SimReport, SimError> {
-        self.run_core(g, model, shapes, workload, input_density, None)
-    }
-
     /// [`Self::run_core`] with a session's warm per-layer state: clean
     /// tiles replay their cached artifacts, dirty tiles recompute, and
     /// the state is refreshed for the next apply. On error the caller
     /// must invalidate the state (the slabs may be half-written).
-    /// Requires the arena engine core (the session stores [`TileSlabs`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_with_session(
         &self,
@@ -576,11 +416,6 @@ impl AuroraSimulator {
         state: &mut SessionState,
         scope: &DirtyScope,
     ) -> Result<SimReport, SimError> {
-        debug_assert_eq!(
-            self.engine_core,
-            EngineCore::Arena,
-            "sessions require the arena engine core"
-        );
         self.run_core(
             g,
             model,
@@ -779,27 +614,8 @@ impl AuroraSimulator {
     /// overlap, as with subgraph tiles).
     ///
     /// Returns the merged report; `layers` holds each graph's layers
-    /// back-to-back.
-    ///
-    /// Thin shim over [`Self::try_simulate_batch`] that panics on
-    /// [`SimError`]; new code should call the fallible form (batches
-    /// have no single-request form — each member graph is one
-    /// [`SimRequest`]-shaped run with weights kept resident).
-    #[deprecated(note = "use AuroraSimulator::try_simulate_batch")]
-    pub fn simulate_batch(
-        &self,
-        graphs: &[&Csr],
-        model: ModelId,
-        shapes: &[LayerShape],
-        workload: &str,
-    ) -> SimReport {
-        self.try_simulate_batch(graphs, model, shapes, workload)
-            .unwrap_or_else(|e| panic!("batch simulation failed: {e}"))
-    }
-
-    /// Fallible form of [`Self::simulate_batch`]: an empty batch is
-    /// [`SimError::EmptyBatch`], and per-graph failures propagate instead
-    /// of aborting.
+    /// back-to-back. An empty batch is [`SimError::EmptyBatch`], and
+    /// per-graph failures propagate.
     pub fn try_simulate_batch(
         &self,
         graphs: &[&Csr],
@@ -817,7 +633,7 @@ impl AuroraSimulator {
         let profile_mark = span::span_profiling_enabled().then(span::mark);
         let mut merged: Option<SimReport> = None;
         for (i, g) in graphs.iter().enumerate() {
-            let r = self.run_resolved_core(g, model, shapes, workload, 1.0)?;
+            let r = self.run_core(g, model, shapes, workload, 1.0, None)?;
             merged = Some(match merged {
                 None => r,
                 Some(mut acc) => {
@@ -1011,393 +827,272 @@ impl AuroraSimulator {
         let mut busy_b = 0u64;
         let rings_cfg = NocConfig::rings(k);
 
-        // Pure per-tile precomputation fans out over the worker pool; the
-        // tile-ordered result (index-ordered collect for the legacy core,
-        // pre-split slab slices for the arena core) means the stateful
-        // walk below sees exactly the sequential schedule.
+        // Pure per-tile precomputation — everything about a tile that does
+        // not touch the memory controller, telemetry or the instruction
+        // trace — fans out over the worker pool (`AURORA_THREADS`). Each
+        // tile writes its own pre-split slab slices, so the stateful walk
+        // below sees exactly the sequential schedule and cycle results are
+        // bit-identical at every thread count.
         //
-        // A session apply (arena core only) swaps the thread-local slabs
-        // for the session's warm ones and restricts the fan-out to the
-        // delta's dirty tiles; `session_profiles` is the per-tile traffic
-        // store refreshed alongside.
+        // A session apply swaps the thread-local slabs for the session's
+        // warm ones and restricts the fan-out to the delta's dirty tiles;
+        // `session_profiles` is the per-tile traffic store refreshed
+        // alongside.
         let mut dirty_mask: Option<Vec<bool>> = None;
         let mut session_profiles: Option<&mut Vec<Option<(u64, TrafficProfile)>>> = None;
         let precompute_span = span::enter(Stage::TilePrecompute);
-        let pres: PreTiles = match self.engine_core {
-            EngineCore::Legacy => PreTiles::Legacy(
-                (0..num_tiles)
-                    .into_par_iter()
-                    .map(|ti| {
-                        // workers tag themselves for allocation attribution and
-                        // time the per-tile mapping work as worker-side CPU µs
-                        let _tag = span::stage_scope(Stage::TilePrecompute);
-                        let _map_span = span::enter(Stage::Mapping);
-                        let sg = tiling.subgraph(g, ti);
-                        let range = sg.vertex_range();
-                        let degrees: Vec<u32> = range.clone().map(|v| g.degree(v) as u32).collect();
-                        let mapping: VertexMapping = match cfg.mapping_policy {
-                            MappingPolicy::DegreeAware => {
-                                degree_aware::map(range.clone(), &degrees, k, c_pe)
-                            }
-                            MappingPolicy::Hashing => {
-                                hashing::map(range.clone(), &degrees, k, c_pe)
-                            }
-                        };
-                        // Max-busy vs mean-busy of the mapped work, for attribution:
-                        // the A side's per-vertex work scales with `1 + degree` (one
-                        // message per edge plus the self term), the B side's
-                        // weight-stationary update is uniform per vertex.
-                        let mut load_a = vec![0u64; k * k];
-                        let mut load_b = vec![0u64; k * k];
-                        for (i, v) in range.clone().enumerate() {
-                            let pe = mapping.pe_of(v);
-                            load_a[pe] += 1 + degrees[i] as u64;
-                            load_b[pe] += 1;
-                        }
-                        let rho = |load: &[u64]| -> f64 {
-                            let max = load.iter().copied().max().unwrap_or(0);
-                            let total: u64 = load.iter().sum();
-                            if total == 0 {
-                                1.0
-                            } else {
-                                max as f64 * load.len() as f64 / total as f64
-                            }
-                        };
-                        let (rho_a, rho_b) = (rho(&load_a), rho(&load_b));
-
-                        // NoC configuration for this tile. A planned bypass config
-                        // that fails validation (a planner bug) falls back to the
-                        // plain mesh instead of poisoning the route walk.
-                        let noc_cfg = if cfg.flexible_noc {
-                            let plan = plan_bypass(&mapping, sg.edges());
-                            let to_seg = |s: &aurora_mapping::plan::SegmentPlan| BypassSegment {
-                                index: s.index,
-                                from: s.from,
-                                to: s.to,
-                            };
-                            let c = if plan.rows.is_empty() && plan.cols.is_empty() {
-                                NocConfig::mesh(k)
-                            } else {
-                                NocConfig::with_bypass(
-                                    k,
-                                    plan.rows.iter().map(to_seg).collect(),
-                                    plan.cols.iter().map(to_seg).collect(),
-                                )
-                            };
-                            if c.validate().is_ok() {
-                                c
-                            } else {
-                                NocConfig::mesh(k)
-                            }
-                        } else {
-                            NocConfig::mesh(k)
-                        };
-
-                        // Compute time of the two pipeline stages on this tile.
-                        let w_sg =
-                            Workload::from_sizes(model, sg.num_vertices(), sg.num_edges(), shape);
-                        let c_sg = w_sg.op_counts();
-                        let t_a = cfg.cycles_of(aurora_partition::time_a(
-                            &c_sg,
-                            strategy.a.max(1),
-                            cfg.flops_per_pe(),
-                        ));
-                        let t_b = if strategy.b == 0 {
-                            0
-                        } else {
-                            cfg.cycles_of(aurora_partition::time_b(
-                                &c_sg,
-                                strategy.b,
-                                cfg.flops_per_pe(),
-                            ))
-                        };
-
-                        // Vertex-update traffic (the aggregation estimate goes
-                        // through the route-table cache on the sequential path
-                        // below). Without ring reconfiguration the vectors take
-                        // mesh routes: same volume, roughly same hops, but the
-                        // contention of a converging pattern — a 2× cycle
-                        // multiplier on the ring estimate.
-                        let est_b = if wf.model.has_vertex_update() {
-                            let contention = if cfg.flexible_noc { 1 } else { 2 };
-                            let mut e = noc_model::ring_traffic(
-                                &rings_cfg,
-                                sg.num_vertices(),
-                                shape.f_in,
-                                cfg.link_utilisation,
-                            );
-                            e.cycles *= contention;
-                            e
-                        } else {
-                            OnChipEstimate::default()
-                        };
-
-                        TilePre {
-                            mapping,
-                            rho_a,
-                            rho_b,
-                            noc_cfg,
-                            num_vertices: sg.num_vertices(),
-                            num_edges: sg.num_edges(),
-                            halo: sg.halo_vertices().len() as u64,
-                            t_a,
-                            t_b,
-                            est_b,
-                        }
-                    })
-                    .collect(),
-            ),
-            EngineCore::Arena => {
-                // Uniform per-tile strides: the longest tile bounds the
-                // high-degree slab (high_degree_cap is monotonic in n, so
-                // every tile fits its slice), and each row/column plan is
-                // bounded by the k physical wires.
-                let max_len = (0..num_tiles)
-                    .map(|ti| tiling.subgraph(g, ti).num_vertices())
-                    .max()
-                    .unwrap_or(0);
-                let high_cap = aurora_mapping::high_degree_cap(max_len, k, c_pe);
-                // A valid session layer whose fresh tiling and
-                // Algorithm-2 split still match recomputes only the
-                // tiles owning a touched vertex; any mismatch (or a
-                // structural delta) recomputes everything into the
-                // session slabs, repopulating the store — both paths
-                // bit-identical to a from-scratch run.
-                let slabs: &mut TileSlabs = match session {
-                    Some((state, scope)) => {
-                        let incremental = state.valid
-                            && state.high_cap == high_cap
-                            && state.profiles.len() == num_tiles
-                            && state.split == Some((strategy.a, strategy.b))
-                            && state.tiling.as_ref() == Some(&tiling);
-                        dirty_mask = match (incremental, scope) {
-                            (true, DirtyScope::Vertices(touched)) => {
-                                let mut bounds: Vec<u32> =
-                                    (0..num_tiles).map(|ti| tiling.range(ti).start).collect();
-                                bounds.push(g.num_vertices() as u32);
-                                Some(
-                                    TileIndex::from_boundaries(bounds)
-                                        .dirty_tiles(touched.iter().copied(), false),
-                                )
-                            }
-                            _ => None,
-                        };
-                        if dirty_mask.is_some() {
-                            state.slabs.begin_layer_incremental();
-                        } else {
-                            state
-                                .slabs
-                                .begin_layer(g.num_vertices(), num_tiles, k, high_cap);
-                            state.tiling = Some(tiling.clone());
-                            state.split = Some((strategy.a, strategy.b));
-                            state.high_cap = high_cap;
-                            state.profiles.clear();
-                            state.profiles.resize(num_tiles, None);
-                            state.valid = true;
-                        }
-                        session_profiles = Some(&mut state.profiles);
-                        &mut state.slabs
+        // Uniform per-tile strides: the longest tile bounds the high-degree
+        // slab (high_degree_cap is monotonic in n, so every tile fits its
+        // slice), and each row/column plan is bounded by the k physical
+        // wires.
+        let max_len = (0..num_tiles)
+            .map(|ti| tiling.subgraph(g, ti).num_vertices())
+            .max()
+            .unwrap_or(0);
+        let high_cap = aurora_mapping::high_degree_cap(max_len, k, c_pe);
+        // A valid session layer whose fresh tiling and Algorithm-2 split
+        // still match recomputes only the tiles owning a touched vertex;
+        // any mismatch (or a structural delta) recomputes everything into
+        // the session slabs, repopulating the store — both paths
+        // bit-identical to a from-scratch run.
+        let slabs: &mut TileSlabs = match session {
+            Some((state, scope)) => {
+                let incremental = state.valid
+                    && state.high_cap == high_cap
+                    && state.profiles.len() == num_tiles
+                    && state.split == Some((strategy.a, strategy.b))
+                    && state.tiling.as_ref() == Some(&tiling);
+                dirty_mask = match (incremental, scope) {
+                    (true, DirtyScope::Vertices(touched)) => {
+                        let mut bounds: Vec<u32> =
+                            (0..num_tiles).map(|ti| tiling.range(ti).start).collect();
+                        bounds.push(g.num_vertices() as u32);
+                        Some(
+                            TileIndex::from_boundaries(bounds)
+                                .dirty_tiles(touched.iter().copied(), false),
+                        )
                     }
-                    None => {
-                        scratch_slabs.begin_layer(g.num_vertices(), num_tiles, k, high_cap);
-                        scratch_slabs
-                    }
+                    _ => None,
                 };
-                if cfg.mapping_policy == MappingPolicy::DegreeAware {
-                    slabs.prepare_s_pes(k);
+                if dirty_mask.is_some() {
+                    state.slabs.begin_layer_incremental();
+                } else {
+                    state
+                        .slabs
+                        .begin_layer(g.num_vertices(), num_tiles, k, high_cap);
+                    state.tiling = Some(tiling.clone());
+                    state.split = Some((strategy.a, strategy.b));
+                    state.high_cap = high_cap;
+                    state.profiles.clear();
+                    state.profiles.resize(num_tiles, None);
+                    state.valid = true;
                 }
+                session_profiles = Some(&mut state.profiles);
+                &mut state.slabs
+            }
+            None => {
+                scratch_slabs.begin_layer(g.num_vertices(), num_tiles, k, high_cap);
+                scratch_slabs
+            }
+        };
+        if cfg.mapping_policy == MappingPolicy::DegreeAware {
+            slabs.prepare_s_pes(k);
+        }
 
-                // Hand-split the slabs into disjoint per-tile slices; the
-                // capacity tiling partitions the vertex space contiguously
-                // from 0, so sequential splits land each tile's `pe_of`
-                // slice at its global offset.
-                let mut tasks: Vec<TileTask> = Vec::with_capacity(num_tiles);
-                {
-                    let mut pe_rest: &mut [u32] = &mut slabs.pe_of;
-                    let mut hi_rest: &mut [u32] = &mut slabs.high;
-                    let mut row_rest: &mut [SegmentPlan] = &mut slabs.row_segs;
-                    let mut col_rest: &mut [SegmentPlan] = &mut slabs.col_segs;
-                    let mut out_rest: &mut [TileOut] = &mut slabs.outs;
-                    let mut offset = 0usize;
-                    for ti in 0..num_tiles {
-                        let range = tiling.subgraph(g, ti).vertex_range();
-                        debug_assert_eq!(range.start as usize, offset, "tiles must be contiguous");
-                        let n = (range.end - range.start) as usize;
-                        offset += n;
-                        let (pe_of, r) = std::mem::take(&mut pe_rest).split_at_mut(n);
-                        pe_rest = r;
-                        let (high, r) = std::mem::take(&mut hi_rest).split_at_mut(high_cap);
-                        hi_rest = r;
-                        let (rows, r) = std::mem::take(&mut row_rest).split_at_mut(k);
-                        row_rest = r;
-                        let (cols, r) = std::mem::take(&mut col_rest).split_at_mut(k);
-                        col_rest = r;
-                        let (out, r) = std::mem::take(&mut out_rest)
-                            .split_first_mut()
-                            .expect("one TileOut row per tile");
-                        out_rest = r;
-                        // Clean session tiles keep their slab contents
-                        // from the previous apply; only dirty tiles
-                        // enter the parallel fan-out.
-                        if dirty_mask.as_ref().is_none_or(|m| m[ti]) {
-                            tasks.push(TileTask {
-                                ti,
-                                pe_of,
-                                high,
-                                rows,
-                                cols,
-                                out,
-                            });
-                        }
-                    }
-                }
-
-                tasks.into_par_iter().for_each(|task| {
-                    with_worker(|w| {
-                        // workers tag themselves for allocation attribution
-                        // and time the per-tile mapping work as worker-side
-                        // CPU µs — same spans as the legacy core
-                        let _tag = span::stage_scope(Stage::TilePrecompute);
-                        let _map_span = span::enter(Stage::Mapping);
-                        let sg = tiling.subgraph(g, task.ti);
-                        let range = sg.vertex_range();
-                        w.degrees.clear();
-                        w.degrees.extend(range.clone().map(|v| g.degree(v) as u32));
-                        let n_high = match cfg.mapping_policy {
-                            MappingPolicy::DegreeAware => degree_aware::map_into(
-                                range.clone(),
-                                &w.degrees,
-                                k,
-                                c_pe,
-                                &mut w.map,
-                                &mut *task.pe_of,
-                                &mut *task.high,
-                            ),
-                            MappingPolicy::Hashing => hashing::map_into(
-                                range.clone(),
-                                &w.degrees,
-                                k,
-                                c_pe,
-                                &mut w.map,
-                                &mut *task.pe_of,
-                                &mut *task.high,
-                            ),
-                        };
-
-                        // Per-PE load and balance factors in one flat pass
-                        // over the placement slice.
-                        w.load_a.clear();
-                        w.load_a.resize(k * k, 0);
-                        w.load_b.clear();
-                        w.load_b.resize(k * k, 0);
-                        for (i, &pe) in task.pe_of.iter().enumerate() {
-                            w.load_a[pe as usize] += 1 + w.degrees[i] as u64;
-                            w.load_b[pe as usize] += 1;
-                        }
-                        let rho = |load: &[u64]| -> f64 {
-                            let max = load.iter().copied().max().unwrap_or(0);
-                            let total: u64 = load.iter().sum();
-                            if total == 0 {
-                                1.0
-                            } else {
-                                max as f64 * load.len() as f64 / total as f64
-                            }
-                        };
-                        let (rho_a, rho_b) = (rho(&w.load_a), rho(&w.load_b));
-
-                        // Bypass planning emits straight into the tile's
-                        // slab slices; config construction is deferred to
-                        // the sequential intern step below.
-                        let (n_rows, n_cols) = if cfg.flexible_noc {
-                            let view = MapView {
-                                policy: cfg.mapping_policy,
-                                range: range.clone(),
-                                pe_of: &*task.pe_of,
-                                k,
-                                s_pes: &[],
-                                high_degree: &task.high[..n_high],
-                            };
-                            aurora_mapping::plan::plan_bypass_into(
-                                &view,
-                                sg.edges(),
-                                &mut w.plan,
-                                &mut *task.rows,
-                                &mut *task.cols,
-                            )
-                        } else {
-                            (0, 0)
-                        };
-
-                        // Compute time of the two pipeline stages on this
-                        // tile (the worker's cached workload, re-sized).
-                        let w_sg = w.workload_for(model, shape);
-                        w_sg.resize(sg.num_vertices(), sg.num_edges());
-                        let c_sg = w_sg.op_counts();
-                        let t_a = cfg.cycles_of(aurora_partition::time_a(
-                            &c_sg,
-                            strategy.a.max(1),
-                            cfg.flops_per_pe(),
-                        ));
-                        let t_b = if strategy.b == 0 {
-                            0
-                        } else {
-                            cfg.cycles_of(aurora_partition::time_b(
-                                &c_sg,
-                                strategy.b,
-                                cfg.flops_per_pe(),
-                            ))
-                        };
-
-                        // Vertex-update traffic, exactly as the legacy core
-                        // estimates it.
-                        let est_b = if wf.model.has_vertex_update() {
-                            let contention = if cfg.flexible_noc { 1 } else { 2 };
-                            let mut e = noc_model::ring_traffic(
-                                &rings_cfg,
-                                sg.num_vertices(),
-                                shape.f_in,
-                                cfg.link_utilisation,
-                            );
-                            e.cycles *= contention;
-                            e
-                        } else {
-                            OnChipEstimate::default()
-                        };
-
-                        let halo = w.halo_count(range.clone(), g.num_vertices(), sg.edges());
-                        *task.out = TileOut {
-                            start: range.start,
-                            end: range.end,
-                            rho_a,
-                            rho_b,
-                            num_vertices: sg.num_vertices(),
-                            num_edges: sg.num_edges(),
-                            halo,
-                            t_a,
-                            t_b,
-                            est_b,
-                            n_high,
-                            n_rows,
-                            n_cols,
-                        };
+        // Hand-split the slabs into disjoint per-tile slices; the capacity
+        // tiling partitions the vertex space contiguously from 0, so
+        // sequential splits land each tile's `pe_of` slice at its global
+        // offset.
+        let mut tasks: Vec<TileTask> = Vec::with_capacity(num_tiles);
+        {
+            let mut pe_rest: &mut [u32] = &mut slabs.pe_of;
+            let mut hi_rest: &mut [u32] = &mut slabs.high;
+            let mut row_rest: &mut [SegmentPlan] = &mut slabs.row_segs;
+            let mut col_rest: &mut [SegmentPlan] = &mut slabs.col_segs;
+            let mut out_rest: &mut [TileOut] = &mut slabs.outs;
+            let mut offset = 0usize;
+            for ti in 0..num_tiles {
+                let range = tiling.subgraph(g, ti).vertex_range();
+                debug_assert_eq!(range.start as usize, offset, "tiles must be contiguous");
+                let n = (range.end - range.start) as usize;
+                offset += n;
+                let (pe_of, r) = std::mem::take(&mut pe_rest).split_at_mut(n);
+                pe_rest = r;
+                let (high, r) = std::mem::take(&mut hi_rest).split_at_mut(high_cap);
+                hi_rest = r;
+                let (rows, r) = std::mem::take(&mut row_rest).split_at_mut(k);
+                row_rest = r;
+                let (cols, r) = std::mem::take(&mut col_rest).split_at_mut(k);
+                col_rest = r;
+                let (out, r) = std::mem::take(&mut out_rest)
+                    .split_first_mut()
+                    .expect("one TileOut row per tile");
+                out_rest = r;
+                // Clean session tiles keep their slab contents from the
+                // previous apply; only dirty tiles enter the parallel
+                // fan-out.
+                if dirty_mask.as_ref().is_none_or(|m| m[ti]) {
+                    tasks.push(TileTask {
+                        ti,
+                        pe_of,
+                        high,
+                        rows,
+                        cols,
+                        out,
                     });
-                });
-
-                // Resolve each tile's plan into an interned NoC config —
-                // sequential, so the intern table needs no lock and the
-                // config order matches the walk.
-                let mesh = slabs.mesh_cfg(k);
-                for ti in 0..num_tiles {
-                    slabs.resolve_noc_cfg(ti, k, cfg.flexible_noc, &mesh);
-                }
-                PreTiles::Arena {
-                    slabs,
-                    num_tiles,
-                    policy: cfg.mapping_policy,
-                    k,
-                    high_cap,
                 }
             }
+        }
+
+        tasks.into_par_iter().for_each(|task| {
+            with_worker(|w| {
+                // workers tag themselves for allocation attribution and
+                // time the per-tile mapping work as worker-side CPU µs
+                let _tag = span::stage_scope(Stage::TilePrecompute);
+                let _map_span = span::enter(Stage::Mapping);
+                let sg = tiling.subgraph(g, task.ti);
+                let range = sg.vertex_range();
+                w.degrees.clear();
+                w.degrees.extend(range.clone().map(|v| g.degree(v) as u32));
+                let n_high = match cfg.mapping_policy {
+                    MappingPolicy::DegreeAware => degree_aware::map_into(
+                        range.clone(),
+                        &w.degrees,
+                        k,
+                        c_pe,
+                        &mut w.map,
+                        &mut *task.pe_of,
+                        &mut *task.high,
+                    ),
+                    MappingPolicy::Hashing => hashing::map_into(
+                        range.clone(),
+                        &w.degrees,
+                        k,
+                        c_pe,
+                        &mut w.map,
+                        &mut *task.pe_of,
+                        &mut *task.high,
+                    ),
+                };
+
+                // Max-busy vs mean-busy of the mapped work, for
+                // attribution, in one flat pass over the placement slice:
+                // the A side's per-vertex work scales with `1 + degree`
+                // (one message per edge plus the self term), the B side's
+                // weight-stationary update is uniform per vertex.
+                w.load_a.clear();
+                w.load_a.resize(k * k, 0);
+                w.load_b.clear();
+                w.load_b.resize(k * k, 0);
+                for (i, &pe) in task.pe_of.iter().enumerate() {
+                    w.load_a[pe as usize] += 1 + w.degrees[i] as u64;
+                    w.load_b[pe as usize] += 1;
+                }
+                let rho = |load: &[u64]| -> f64 {
+                    let max = load.iter().copied().max().unwrap_or(0);
+                    let total: u64 = load.iter().sum();
+                    if total == 0 {
+                        1.0
+                    } else {
+                        max as f64 * load.len() as f64 / total as f64
+                    }
+                };
+                let (rho_a, rho_b) = (rho(&w.load_a), rho(&w.load_b));
+
+                // Bypass planning emits straight into the tile's slab
+                // slices; config construction is deferred to the
+                // sequential intern step below.
+                let (n_rows, n_cols) = if cfg.flexible_noc {
+                    let view = MapView {
+                        policy: cfg.mapping_policy,
+                        range: range.clone(),
+                        pe_of: &*task.pe_of,
+                        k,
+                        s_pes: &[],
+                        high_degree: &task.high[..n_high],
+                    };
+                    plan_bypass_into(
+                        &view,
+                        sg.edges(),
+                        &mut w.plan,
+                        &mut *task.rows,
+                        &mut *task.cols,
+                    )
+                } else {
+                    (0, 0)
+                };
+
+                // Compute time of the two pipeline stages on this tile
+                // (the worker's cached workload, re-sized).
+                let w_sg = w.workload_for(model, shape);
+                w_sg.resize(sg.num_vertices(), sg.num_edges());
+                let c_sg = w_sg.op_counts();
+                let t_a = cfg.cycles_of(aurora_partition::time_a(
+                    &c_sg,
+                    strategy.a.max(1),
+                    cfg.flops_per_pe(),
+                ));
+                let t_b = if strategy.b == 0 {
+                    0
+                } else {
+                    cfg.cycles_of(aurora_partition::time_b(
+                        &c_sg,
+                        strategy.b,
+                        cfg.flops_per_pe(),
+                    ))
+                };
+
+                // Vertex-update traffic (the aggregation estimate goes
+                // through the route-table cache on the sequential path
+                // below). Without ring reconfiguration the vectors take
+                // mesh routes: same volume, roughly same hops, but the
+                // contention of a converging pattern — a 2× cycle
+                // multiplier on the ring estimate.
+                let est_b = if wf.model.has_vertex_update() {
+                    let contention = if cfg.flexible_noc { 1 } else { 2 };
+                    let mut e = noc_model::ring_traffic(
+                        &rings_cfg,
+                        sg.num_vertices(),
+                        shape.f_in,
+                        cfg.link_utilisation,
+                    );
+                    e.cycles *= contention;
+                    e
+                } else {
+                    OnChipEstimate::default()
+                };
+
+                let halo = w.halo_count(range.clone(), g.num_vertices(), sg.edges());
+                *task.out = TileOut {
+                    start: range.start,
+                    end: range.end,
+                    rho_a,
+                    rho_b,
+                    num_vertices: sg.num_vertices(),
+                    num_edges: sg.num_edges(),
+                    halo,
+                    t_a,
+                    t_b,
+                    est_b,
+                    n_high,
+                    n_rows,
+                    n_cols,
+                };
+            });
+        });
+
+        // Resolve each tile's plan into an interned NoC config —
+        // sequential, so the intern table needs no lock and the config
+        // order matches the walk.
+        let mesh = slabs.mesh_cfg(k);
+        for ti in 0..num_tiles {
+            slabs.resolve_noc_cfg(ti, k, cfg.flexible_noc, &mesh);
+        }
+        let pres = LayerTiles {
+            slabs,
+            policy: cfg.mapping_policy,
+            k,
+            high_cap,
         };
         drop(precompute_span);
 
@@ -1408,7 +1103,7 @@ impl AuroraSimulator {
         // of missing tiles fans out over the pool.
         let route_span = span::enter(Stage::RouteTableBuild);
         let mut hits = 0u64;
-        for ti in 0..pres.len() {
+        for ti in 0..num_tiles {
             let view = pres.view(ti);
             let table_id = cache.intern(view.noc_cfg, tel, &lscope);
             let key = ProfileKey {
@@ -1524,7 +1219,7 @@ impl AuroraSimulator {
         // Stateful walk: memory controller, telemetry, and the instruction
         // trace consume the precomputed tiles strictly in order.
         let walk_span = span::enter(Stage::EngineWalk);
-        for ti in 0..pres.len() {
+        for ti in 0..num_tiles {
             let pre = pres.view(ti);
             if tel.is_enabled() {
                 // scope strings only matter to an attached recorder, and
@@ -1818,8 +1513,7 @@ mod tests {
         generate::rmat(128, 800, Default::default(), 3)
     }
 
-    /// One-shot run through the request API — what the deprecated
-    /// `simulate` wrapper family used to spell.
+    /// One-shot run of an inline graph through the request API.
     fn run_one(
         sim: &AuroraSimulator,
         g: &Csr,
@@ -2138,29 +1832,10 @@ mod tests {
     }
 
     #[test]
-    fn run_matches_wrapper_and_types_errors() {
-        let g = toy_graph();
+    fn inline_run_matches_spec_run_and_types_errors() {
         let shapes = [LayerShape::new(32, 16)];
         let sim = small_sim();
-        #[allow(deprecated)] // the wrapper itself is what this test pins
-        let legacy = sim.simulate(&g, ModelId::Gcn, &shapes, "toy");
-        // same graph inline through the request path: identical report
-        let req = SimRequest::builder(ModelId::Gcn)
-            .config(AcceleratorConfig::small(4))
-            .inline_graph(g.clone())
-            .layers(&shapes)
-            .workload("toy")
-            .build()
-            .unwrap();
-        let via_run = sim.run(&req).unwrap();
-        assert_eq!(via_run, legacy);
-        // the request's config wins over the simulator's (purity contract)
-        let k8 = SimRequest {
-            config: AcceleratorConfig::small(8),
-            ..req.clone()
-        };
-        assert_ne!(sim.run(&k8).unwrap().total_cycles, legacy.total_cycles);
-        // a spec graph resolves deterministically to the same report
+        // a spec graph resolves deterministically to the graph it names
         let spec_req = SimRequest::builder(ModelId::Gcn)
             .config(AcceleratorConfig::small(4))
             .rmat(128, 800, 3)
@@ -2168,7 +1843,23 @@ mod tests {
             .workload("toy")
             .build()
             .unwrap();
-        assert_eq!(sim.run(&spec_req).unwrap(), legacy);
+        let via_spec = sim.run(&spec_req).unwrap();
+        // the same graph inline through the request path: identical report
+        let req = SimRequest::builder(ModelId::Gcn)
+            .config(AcceleratorConfig::small(4))
+            .inline_graph(toy_graph())
+            .layers(&shapes)
+            .workload("toy")
+            .build()
+            .unwrap();
+        let via_inline = sim.run(&req).unwrap();
+        assert_eq!(via_inline, via_spec);
+        // the request's config wins over the simulator's (purity contract)
+        let k8 = SimRequest {
+            config: AcceleratorConfig::small(8),
+            ..req.clone()
+        };
+        assert_ne!(sim.run(&k8).unwrap().total_cycles, via_inline.total_cycles);
         // user-reachable bad inputs are typed errors, not panics
         let empty_layers = SimRequest {
             layers: vec![],

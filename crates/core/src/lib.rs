@@ -54,7 +54,7 @@ pub use config::AcceleratorConfig;
 pub use delta::{
     chain_digest, DeltaOutcome, GraphDelta, SessionCommand, SessionRequestBuilder, SimSession,
 };
-pub use engine::{AuroraSimulator, EngineCore};
+pub use engine::AuroraSimulator;
 pub use instr::Instruction;
 pub use profile::{Bound, BoundMix, LayerProfile, ProfileReport, TileAttribution};
 pub use report::{LayerReport, NocReport, SimReport};

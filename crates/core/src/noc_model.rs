@@ -364,12 +364,37 @@ fn finalize(
 mod tests {
     use super::*;
     use aurora_graph::generate;
+    use aurora_mapping::plan::{plan_bypass_into, PlanScratch, SegmentPlan};
     use aurora_mapping::{degree_aware, hashing};
     use aurora_noc::{BypassSegment, Network};
     use proptest::prelude::*;
 
     fn mesh_cfg(k: usize) -> NocConfig {
         NocConfig::mesh(k)
+    }
+
+    /// The bypass configuration the engine's planner picks for `m`'s
+    /// traffic over `edges`.
+    fn planned_bypass(m: &VertexMapping, edges: impl Iterator<Item = (u32, u32)>) -> NocConfig {
+        let mut rows = vec![SegmentPlan::default(); m.k];
+        let mut cols = vec![SegmentPlan::default(); m.k];
+        let (nr, nc) = plan_bypass_into(
+            &m.view(),
+            edges,
+            &mut PlanScratch::new(),
+            &mut rows,
+            &mut cols,
+        );
+        let seg = |s: &SegmentPlan| BypassSegment {
+            index: s.index,
+            from: s.from,
+            to: s.to,
+        };
+        NocConfig::with_bypass(
+            m.k,
+            rows[..nr].iter().map(seg).collect(),
+            cols[..nc].iter().map(seg).collect(),
+        )
     }
 
     /// The seed's per-edge route walker — the oracle the two-pass kernel
@@ -558,26 +583,7 @@ mod tests {
             let d = degree_aware::map(0..64, &g.degrees(), 4, 8);
             let eh = aggregation_traffic(&mesh_cfg(4), &h, g.edges(), 16, DEFAULT_LINK_UTILISATION)
                 .unwrap();
-            let plan = aurora_mapping::plan::plan_bypass(&d, g.edges());
-            let cfg = NocConfig::with_bypass(
-                4,
-                plan.rows
-                    .iter()
-                    .map(|s| aurora_noc::BypassSegment {
-                        index: s.index,
-                        from: s.from,
-                        to: s.to,
-                    })
-                    .collect(),
-                plan.cols
-                    .iter()
-                    .map(|s| aurora_noc::BypassSegment {
-                        index: s.index,
-                        from: s.from,
-                        to: s.to,
-                    })
-                    .collect(),
-            );
+            let cfg = planned_bypass(&d, g.edges());
             let ed =
                 aggregation_traffic(&cfg, &d, g.edges(), 16, DEFAULT_LINK_UTILISATION).unwrap();
             assert_eq!(eh.messages, ed.messages, "same message volume");
@@ -600,26 +606,7 @@ mod tests {
             DEFAULT_LINK_UTILISATION,
         )
         .unwrap();
-        let plan = aurora_mapping::plan::plan_bypass(&d, g.edges());
-        let cfg = NocConfig::with_bypass(
-            8,
-            plan.rows
-                .iter()
-                .map(|s| aurora_noc::BypassSegment {
-                    index: s.index,
-                    from: s.from,
-                    to: s.to,
-                })
-                .collect(),
-            plan.cols
-                .iter()
-                .map(|s| aurora_noc::BypassSegment {
-                    index: s.index,
-                    from: s.from,
-                    to: s.to,
-                })
-                .collect(),
-        );
+        let cfg = planned_bypass(&d, g.edges());
         cfg.validate().unwrap();
         let with = aggregation_traffic(&cfg, &d, g.edges(), 4, DEFAULT_LINK_UTILISATION).unwrap();
         assert!(with.bypass_hops > 0, "plan must engage the bypass");

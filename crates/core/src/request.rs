@@ -13,9 +13,7 @@
 //! byte-equal reports, so a cached answer is exact, never approximate.
 //!
 //! [`AuroraSimulator::run`](crate::AuroraSimulator::run) is the one
-//! canonical entry point consuming a request; the older
-//! `simulate*` methods are thin wrappers that build a request and
-//! panic on [`SimError`] to preserve their historical signatures.
+//! canonical entry point consuming a request.
 
 use crate::config::AcceleratorConfig;
 use crate::report::SimReport;
@@ -41,9 +39,9 @@ pub enum GraphSpec {
     },
     /// A ring lattice (cheap smoke workloads).
     Ring { vertices: usize },
-    /// A fully materialised graph carried inline. Used by the in-process
-    /// `simulate*` wrappers; service clients normally send a spec and
-    /// let the daemon synthesize, keeping request lines small.
+    /// A fully materialised graph carried inline. Used by in-process
+    /// callers that already hold a graph; service clients normally send
+    /// a spec and let the daemon synthesize, keeping request lines small.
     Inline(Csr),
 }
 
@@ -313,7 +311,7 @@ pub enum SimError {
     EmptyLayers,
     /// The graph has no vertices.
     EmptyGraph,
-    /// `simulate_batch` was handed no graphs.
+    /// `try_simulate_batch` was handed no graphs.
     EmptyBatch,
     /// The input feature density is outside `[0, 1]`.
     InvalidDensity { density: f64 },

@@ -239,14 +239,8 @@ pub fn high_degree_cap(n: usize, k: usize, c_pe: usize) -> usize {
 /// Records a mapping's placement quality under `scope`: the row/column
 /// conflict count among high-degree vertices (the quantity Algorithm 1
 /// drives to zero), the high-degree population, the S_PE spread, and the
-/// per-PE load imbalance.
-pub fn record_quality(telemetry: &Telemetry, scope: &Scope, mapping: &VertexMapping) {
-    record_quality_view(telemetry, scope, &mapping.view())
-}
-
-/// [`record_quality`] over a borrowed [`MapView`]. Allocation-free when
-/// telemetry is disabled (the metric computations only run when a
-/// recorder is attached).
+/// per-PE load imbalance. Allocation-free when telemetry is disabled (the
+/// metric computations only run when a recorder is attached).
 pub fn record_quality_view(telemetry: &Telemetry, scope: &Scope, mapping: &MapView<'_>) {
     if !telemetry.is_enabled() {
         return;
@@ -342,7 +336,7 @@ mod tests {
             s_pes: vec![0, 3],
             ..tiny_mapping()
         };
-        record_quality(&t, &scope, &m);
+        record_quality_view(&t, &scope, &m.view());
         let snap = t.snapshot();
         let conflicts = snap
             .histogram_at("mapping.high_degree_conflicts", &scope)

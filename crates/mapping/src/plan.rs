@@ -15,12 +15,12 @@
 //! requirement wins. (The N-Queen placement makes such collisions rare:
 //! S_PEs occupy distinct rows and columns.)
 
-use crate::{MapView, VertexMapping};
+use crate::MapView;
 use serde::{Deserialize, Serialize};
 
 /// One planned express segment (crate-neutral mirror of the NoC's
 /// `BypassSegment`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SegmentPlan {
     /// Row index (horizontal) or column index (vertical).
     pub index: usize,
@@ -32,62 +32,6 @@ impl SegmentPlan {
     /// Segment length in hops bridged.
     pub fn span(&self) -> usize {
         self.to - self.from
-    }
-}
-
-/// The planned bypass configuration for one mapped subgraph.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct BypassPlan {
-    pub rows: Vec<SegmentPlan>,
-    pub cols: Vec<SegmentPlan>,
-}
-
-/// Plans bypass segments for the communication pattern `edges` (messages
-/// flow `src → dst`; for aggregation that is neighbour → centre) under
-/// `mapping`. Edges touching vertices outside the mapped range are skipped
-/// (they travel via DRAM, not the NoC).
-pub fn plan_bypass(mapping: &VertexMapping, edges: impl Iterator<Item = (u32, u32)>) -> BypassPlan {
-    let k = mapping.k;
-    // per row/col: the widest requested span
-    let mut row_span: Vec<Option<(usize, usize)>> = vec![None; k];
-    let mut col_span: Vec<Option<(usize, usize)>> = vec![None; k];
-    let is_high = |v: u32| mapping.high_degree.contains(&v);
-
-    for (src, dst) in edges {
-        if !mapping.range.contains(&src) || !mapping.range.contains(&dst) {
-            continue;
-        }
-        if !is_high(dst) && !is_high(src) {
-            continue;
-        }
-        let (sx, sy) = mapping.coord_of(src);
-        let (dx, dy) = mapping.coord_of(dst);
-        // XY route: horizontal leg on row sy, vertical leg on column dx.
-        if sx != dx {
-            let (a, b) = (sx.min(dx), sx.max(dx));
-            widen(&mut row_span[sy], a, b);
-        }
-        if sy != dy {
-            let (a, b) = (sy.min(dy), sy.max(dy));
-            widen(&mut col_span[dx], a, b);
-        }
-    }
-
-    let collect = |spans: &[Option<(usize, usize)>]| {
-        spans
-            .iter()
-            .enumerate()
-            .filter_map(|(index, s)| {
-                s.and_then(|(from, to)| {
-                    // an express link over adjacent routers buys nothing
-                    (to - from >= 2).then_some(SegmentPlan { index, from, to })
-                })
-            })
-            .collect()
-    };
-    BypassPlan {
-        rows: collect(&row_span),
-        cols: collect(&col_span),
     }
 }
 
@@ -112,11 +56,13 @@ impl PlanScratch {
     }
 }
 
-/// [`plan_bypass`] over a borrowed [`MapView`], emitting into
-/// caller-provided segment buffers (each must hold at least `k` entries
-/// — one physical wire per row/column bounds the plan). Returns the
-/// number of row and column segments written. The planned segments are
-/// bit-identical to [`plan_bypass`]'s.
+/// Plans bypass segments for the communication pattern `edges` (messages
+/// flow `src → dst`; for aggregation that is neighbour → centre) under
+/// `mapping`, emitting into caller-provided segment buffers (each must
+/// hold at least `k` entries — one physical wire per row/column bounds
+/// the plan). Returns the number of row and column segments written.
+/// Edges touching vertices outside the mapped range are skipped (they
+/// travel via DRAM, not the NoC).
 pub fn plan_bypass_into(
     mapping: &MapView<'_>,
     edges: impl Iterator<Item = (u32, u32)>,
@@ -143,8 +89,7 @@ pub fn plan_bypass_into(
     }
 
     // With no high-degree vertices no edge passes the filter below —
-    // skip the O(E) scan outright (the legacy planner's `contains` on an
-    // empty list rejects every edge the same way).
+    // skip the O(E) scan outright.
     let n_u32 = mapping.range.end - start;
     if !mapping.high_degree.is_empty() {
         for (src, dst) in edges {
@@ -213,8 +158,63 @@ fn widen(slot: &mut Option<(usize, usize)>, a: usize, b: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::degree_aware;
+    use crate::{degree_aware, VertexMapping};
     use aurora_graph::generate;
+
+    /// The planned bypass configuration for one mapped subgraph.
+    #[derive(Debug)]
+    struct BypassPlan {
+        rows: Vec<SegmentPlan>,
+        cols: Vec<SegmentPlan>,
+    }
+
+    /// The independent reference planner [`plan_bypass_into`] is checked
+    /// against: owned outputs, a linear high-degree membership scan and
+    /// coordinates from [`VertexMapping::coord_of`].
+    fn plan_bypass(mapping: &VertexMapping, edges: impl Iterator<Item = (u32, u32)>) -> BypassPlan {
+        let k = mapping.k;
+        // per row/col: the widest requested span
+        let mut row_span: Vec<Option<(usize, usize)>> = vec![None; k];
+        let mut col_span: Vec<Option<(usize, usize)>> = vec![None; k];
+        let is_high = |v: u32| mapping.high_degree.contains(&v);
+
+        for (src, dst) in edges {
+            if !mapping.range.contains(&src) || !mapping.range.contains(&dst) {
+                continue;
+            }
+            if !is_high(dst) && !is_high(src) {
+                continue;
+            }
+            let (sx, sy) = mapping.coord_of(src);
+            let (dx, dy) = mapping.coord_of(dst);
+            // XY route: horizontal leg on row sy, vertical leg on column dx.
+            if sx != dx {
+                let (a, b) = (sx.min(dx), sx.max(dx));
+                widen(&mut row_span[sy], a, b);
+            }
+            if sy != dy {
+                let (a, b) = (sy.min(dy), sy.max(dy));
+                widen(&mut col_span[dx], a, b);
+            }
+        }
+
+        let collect = |spans: &[Option<(usize, usize)>]| {
+            spans
+                .iter()
+                .enumerate()
+                .filter_map(|(index, s)| {
+                    s.and_then(|(from, to)| {
+                        // an express link over adjacent routers buys nothing
+                        (to - from >= 2).then_some(SegmentPlan { index, from, to })
+                    })
+                })
+                .collect()
+        };
+        BypassPlan {
+            rows: collect(&row_span),
+            cols: collect(&col_span),
+        }
+    }
 
     #[test]
     fn star_gets_column_bridge() {
@@ -259,18 +259,13 @@ mod tests {
         for seed in 0..6 {
             let g = generate::rmat(64, 600, Default::default(), seed);
             let m = degree_aware::map(0..64, &g.degrees(), 4, 4);
-            let legacy = plan_bypass(&m, g.edges());
-            let zero = SegmentPlan {
-                index: 0,
-                from: 0,
-                to: 0,
-            };
-            let mut rows = [zero; 4];
-            let mut cols = [zero; 4];
+            let reference = plan_bypass(&m, g.edges());
+            let mut rows = [SegmentPlan::default(); 4];
+            let mut cols = [SegmentPlan::default(); 4];
             let (nr, nc) =
                 plan_bypass_into(&m.view(), g.edges(), &mut scratch, &mut rows, &mut cols);
-            assert_eq!(&rows[..nr], legacy.rows.as_slice());
-            assert_eq!(&cols[..nc], legacy.cols.as_slice());
+            assert_eq!(&rows[..nr], reference.rows.as_slice());
+            assert_eq!(&cols[..nc], reference.cols.as_slice());
         }
     }
 

@@ -3,7 +3,8 @@
 
 use aurora::core::noc_model;
 use aurora::graph::generate;
-use aurora::mapping::{degree_aware, hashing, plan::plan_bypass};
+use aurora::mapping::plan::{plan_bypass_into, PlanScratch, SegmentPlan};
+use aurora::mapping::{degree_aware, hashing};
 use aurora::noc::{BypassSegment, Network, NocConfig};
 
 fn detailed_cycles(cfg: NocConfig, traffic: &[(usize, usize, usize)]) -> u64 {
@@ -61,16 +62,24 @@ fn estimator_and_engine_agree_bypass_helps_a_star() {
     )
     .unwrap();
 
-    let plan = plan_bypass(&mapping, g.edges());
-    let to_seg = |s: &aurora::mapping::plan::SegmentPlan| BypassSegment {
+    let mut rows = vec![SegmentPlan::default(); k];
+    let mut cols = vec![SegmentPlan::default(); k];
+    let (nr, nc) = plan_bypass_into(
+        &mapping.view(),
+        g.edges(),
+        &mut PlanScratch::new(),
+        &mut rows,
+        &mut cols,
+    );
+    let to_seg = |s: &SegmentPlan| BypassSegment {
         index: s.index,
         from: s.from,
         to: s.to,
     };
     let byp = NocConfig::with_bypass(
         k,
-        plan.rows.iter().map(to_seg).collect(),
-        plan.cols.iter().map(to_seg).collect(),
+        rows[..nr].iter().map(to_seg).collect(),
+        cols[..nc].iter().map(to_seg).collect(),
     );
     let est_byp = noc_model::aggregation_traffic(
         &byp,
