@@ -21,6 +21,13 @@
 //!   64→32→16: many tiles per layer, so the cross-layer route-table and
 //!   traffic-profile caches and the per-tile slabs are exercised at
 //!   scale.
+//! * `paper/pubmed-k32/Gcn` — the paper's own 32×32 configuration
+//!   (`AcceleratorConfig::default()`) on Pubmed, GCN F→16→classes at
+//!   input density 1.0: the request shape of perfbench's `paper-k32`.
+//!   Per-tile bypass plans give each tile its own k=32 route table, so
+//!   this pins the paper-scale route tables and traffic kernels.
+//! * `full/rmat-4k/k32/mesh/Gcn` — the same radix with `flexible_noc`
+//!   off: the plain-mesh routing path at k=32.
 //! * `batch/...` — `try_simulate_batch` over four small graphs: the
 //!   resident-weight refund and the merged profile.
 //!
@@ -36,7 +43,7 @@
 
 use aurora_bench::run_inline;
 use aurora_core::{AcceleratorConfig, AuroraSimulator};
-use aurora_graph::{generate, Csr};
+use aurora_graph::{generate, Csr, Dataset};
 use aurora_mapping::MappingPolicy;
 use aurora_model::{LayerShape, ModelId};
 use rayon::pool::ThreadPool;
@@ -118,6 +125,27 @@ fn cells() -> Vec<Cell> {
             graphs: vec![generate::rmat(n, m, Default::default(), seed)],
         });
     }
+    let pubmed = Dataset::Pubmed.spec();
+    cells.push(Cell {
+        name: "paper/pubmed-k32/Gcn".into(),
+        cfg: AcceleratorConfig::default(),
+        model: ModelId::Gcn,
+        shapes: vec![
+            LayerShape::new(pubmed.feature_dim, 16),
+            LayerShape::new(16, pubmed.classes.max(2)),
+        ],
+        graphs: vec![pubmed.synthesize()],
+    });
+    cells.push(Cell {
+        name: "full/rmat-4k/k32/mesh/Gcn".into(),
+        cfg: AcceleratorConfig {
+            flexible_noc: false,
+            ..AcceleratorConfig::default()
+        },
+        model: ModelId::Gcn,
+        shapes: vec![LayerShape::new(64, 32), LayerShape::new(32, 16)],
+        graphs: vec![generate::rmat(4_096, 40_000, Default::default(), 7)],
+    });
     cells.push(Cell {
         name: "batch/k4/Gcn/x4".into(),
         cfg: AcceleratorConfig::small(4),
