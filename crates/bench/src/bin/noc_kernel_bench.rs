@@ -6,10 +6,15 @@
 //!
 //! Times the seed's O(E·hops) per-edge route walker (inlined below —
 //! the library keeps it only as a `#[cfg(test)]` oracle) against the
-//! shipped O(E + k⁴) route-table kernel on R-MAT graphs at the paper's
-//! k=8 sub-array radix, and prints the speedup per workload. Every
-//! timed pair is also checked for bit-identical estimates, so the bench
-//! doubles as an end-to-end equivalence test over full-size graphs.
+//! shipped route-table kernel, and prints the speedup per workload. The
+//! kernel is split into its two steps: the dimension-factored
+//! [`RouteTable`] build (2k³ row/column legs, O(k³)) and the O(E + k³)
+//! leg-binning pass that turns a tile's edges into a traffic estimate.
+//! Rows run R-MAT graphs at a k=8 sub-array and at the paper's k=32
+//! array (a Pubmed-sized graph, once with the bypass configuration the
+//! engine's planner picks and once on the plain mesh). Every timed pair
+//! is also checked for bit-identical estimates, so the bench doubles as
+//! an end-to-end equivalence test over full-size graphs.
 //!
 //! Wall-clock only — simulated cycles are identical by construction.
 //! `scripts/check.sh` runs this with `--quick` as an informational
@@ -17,11 +22,12 @@
 
 use aurora_bench::cli::{fail, Args};
 use aurora_bench::emit::{Cell, Table};
-use aurora_core::noc_model::{aggregation_traffic, OnChipEstimate, DEFAULT_LINK_UTILISATION};
-use aurora_graph::generate;
+use aurora_core::noc_model::{OnChipEstimate, TrafficProfile, DEFAULT_LINK_UTILISATION};
+use aurora_graph::{generate, Csr};
+use aurora_mapping::plan::{plan_bypass_into, PlanScratch, SegmentPlan};
 use aurora_mapping::{degree_aware, VertexMapping};
 use aurora_noc::routing::{compute_route, next_node};
-use aurora_noc::{NocConfig, NocError, Port, TopologyMode};
+use aurora_noc::{BypassSegment, NocConfig, NocError, Port, RouteTable, TopologyMode};
 use std::time::Instant;
 
 /// The seed's estimator: walk every edge's route hop by hop. Kept here
@@ -124,6 +130,34 @@ fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, last.expect("reps >= 1"))
 }
 
+/// The bypass configuration the engine's planner picks for `mapping`'s
+/// traffic over `g` (a plain mesh when it plans no segment).
+fn planned_cfg(mapping: &VertexMapping, g: &Csr) -> NocConfig {
+    let k = mapping.k;
+    let mut rows = vec![SegmentPlan::default(); k];
+    let mut cols = vec![SegmentPlan::default(); k];
+    let (nr, nc) = plan_bypass_into(
+        &mapping.view(),
+        g.edges(),
+        &mut PlanScratch::new(),
+        &mut rows,
+        &mut cols,
+    );
+    if nr + nc == 0 {
+        return NocConfig::mesh(k);
+    }
+    let seg = |s: &SegmentPlan| BypassSegment {
+        index: s.index,
+        from: s.from,
+        to: s.to,
+    };
+    NocConfig::with_bypass(
+        k,
+        rows[..nr].iter().map(seg).collect(),
+        cols[..nc].iter().map(seg).collect(),
+    )
+}
+
 fn main() {
     let mut reps = 10usize;
     let mut args = Args::from_env();
@@ -136,31 +170,41 @@ fn main() {
     }
     let reps = reps.max(1);
 
-    let k = 8usize;
     let msg_words = 16;
-    let cfg = NocConfig::mesh(k);
-    let graphs = [
-        (
-            "rmat-4k",
-            generate::rmat(4_096, 40_000, Default::default(), 7),
-        ),
-        (
-            "rmat-16k",
-            generate::rmat(16_384, 160_000, Default::default(), 9),
-        ),
+    let rmat = |n, m, seed| generate::rmat(n, m, Default::default(), seed);
+    let workloads = [
+        ("rmat-4k", 8, false, rmat(4_096, 40_000, 7)),
+        ("rmat-16k", 8, false, rmat(16_384, 160_000, 9)),
+        ("rmat-pubmed", 32, true, rmat(19_717, 88_648, 5)),
+        ("rmat-pubmed", 32, false, rmat(19_717, 88_648, 5)),
     ];
 
     let mut t = Table::new(format!(
-        "noc_kernel_bench — k={k}, {msg_words}-word messages, best of {reps}"
+        "noc_kernel_bench — {msg_words}-word messages, best of {reps}"
     ))
-    .columns(&["workload", "edges", "walker ms", "kernel ms", "speedup"]);
+    .columns(&[
+        "workload",
+        "k",
+        "noc",
+        "edges",
+        "walker ms",
+        "build ms",
+        "bin ms",
+        "speedup",
+    ]);
 
-    for (name, g) in &graphs {
+    for (name, k, flexible, g) in &workloads {
         // One tile spanning the whole graph: worst case for the walker
         // (every edge routed), steady state for the kernel.
+        let k = *k;
         let n = g.num_vertices();
         let c_pe = n.div_ceil(k * k);
         let mapping = degree_aware::map(0..n as u32, &g.degrees(), k, c_pe);
+        let cfg = if *flexible {
+            planned_cfg(&mapping, g)
+        } else {
+            NocConfig::mesh(k)
+        };
 
         let (walker_ms, walker) = time_ms(reps, || {
             legacy_aggregation_traffic(
@@ -170,28 +214,29 @@ fn main() {
                 msg_words,
                 DEFAULT_LINK_UTILISATION,
             )
-            .expect("mesh routes every pair")
+            .expect("validated configs route every pair")
         });
-        let (kernel_ms, kernel) = time_ms(reps, || {
-            aggregation_traffic(
-                &cfg,
-                &mapping,
-                g.edges(),
-                msg_words,
-                DEFAULT_LINK_UTILISATION,
-            )
-            .expect("mesh routes every pair")
+        let (build_ms, table) = time_ms(reps, || {
+            RouteTable::build(&cfg).expect("planned configs validate")
+        });
+        let (bin_ms, kernel) = time_ms(reps, || {
+            TrafficProfile::bin(&table, &mapping.view(), g.edges())
+                .expect("validated configs route every pair")
+                .estimate(&cfg, msg_words, DEFAULT_LINK_UTILISATION)
         });
         assert_eq!(kernel, walker, "{name}: kernel must match the walker");
 
         t.row(vec![
             Cell::Str((*name).to_string()),
+            Cell::UInt(k as u64),
+            Cell::Str(if *flexible { "flex" } else { "mesh" }.to_string()),
             Cell::UInt(g.num_edges() as u64),
             Cell::float(walker_ms, 2),
-            Cell::float(kernel_ms, 2),
-            Cell::ratio(walker_ms / kernel_ms, 1),
+            Cell::float(build_ms, 2),
+            Cell::float(bin_ms, 2),
+            Cell::ratio(walker_ms / (build_ms + bin_ms), 1),
         ]);
     }
-    t.note("estimates asserted bit-identical; wall-clock only, cycles unchanged by construction");
+    t.note("speedup = walker / (build + bin); estimates asserted bit-identical; wall-clock only, cycles unchanged by construction");
     t.print();
 }

@@ -62,7 +62,7 @@ struct TrafficCache {
     profile_order: VecDeque<ProfileKey>,
     /// Pre-built tables carried across a session's applies (route tables
     /// are pure functions of the config, so they never go stale).
-    /// Consulted by [`Self::ensure_built`] before paying the O(k⁴)
+    /// Consulted by [`Self::ensure_built`] before paying the O(k³)
     /// build; counters are untouched — they fire at intern time and must
     /// match a cold run's exactly.
     warm: HashMap<NocConfig, RouteTable>,
@@ -73,8 +73,9 @@ struct TrafficCache {
 
 /// One interned NoC configuration and its lazily-built route table.
 /// Interning counts as the "build" for report/telemetry purposes (the
-/// numbers are what an eager build produced historically); the O(k⁴)
-/// all-pairs table itself is only materialised for tiles that actually
+/// numbers are what an eager build produced historically); the
+/// dimension-factored leg table itself (2k³ leg summaries plus a k²
+/// bypass-peer index) is only materialised for tiles that actually
 /// bin edges — a session apply with one dirty tile routes one table,
 /// not one per tile.
 struct TableSlot {
@@ -235,7 +236,7 @@ pub(crate) struct SessionState {
     pub(crate) layers: Vec<SessionLayerState>,
     /// Route tables built by earlier applies, keyed by NoC config. Pure
     /// functions of the config — they survive [`Self::invalidate`] and
-    /// save the O(k⁴) rebuild every apply would otherwise pay.
+    /// save the O(k³) rebuild every apply would otherwise pay.
     pub(crate) route_tables: HashMap<NocConfig, RouteTable>,
 }
 
@@ -1175,7 +1176,7 @@ impl AuroraSimulator {
                     // A clean session tile substitutes its stored profile
                     // — same mapping, same edges, same route table (the
                     // signature stamp is the invalidation hook) ⇒ the
-                    // same bin result without the O(E) pass or the O(k⁴)
+                    // same bin result without the O(E) pass or the O(k³)
                     // table build. The sequential pass above decided.
                     if replay_ref[i] {
                         let (_, p) = store_ref.expect("replay implies a session")[ti]

@@ -15,18 +15,19 @@
 //! plus the pipeline fill (average hop count + message serialisation).
 //! The estimate is validated against the cycle-level engine in the tests.
 //!
-//! Routes are pure functions of `(NocConfig, src, dst)` and a `k × k`
-//! fabric has only k⁴ PE pairs, so [`aggregation_traffic`] runs as a
-//! **two-pass kernel** — an O(E) counting pass binning edges into a flat
-//! k⁴ `(src_pe, dst_pe)` histogram, then one application of each distinct
-//! pair's precomputed [`RouteSummary`] scaled by its multiplicity —
-//! instead of the seed's O(E·hops) per-edge walk. The per-edge walker
-//! survives as a `#[cfg(test)]` oracle proven bit-identical (including
-//! the `NocError` cases) by the `kernel_matches_legacy_oracle` property
-//! test below.
+//! Routes are pure functions of `(NocConfig, src, dst)`, and every
+//! route is a row leg followed by a column leg, of which a `k × k`
+//! fabric has only 2k³. So [`aggregation_traffic`] runs as a **two-pass
+//! kernel** — an O(E) counting pass binning edges into a row-leg and a
+//! column-leg histogram (k³ slots each), then one application of each
+//! distinct leg's precomputed [`RouteSummary`] scaled by its
+//! multiplicity — instead of the seed's O(E·hops) per-edge walk. The
+//! per-edge walker survives as a `#[cfg(test)]` oracle proven
+//! bit-identical (including the `NocError` cases) by the
+//! `kernel_matches_legacy_oracle` property test below.
 
 use aurora_mapping::{MapView, VertexMapping};
-use aurora_noc::routing::{RouteSummary, RouteTable};
+use aurora_noc::routing::{Axis, RouteSummary, RouteTable};
 use aurora_noc::{NocConfig, NocError, TopologyMode};
 use aurora_telemetry::{Scope, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -149,13 +150,18 @@ pub struct TrafficProfile {
 }
 
 impl TrafficProfile {
-    /// O(E) counting pass + one O(k⁴) application of the route table: for
-    /// each edge `(u, v)` sourced in the tile a message flows from `PE(u)`
-    /// towards `PE(v)` (in-tile destination) or down to the memory port at
-    /// the top of its column (out-of-tile destination — the partial
-    /// aggregate leaves via the crossbar). Edges bin into a flat k⁴
-    /// `(src_pe, dst_pe)` histogram; each *distinct* pair's precomputed
-    /// summary is then applied once, scaled by its multiplicity.
+    /// O(E) counting pass + one application of the route table's 2k³
+    /// legs: for each edge `(u, v)` sourced in the tile a message flows
+    /// from `PE(u)` towards `PE(v)` (in-tile destination) or down to the
+    /// memory port at the top of its column (out-of-tile destination —
+    /// the partial aggregate leaves via the crossbar). Each message bins
+    /// into a row-leg and a column-leg histogram (k³ slots each, see
+    /// [`RouteTable`]); each *distinct* leg's precomputed summary and
+    /// forwarding nodes are then applied once, scaled by its
+    /// multiplicity. A route's row-leg nodes end before its turn and its
+    /// column-leg nodes start there, so the two together charge exactly
+    /// the routers a per-edge walk does; the column legs' counts also
+    /// give the per-destination eject counts.
     ///
     /// Unroutable pairs surface as the same [`NocError`] (first erroring
     /// edge in iteration order) the per-edge walk would produce.
@@ -166,7 +172,8 @@ impl TrafficProfile {
     ) -> Result<TrafficProfile, NocError> {
         let k = table.config().k;
         let n = k * k;
-        let mut hist = vec![0u64; n * n];
+        let mut row_hist = vec![0u64; table.num_legs()];
+        let mut col_hist = vec![0u64; table.num_legs()];
         let mut messages = 0u64;
         let start = mapping.range.start;
         let len = mapping.range.end - start;
@@ -184,14 +191,19 @@ impl TrafficProfile {
                 // exits via the memory crossbar at the top of src's column
                 src % k
             };
-            let slot = &mut hist[src * n + dst];
-            if *slot == 0 {
-                // certify each distinct pair on first sight — the first
-                // erroring edge is the first occurrence of an erroring
-                // pair, so the error order matches a per-edge check
+            let r = table.leg_index(Axis::Row, src, dst);
+            let c = table.leg_index(Axis::Col, src, dst);
+            // certify each distinct leg on first sight: a pair fails
+            // exactly when one of its legs does, and a failing leg is
+            // never counted, so every erroring edge reaches this check
+            // and the first one returns its pair's error
+            if (row_hist[r] == 0 && table.leg(Axis::Row, r).is_none())
+                || (col_hist[c] == 0 && table.leg(Axis::Col, c).is_none())
+            {
                 table.summary(src, dst)?;
             }
-            *slot += 1;
+            row_hist[r] += 1;
+            col_hist[c] += 1;
             messages += 1;
         }
 
@@ -199,21 +211,24 @@ impl TrafficProfile {
         let mut eject = vec![0u64; n];
         let mut total_hops = 0u64;
         let mut bypass_hops = 0u64;
-        for src in 0..n {
-            for dst in 0..n {
-                let count = hist[src * n + dst];
+        for (axis, hist) in [(Axis::Row, &row_hist), (Axis::Col, &col_hist)] {
+            for (i, &count) in hist.iter().enumerate() {
                 if count == 0 {
                     continue;
                 }
                 let s: RouteSummary = table
-                    .summary(src, dst)
-                    .expect("pair certified during the counting pass");
+                    .leg(axis, i)
+                    .expect("leg certified during the counting pass");
+                if axis == Axis::Col {
+                    // every message ends with its column leg, and a column
+                    // leg's index ends in its destination node
+                    eject[i % n] += count;
+                }
                 total_hops += count * s.hops as u64;
                 bypass_hops += count * s.bypass_hops as u64;
-                for node in table.load_nodes(src, dst) {
+                for node in table.leg_nodes(axis, i) {
                     load[node] += count;
                 }
-                eject[dst] += count;
             }
         }
         Ok(TrafficProfile {
@@ -465,25 +480,45 @@ mod tests {
         ))
     }
 
+    /// Disjoint, valid bypass segments from raw `(index, a, b)` draws:
+    /// each draw becomes the segment `min(a, b) → max(a, b)` on line
+    /// `index` (all mod `k`), kept unless it is empty or touches a kept
+    /// segment on the same line (overlap or a shared tap).
+    fn disjoint_segments(k: usize, raw: &[(usize, usize, usize)]) -> Vec<BypassSegment> {
+        let mut segs: Vec<BypassSegment> = Vec::new();
+        for &(index, a, b) in raw {
+            let (index, a, b) = (index % k, a % k, b % k);
+            let (from, to) = (a.min(b), a.max(b));
+            let clash = segs
+                .iter()
+                .any(|s| s.index == index && s.from <= to && from <= s.to);
+            if from < to && !clash {
+                segs.push(BypassSegment { index, from, to });
+            }
+        }
+        segs
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
         fn kernel_matches_legacy_oracle(
-            k in 2usize..9,
+            k in 2usize..17,
             mode in 0u8..3,
             degree_mapped in proptest::bool::ANY,
             raw in proptest::collection::vec((0u32..64, 0u32..64), 0..300),
             msg_words in 0usize..40,
-            seg in (0usize..8, 0usize..8, 0usize..8, 0usize..8),
+            rows in proptest::collection::vec((0usize..16, 0usize..16, 0usize..16), 0..24),
+            cols in proptest::collection::vec((0usize..16, 0usize..16, 0usize..16), 0..24),
         ) {
             let cfg = match mode {
                 0 => NocConfig::mesh(k),
                 1 => NocConfig::rings(k), // cross-row pairs exercise NocError equivalence
+                // several disjoint segments per row and column, anywhere
                 _ => NocConfig::with_bypass(
                     k,
-                    // from = 0 < to ∈ 1..k keeps every sampled segment valid
-                    vec![BypassSegment { index: seg.0 % k, from: 0, to: 1 + seg.1 % (k - 1) }],
-                    vec![BypassSegment { index: seg.2 % k, from: 0, to: 1 + seg.3 % (k - 1) }],
+                    disjoint_segments(k, &rows),
+                    disjoint_segments(k, &cols),
                 ),
             };
             cfg.validate().unwrap();
@@ -497,10 +532,13 @@ mod tests {
                     degrees[(u - range.start) as usize] += 1;
                 }
             }
+            // the least per-PE capacity that fits, so the 32 vertices
+            // spread over the array and routes span it at every k
+            let c_pe = 32usize.div_ceil(k * k);
             let mapping = if degree_mapped {
-                degree_aware::map(range.clone(), &degrees, k, 16)
+                degree_aware::map(range.clone(), &degrees, k, c_pe)
             } else {
-                hashing::map(range, &degrees, k, 16)
+                hashing::map(range, &degrees, k, c_pe)
             };
 
             let kernel = aggregation_traffic(

@@ -33,9 +33,10 @@ pub struct BypassSegment {
 
 /// Full NoC configuration.
 ///
-/// `Eq`/`Hash` make a configuration usable as a cache key (the route
-/// tables of `aurora_noc::routing::RouteTable` are pure functions of the
-/// configuration, so the engine memoizes them per distinct config).
+/// `Eq`/`Hash` make a configuration usable as a cache key (the
+/// dimension-factored route tables of `aurora_noc::routing::RouteTable`
+/// — 2k³ row/column legs — are pure functions of the configuration, so
+/// the engine memoizes them per distinct config).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct NocConfig {
     /// Mesh radix: the network is `k × k`.
@@ -190,36 +191,30 @@ impl NocConfig {
     }
 
     /// The horizontal bypass attachment of node `id`, if any: the node id
-    /// at the other end of the segment.
+    /// at the other end of the segment. A linear scan of the segments,
+    /// for one-off queries; a `RouteTable` indexes every node's peers
+    /// once at build time instead.
     pub fn h_bypass_peer(&self, id: NodeId) -> Option<NodeId> {
         let (x, y) = (id % self.k, id / self.k);
-        self.row_bypass.iter().find_map(|s| {
-            if s.index != y {
-                None
-            } else if s.from == x {
-                Some(y * self.k + s.to)
-            } else if s.to == x {
-                Some(y * self.k + s.from)
-            } else {
-                None
-            }
-        })
+        self.h_bypass_tap(x, y).map(|px| y * self.k + px)
     }
 
     /// The vertical bypass attachment of node `id`, if any.
     pub fn v_bypass_peer(&self, id: NodeId) -> Option<NodeId> {
         let (x, y) = (id % self.k, id / self.k);
-        self.col_bypass.iter().find_map(|s| {
-            if s.index != x {
-                None
-            } else if s.from == y {
-                Some(s.to * self.k + x)
-            } else if s.to == y {
-                Some(s.from * self.k + x)
-            } else {
-                None
-            }
-        })
+        self.v_bypass_tap(x, y).map(|py| py * self.k + x)
+    }
+
+    /// The column at the other end of the horizontal segment tapping
+    /// router `(x, y)`, if any.
+    pub(crate) fn h_bypass_tap(&self, x: usize, y: usize) -> Option<usize> {
+        other_end(&self.row_bypass, y, x)
+    }
+
+    /// The row at the other end of the vertical segment tapping router
+    /// `(x, y)`, if any.
+    pub(crate) fn v_bypass_tap(&self, x: usize, y: usize) -> Option<usize> {
+        other_end(&self.col_bypass, x, y)
     }
 
     /// Flits needed to carry a `msg_words`-word message (at least one —
@@ -235,6 +230,22 @@ impl NocConfig {
     pub fn reconfiguration_cycles(&self) -> u64 {
         (2 * self.k - 1) as u64
     }
+}
+
+/// The far end of the first segment on line `index` that taps position
+/// `pos`.
+fn other_end(segs: &[BypassSegment], index: usize, pos: usize) -> Option<usize> {
+    segs.iter().find_map(|s| {
+        if s.index != index {
+            None
+        } else if s.from == pos {
+            Some(s.to)
+        } else if s.to == pos {
+            Some(s.from)
+        } else {
+            None
+        }
+    })
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ pub use config::{BypassSegment, NocConfig, TopologyMode};
 pub use error::{BypassKind, NocError};
 pub use flit::{Flit, FlitKind, Packet, PacketId};
 pub use network::Network;
-pub use routing::{RouteSummary, RouteTable};
+pub use routing::{Axis, RouteSummary, RouteTable};
 pub use stats::NetworkStats;
 pub use topology::{Coord, NodeId, Port};
 pub use traffic::{run_pattern, run_pattern_with_budget, Pattern, PatternRun};

@@ -14,22 +14,89 @@ use crate::config::{NocConfig, TopologyMode};
 use crate::error::NocError;
 use crate::topology::{Coord, NodeId, Port};
 
-/// Computes the output port for a flit at `cur` destined to `dst`.
-///
-/// Ring mode only routes within a row (ring traffic is intra-row by
-/// construction of the vertex-update dataflow); a cross-row request
-/// yields [`NocError::CrossRowRingRoute`] instead of aborting the run.
-pub fn compute_route(cfg: &NocConfig, cur: NodeId, dst: NodeId) -> Result<Port, NocError> {
-    let k = cfg.k;
-    let c = Coord::of(cur, k);
-    let d = Coord::of(dst, k);
+/// Where a router's bypass segments lead — the one input of the routing
+/// rule beyond the mode and the coordinates. [`NocConfig`] answers by
+/// scanning its segment lists (the cycle-level engine's one-off
+/// queries); a [`RouteTable`]'s [`PeerIndex`] answers from a k² array.
+trait BypassPeers {
+    /// The column at the other end of the horizontal segment tapping `c`.
+    fn h_peer(&self, c: Coord) -> Option<usize>;
+    /// The row at the other end of the vertical segment tapping `c`.
+    fn v_peer(&self, c: Coord) -> Option<usize>;
+}
+
+impl BypassPeers for NocConfig {
+    fn h_peer(&self, c: Coord) -> Option<usize> {
+        self.h_bypass_tap(c.x, c.y)
+    }
+
+    fn v_peer(&self, c: Coord) -> Option<usize> {
+        self.v_bypass_tap(c.x, c.y)
+    }
+}
+
+/// [`PeerIndex`] sentinel for "no attachment".
+const NO_PEER: u32 = u32::MAX;
+
+/// Every router's `[horizontal, vertical]` bypass peer (the far end's
+/// column and row), k² entries, built once per table in
+/// O(k² + segments).
+#[derive(Debug, Clone)]
+struct PeerIndex {
+    k: usize,
+    peers: Vec<[u32; 2]>,
+}
+
+impl PeerIndex {
+    fn build(cfg: &NocConfig) -> PeerIndex {
+        let k = cfg.k;
+        let mut peers = vec![[NO_PEER; 2]; k * k];
+        let mut attach = |dim: usize, a: NodeId, b: NodeId, far_a: usize, far_b: usize| {
+            for (at, far) in [(a, far_a), (b, far_b)] {
+                // the first segment tapping a router wins, as in the scans
+                if peers[at][dim] == NO_PEER {
+                    peers[at][dim] = far as u32;
+                }
+            }
+        };
+        for s in &cfg.row_bypass {
+            attach(0, s.index * k + s.from, s.index * k + s.to, s.to, s.from);
+        }
+        for s in &cfg.col_bypass {
+            attach(1, s.from * k + s.index, s.to * k + s.index, s.to, s.from);
+        }
+        PeerIndex { k, peers }
+    }
+
+    fn get(&self, c: Coord, dim: usize) -> Option<usize> {
+        let p = self.peers[c.id(self.k)][dim];
+        (p != NO_PEER).then_some(p as usize)
+    }
+}
+
+impl BypassPeers for PeerIndex {
+    fn h_peer(&self, c: Coord) -> Option<usize> {
+        self.get(c, 0)
+    }
+
+    fn v_peer(&self, c: Coord) -> Option<usize> {
+        self.get(c, 1)
+    }
+}
+
+/// The routing rule: the output port at `c` towards `d`, with the
+/// bypass attachments read through `peers`.
+fn route(cfg: &NocConfig, peers: &impl BypassPeers, c: Coord, d: Coord) -> Result<Port, NocError> {
     if c == d {
         return Ok(Port::Local);
     }
     match cfg.mode {
         TopologyMode::Rings => {
             if c.y != d.y {
-                return Err(NocError::CrossRowRingRoute { cur, dst });
+                return Err(NocError::CrossRowRingRoute {
+                    cur: c.id(cfg.k),
+                    dst: d.id(cfg.k),
+                });
             }
             Ok(Port::East) // +x, wrapping at k − 1
         }
@@ -38,8 +105,7 @@ pub fn compute_route(cfg: &NocConfig, cur: NodeId, dst: NodeId) -> Result<Port, 
                 // Resolve X first. Consider the horizontal bypass if it
                 // strictly beats the mesh hop.
                 if cfg.mode == TopologyMode::MeshWithBypass {
-                    if let Some(peer) = cfg.h_bypass_peer(cur) {
-                        let px = peer % k;
+                    if let Some(px) = peers.h_peer(c) {
                         let cur_gap = c.x.abs_diff(d.x);
                         let peer_gap = px.abs_diff(d.x);
                         if peer_gap + 1 < cur_gap {
@@ -55,8 +121,7 @@ pub fn compute_route(cfg: &NocConfig, cur: NodeId, dst: NodeId) -> Result<Port, 
             } else {
                 // X resolved; resolve Y, considering the vertical bypass.
                 if cfg.mode == TopologyMode::MeshWithBypass {
-                    if let Some(peer) = cfg.v_bypass_peer(cur) {
-                        let py = peer / k;
+                    if let Some(py) = peers.v_peer(c) {
                         let cur_gap = c.y.abs_diff(d.y);
                         let peer_gap = py.abs_diff(d.y);
                         if peer_gap + 1 < cur_gap {
@@ -72,6 +137,65 @@ pub fn compute_route(cfg: &NocConfig, cur: NodeId, dst: NodeId) -> Result<Port, 
             }
         }
     }
+}
+
+/// The router reached by leaving `c` through `port`, with the bypass
+/// attachments read through `peers` (see [`next_node`]).
+fn advance(
+    cfg: &NocConfig,
+    peers: &impl BypassPeers,
+    c: Coord,
+    port: Port,
+) -> Result<Option<Coord>, NocError> {
+    let k = cfg.k;
+    let unattached = || NocError::MissingBypassAttachment { cur: c.id(k), port };
+    let next = match port {
+        Port::Local => return Ok(None),
+        Port::North => (c.y > 0).then(|| Coord { y: c.y - 1, ..c }),
+        Port::South => (c.y + 1 < k).then(|| Coord { y: c.y + 1, ..c }),
+        Port::East if c.x + 1 < k => Some(Coord { x: c.x + 1, ..c }),
+        // wrap over the row bypass wire
+        Port::East => (cfg.mode == TopologyMode::Rings).then_some(Coord { x: 0, ..c }),
+        Port::West => (c.x > 0).then(|| Coord { x: c.x - 1, ..c }),
+        Port::BypassH => {
+            return Ok(Some(Coord {
+                x: peers.h_peer(c).ok_or_else(unattached)?,
+                ..c
+            }))
+        }
+        Port::BypassV => {
+            return Ok(Some(Coord {
+                y: peers.v_peer(c).ok_or_else(unattached)?,
+                ..c
+            }))
+        }
+    };
+    next.map(Some)
+        .ok_or(NocError::OffMeshEdge { cur: c.id(k), port })
+}
+
+/// One hop of the routing rule: the port `c` forwards on towards `d` and
+/// the router it leads to (`None` for Local). The table build and the
+/// error replay step through this, as [`compute_route`] and
+/// [`next_node`] do one half each, so there is one copy of the bypass
+/// decision.
+fn hop(
+    cfg: &NocConfig,
+    peers: &impl BypassPeers,
+    c: Coord,
+    d: Coord,
+) -> Result<(Port, Option<Coord>), NocError> {
+    let port = route(cfg, peers, c, d)?;
+    Ok((port, advance(cfg, peers, c, port)?))
+}
+
+/// Computes the output port for a flit at `cur` destined to `dst`.
+///
+/// Ring mode only routes within a row (ring traffic is intra-row by
+/// construction of the vertex-update dataflow); a cross-row request
+/// yields [`NocError::CrossRowRingRoute`] instead of aborting the run.
+pub fn compute_route(cfg: &NocConfig, cur: NodeId, dst: NodeId) -> Result<Port, NocError> {
+    route(cfg, cfg, Coord::of(cur, cfg.k), Coord::of(dst, cfg.k))
 }
 
 /// The VC a flit occupies on the downstream router after leaving `cur`
@@ -97,9 +221,9 @@ pub fn hop_count(cfg: &NocConfig, src: NodeId, dst: NodeId) -> Result<usize, Noc
     RouteTable::build(cfg)?.hops(src, dst)
 }
 
-/// Precomputed summary of one `(src, dst)` route: everything a traffic
+/// Precomputed summary of one route or route leg: everything a traffic
 /// estimator needs except the per-node identities (walk those with
-/// [`RouteTable::load_nodes`]).
+/// [`RouteTable::load_nodes`] / [`RouteTable::leg_nodes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteSummary {
     /// Router-to-router hops (0 when `src == dst`).
@@ -108,173 +232,151 @@ pub struct RouteSummary {
     pub bypass_hops: u32,
 }
 
-/// Per-node resolution state used while building the table (per
-/// destination): hop/bypass counts for resolved nodes, or a marker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum RouteState {
-    Unknown,
-    Done {
-        hops: u32,
-        bypass: u32,
-    },
-    /// The route fails (routing error, no progress, or a cycle). The
-    /// *which* error is not stored — [`RouteTable::summary`] re-derives it
-    /// by replaying the hop-by-hop walk, which reproduces it exactly.
-    Failed,
+/// One precomputed leg: its hop and bypass-hop counts, and the
+/// position along its line that its first hop leads to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Leg {
+    hops: u32,
+    bypass_hops: u32,
+    next: u32,
 }
 
-/// `ports` sentinel for "`compute_route` errors at this pair".
-const PORT_ERR: u8 = u8::MAX;
+impl Leg {
+    /// The leg from a position to itself.
+    const EMPTY: Leg = Leg {
+        hops: 0,
+        bypass_hops: 0,
+        next: 0,
+    };
 
-/// `hops` sentinel for "this pair is unroutable".
-const HOPS_ERR: u32 = u32::MAX;
+    /// Sentinel for "the routing rule fails on this leg".
+    const ERR: Leg = Leg {
+        hops: u32::MAX,
+        bypass_hops: 0,
+        next: 0,
+    };
+}
 
-/// Precomputed routes of one [`NocConfig`]: a dense next-hop LUT plus a
-/// per-pair [`RouteSummary`], one entry per `(src, dst)` PE pair — k⁴
-/// entries for a `k × k` fabric.
+/// The dimension a route leg runs along.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// The X leg: from `(sx, sy)` along row `sy` to `(dx, sy)`.
+    Row,
+    /// The Y leg: from `(dx, sy)` along column `dx` to `(dx, dy)`.
+    Col,
+}
+
+/// Precomputed routes of one [`NocConfig`], factored by dimension: a
+/// row-leg and a column-leg table of k³ entries each, plus a k²
+/// bypass-peer index.
+///
+/// Every mode routes one dimension at a time. Under mesh and
+/// mesh-with-bypass XY routing a flit resolves X first, and each X-phase
+/// decision depends only on its row position, `dx` and that row's
+/// bypass taps. Once `x == dx` it resolves Y, and each Y-phase decision
+/// depends only on its column position, `dy` and that column's taps.
+/// The route `src → dst` is therefore exactly the row leg
+/// `(sx, sy) → (dx, sy)` followed by the column leg
+/// `(dx, sy) → (dx, dy)`, and its summary is their sum — 2k³ legs stand
+/// in for k⁴ pairs (65,536 legs at the paper's k = 32, built in
+/// O(k³)). Rings fit the same shape: a row leg is the directed +x
+/// distance, and a column leg between different rows fails.
 ///
 /// Routes are pure functions of the configuration, so the table is built
-/// **once** per config via the same fallible routing functions the
+/// **once** per config by stepping the same fallible routing rule the
 /// cycle-level engine uses ([`compute_route`] / [`next_node`]): a
 /// mis-segmented bypass config fails [`RouteTable::build`] up front, and
 /// per-pair route errors (e.g. a cross-row ring request) are returned
-/// exactly as the hop-by-hop walk would produce them. Traffic estimators
-/// then charge each *distinct* pair once, scaled by its message
-/// multiplicity, instead of re-walking every edge — the O(E·hops) →
-/// O(E + k⁴) rewrite of `aggregation_traffic`.
-///
-/// Storage is deliberately compact (9 bytes/pair — ~9 MB at the paper's
-/// k = 32, where the engine may cache several tables): ports are
-/// byte-encoded and failing pairs hold a sentinel whose exact [`NocError`]
-/// is re-derived on demand by replaying the walk. The per-node
-/// load-contribution list of a route is likewise not materialized (that
-/// would be O(k⁵) memory); [`Self::load_nodes`] replays it as a cheap LUT
-/// chase instead.
+/// exactly as the hop-by-hop walk would produce them — a pair fails
+/// exactly when one of its legs does, and [`Self::summary`] then replays
+/// the walk to re-derive the precise [`NocError`]. Traffic estimators bin
+/// messages by leg and charge each *distinct* leg once, scaled by its
+/// multiplicity. Each leg also keeps the position its first hop leads
+/// to, so [`Self::leg_nodes`] and [`Self::load_nodes`] list a route's
+/// forwarding routers by chasing those links.
 #[derive(Debug, Clone)]
 pub struct RouteTable {
     cfg: NocConfig,
-    n: usize,
-    /// `ports[cur * n + dst]`: index into [`Port::ALL`] of the output port
-    /// at `cur` towards `dst`, or [`PORT_ERR`].
-    ports: Vec<u8>,
-    /// `hops[src * n + dst]`, or [`HOPS_ERR`] for unroutable pairs.
-    hops: Vec<u32>,
-    /// `bypass[src * n + dst]`: how many of the hops ride bypass segments.
-    bypass: Vec<u32>,
+    peers: PeerIndex,
+    /// Every node's `[x, y]`, so leg indices need no division on the
+    /// binning hot path.
+    xy: Vec<[u32; 2]>,
+    /// `row[(y·k + sx)·k + dx]`: the leg `(sx, y) → (dx, y)`, or
+    /// [`Leg::ERR`] — keyed by the source node and `dx`.
+    row: Vec<Leg>,
+    /// `col[(sy·k + dy)·k + x]`: the leg `(x, sy) → (x, dy)`, or
+    /// [`Leg::ERR`] — keyed by `sy` and the destination node, so a
+    /// route's two leg indices need only its endpoints' coordinates (see
+    /// [`Self::leg_index`]).
+    col: Vec<Leg>,
 }
 
 impl RouteTable {
     /// Builds the table for `cfg`. Configuration-level problems surface
     /// here as the [`NocConfig::validate`] error; per-pair routing errors
-    /// are recorded per pair and returned by the accessors.
+    /// are recorded per leg and returned by the accessors.
     pub fn build(cfg: &NocConfig) -> Result<RouteTable, NocError> {
         cfg.validate()?;
-        let n = cfg.k * cfg.k;
-        let mut ports = Vec::with_capacity(n * n);
-        for cur in 0..n {
-            for dst in 0..n {
-                ports.push(match compute_route(cfg, cur, dst) {
-                    Ok(p) => encode_port(p),
-                    Err(_) => PORT_ERR,
-                });
-            }
+        let k = cfg.k;
+        let peers = PeerIndex::build(cfg);
+        let mut row = vec![Leg::ERR; k * k * k];
+        let mut col = vec![Leg::ERR; k * k * k];
+        let mut line = LineScratch::new(k);
+        // One routing step of a leg; a failing rule ends the leg.
+        let step = |c: Coord, d: Coord| match hop(cfg, &peers, c, d) {
+            Ok((port, Some(next))) => Some((next, matches!(port, Port::BypassH | Port::BypassV))),
+            Err(_) | Ok((_, None)) => None,
+        };
+        for y in 0..k {
+            line.fill(
+                &mut row,
+                |s, d| (y * k + s) * k + d,
+                |s, d| {
+                    step(Coord { x: s, y }, Coord { x: d, y }).map(|(next, byp)| {
+                        debug_assert_eq!(next.y, y, "an X leg stays in its row");
+                        (next.x, byp)
+                    })
+                },
+            );
         }
-
-        // Resolve every pair's summary by chasing the LUT with memoized
-        // back-fill: each node is walked at most once per destination, so
-        // the whole table costs O(k⁴), not O(k⁴ · hops).
-        let mut hops = vec![HOPS_ERR; n * n];
-        let mut bypass = vec![0u32; n * n];
-        let mut state = vec![RouteState::Unknown; n];
-        let mut stack: Vec<(NodeId, bool)> = Vec::with_capacity(n);
-        let mut on_stack = vec![false; n];
-        for dst in 0..n {
-            state.iter_mut().for_each(|s| *s = RouteState::Unknown);
-            state[dst] = RouteState::Done { hops: 0, bypass: 0 };
-            for src in 0..n {
-                if state[src] == RouteState::Unknown {
-                    stack.clear();
-                    let mut cur = src;
-                    let terminal = loop {
-                        if state[cur] != RouteState::Unknown {
-                            break state[cur];
-                        }
-                        if on_stack[cur] {
-                            break RouteState::Failed; // cycle in the next-hop graph
-                        }
-                        let step = match decode_port(ports[cur * n + dst]) {
-                            None => None, // compute_route error
-                            Some(port) => match next_node(cfg, cur, port) {
-                                // An `Err` or mid-route `Ok(None)` (no
-                                // progress) both fail the walk.
-                                Err(_) | Ok(None) => None,
-                                Ok(Some(next)) => {
-                                    Some((next, matches!(port, Port::BypassH | Port::BypassV)))
-                                }
-                            },
-                        };
-                        match step {
-                            Some((next, byp)) => {
-                                on_stack[cur] = true;
-                                stack.push((cur, byp));
-                                cur = next;
-                            }
-                            None => {
-                                // Record the failure at the node that hit it,
-                                // so later sources routing through it (and
-                                // `cur == src` itself) resolve immediately.
-                                state[cur] = RouteState::Failed;
-                                break RouteState::Failed;
-                            }
-                        }
-                    };
-                    // Back-fill the walked prefix from the terminal state.
-                    let mut acc = terminal;
-                    for &(node, byp) in stack.iter().rev() {
-                        on_stack[node] = false;
-                        if let RouteState::Done { hops, bypass } = acc {
-                            acc = RouteState::Done {
-                                hops: hops + 1,
-                                bypass: bypass + byp as u32,
-                            };
-                        }
-                        state[node] = acc;
-                    }
-                }
-                if let RouteState::Done { hops: h, bypass: b } = state[src] {
-                    hops[src * n + dst] = h;
-                    bypass[src * n + dst] = b;
-                }
-            }
+        for x in 0..k {
+            line.fill(
+                &mut col,
+                |s, d| (s * k + d) * k + x,
+                |s, d| {
+                    step(Coord { x, y: s }, Coord { x, y: d }).map(|(next, byp)| {
+                        debug_assert_eq!(next.x, x, "a Y leg stays in its column");
+                        (next.y, byp)
+                    })
+                },
+            );
         }
         Ok(RouteTable {
             cfg: cfg.clone(),
-            n,
-            ports,
-            hops,
-            bypass,
+            peers,
+            xy: (0..k * k)
+                .map(|id| [(id % k) as u32, (id / k) as u32])
+                .collect(),
+            row,
+            col,
         })
     }
 
-    /// Replays the hop-by-hop walk of a pair the build marked unroutable,
+    /// Replays the hop-by-hop walk of a pair with a failing leg,
     /// reproducing the exact [`NocError`] the walk yields — including the
     /// livelock guard.
     fn derive_error(&self, src: NodeId, dst: NodeId) -> NocError {
-        let cfg = &self.cfg;
-        let mut cur = src;
+        let k = self.cfg.k;
+        let (mut cur, d) = (Coord::of(src, k), Coord::of(dst, k));
         let mut guard = 0;
-        while cur != dst {
-            let port = match compute_route(cfg, cur, dst) {
-                Ok(p) => p,
-                Err(e) => return e,
-            };
-            cur = match next_node(cfg, cur, port) {
-                Ok(Some(next)) => next,
-                Ok(None) => return NocError::RoutingLivelock { src, dst },
+        while cur != d {
+            cur = match hop(&self.cfg, &self.peers, cur, d) {
+                Ok((_, Some(next))) => next,
+                Ok((_, None)) => return NocError::RoutingLivelock { src, dst },
                 Err(e) => return e,
             };
             guard += 1;
-            if guard > 4 * cfg.k * cfg.k {
+            if guard > 4 * k * k {
                 return NocError::RoutingLivelock { src, dst };
             }
         }
@@ -286,11 +388,6 @@ impl RouteTable {
         &self.cfg
     }
 
-    /// Number of `(src, dst)` pairs held (k⁴).
-    pub fn num_pairs(&self) -> usize {
-        self.n * self.n
-    }
-
     /// The content fingerprint of the configuration this table was built
     /// from ([`NocConfig::signature`]). The table is a pure function of
     /// its config, so two tables with equal signatures route identically
@@ -300,25 +397,79 @@ impl RouteTable {
         self.cfg.signature()
     }
 
-    /// The output port at `cur` towards `dst` (LUT lookup).
-    pub fn next_hop(&self, cur: NodeId, dst: NodeId) -> Result<Port, NocError> {
-        match decode_port(self.ports[cur * self.n + dst]) {
-            Some(p) => Ok(p),
-            None => Err(compute_route(&self.cfg, cur, dst)
-                .expect_err("build marked this pair's route computation failing")),
+    /// Legs per axis (k³); leg indices run over `0..num_legs()`.
+    pub fn num_legs(&self) -> usize {
+        self.row.len()
+    }
+
+    /// The index of the `axis` leg of the `src → dst` route: `src·k + dx`
+    /// for the row leg, `sy·k² + dst` for the column leg.
+    #[inline]
+    pub fn leg_index(&self, axis: Axis, src: NodeId, dst: NodeId) -> usize {
+        let k = self.cfg.k;
+        match axis {
+            Axis::Row => src * k + self.xy[dst][0] as usize,
+            Axis::Col => self.xy[src][1] as usize * (k * k) + dst,
         }
     }
 
-    /// The precomputed summary of the `src → dst` route.
+    fn legs(&self, axis: Axis) -> &[Leg] {
+        match axis {
+            Axis::Row => &self.row,
+            Axis::Col => &self.col,
+        }
+    }
+
+    /// The summary of leg `i` of `axis`, or `None` if the routing rule
+    /// fails on it.
+    pub fn leg(&self, axis: Axis, i: usize) -> Option<RouteSummary> {
+        let leg = self.legs(axis)[i];
+        (leg != Leg::ERR).then_some(RouteSummary {
+            hops: leg.hops,
+            bypass_hops: leg.bypass_hops,
+        })
+    }
+
+    /// The nodes that forward along leg `i` of `axis`: its start and
+    /// every router before its arrival node, in route order. Empty for a
+    /// failing leg. A route's row-leg and column-leg nodes together are
+    /// exactly its [`Self::load_nodes`].
+    pub fn leg_nodes(&self, axis: Axis, i: usize) -> LegNodes<'_> {
+        let k = self.cfg.k;
+        let (line, pos, end) = match axis {
+            // i = (y·k + sx)·k + dx
+            Axis::Row => (i / (k * k), i / k % k, i % k),
+            // i = (sy·k + dy)·k + x
+            Axis::Col => (i % k, i / (k * k), i / k % k),
+        };
+        let leg = self.legs(axis)[i];
+        LegNodes {
+            table: self,
+            axis,
+            line,
+            pos,
+            end,
+            remaining: if leg == Leg::ERR { 0 } else { leg.hops },
+        }
+    }
+
+    /// The row leg and the column leg of `src → dst`, or `None` if
+    /// either fails.
+    fn route_legs(&self, src: NodeId, dst: NodeId) -> Option<(usize, usize)> {
+        let r = self.leg_index(Axis::Row, src, dst);
+        let c = self.leg_index(Axis::Col, src, dst);
+        (self.row[r] != Leg::ERR && self.col[c] != Leg::ERR).then_some((r, c))
+    }
+
+    /// The precomputed summary of the `src → dst` route: its row leg
+    /// plus its column leg.
     pub fn summary(&self, src: NodeId, dst: NodeId) -> Result<RouteSummary, NocError> {
-        let i = src * self.n + dst;
-        if self.hops[i] == HOPS_ERR {
-            Err(self.derive_error(src, dst))
-        } else {
-            Ok(RouteSummary {
-                hops: self.hops[i],
-                bypass_hops: self.bypass[i],
-            })
+        match self.route_legs(src, dst) {
+            Some((r, c)) => Ok(RouteSummary {
+                hops: self.row[r].hops + self.col[c].hops,
+                bypass_hops: self.row[r].bypass_hops + self.col[c].bypass_hops,
+            }),
+            None => Err(self.derive_error(src, dst)),
         }
     }
 
@@ -329,38 +480,118 @@ impl RouteTable {
 
     /// The nodes that *forward* a `src → dst` message — `src` and every
     /// intermediate router, excluding `dst` (which ejects) — in route
-    /// order. Exactly the nodes whose load a hop-by-hop walk increments.
-    /// Empty for unroutable pairs.
-    pub fn load_nodes(&self, src: NodeId, dst: NodeId) -> LoadNodes<'_> {
-        let h = self.hops[src * self.n + dst];
-        LoadNodes {
-            table: self,
-            cur: src,
-            dst,
-            remaining: if h == HOPS_ERR { 0 } else { h },
+    /// order: the row leg's nodes, then the column leg's. Exactly the
+    /// nodes whose load a hop-by-hop walk increments. Empty for
+    /// unroutable pairs.
+    pub fn load_nodes(&self, src: NodeId, dst: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.route_legs(src, dst).into_iter().flat_map(|(r, c)| {
+            self.leg_nodes(Axis::Row, r)
+                .chain(self.leg_nodes(Axis::Col, c))
+        })
+    }
+}
+
+/// Scratch for resolving the legs of one row or column.
+struct LineScratch {
+    k: usize,
+    known: Vec<bool>,
+    on_stack: Vec<bool>,
+    stack: Vec<(usize, bool)>,
+}
+
+impl LineScratch {
+    fn new(k: usize) -> Self {
+        Self {
+            k,
+            known: vec![false; k],
+            on_stack: vec![false; k],
+            stack: Vec::with_capacity(k),
+        }
+    }
+
+    /// Resolves every leg of one line: `legs[at(s, d)]` becomes the leg
+    /// from position `s` to position `d`, or [`Leg::ERR`]. `step(s, d)`
+    /// applies the routing rule once at `s` towards `d`: the next
+    /// position and whether that hop rides a bypass, or `None` where the
+    /// rule fails. Chases are memoized with back-fill, so each position
+    /// is walked at most once per destination — O(k²) per line, O(k³)
+    /// for the table. A cycle fails every leg on it; the error replay
+    /// then reports it through the livelock guard.
+    fn fill(
+        &mut self,
+        legs: &mut [Leg],
+        at: impl Fn(usize, usize) -> usize,
+        mut step: impl FnMut(usize, usize) -> Option<(usize, bool)>,
+    ) {
+        for d in 0..self.k {
+            self.known.fill(false);
+            legs[at(d, d)] = Leg::EMPTY;
+            self.known[d] = true;
+            for s in 0..self.k {
+                if self.known[s] {
+                    continue;
+                }
+                self.stack.clear();
+                let mut cur = s;
+                let terminal = loop {
+                    if self.known[cur] {
+                        break legs[at(cur, d)];
+                    }
+                    if self.on_stack[cur] {
+                        break Leg::ERR; // cycle in the next-hop graph
+                    }
+                    match step(cur, d) {
+                        Some((next, byp)) => {
+                            self.on_stack[cur] = true;
+                            self.stack.push((cur, byp));
+                            cur = next;
+                        }
+                        None => {
+                            // Record the failure where the rule hit it, so
+                            // later chases through `cur` stop at once.
+                            legs[at(cur, d)] = Leg::ERR;
+                            self.known[cur] = true;
+                            break Leg::ERR;
+                        }
+                    }
+                };
+                // Back-fill the walked prefix, each node one hop further
+                // from `d` than its successor.
+                let (mut acc, mut next) = (terminal, cur);
+                for &(node, byp) in self.stack.iter().rev() {
+                    self.on_stack[node] = false;
+                    if acc != Leg::ERR {
+                        acc = Leg {
+                            hops: acc.hops + 1,
+                            bypass_hops: acc.bypass_hops + byp as u32,
+                            next: next as u32,
+                        };
+                    }
+                    legs[at(node, d)] = acc;
+                    self.known[node] = true;
+                    next = node;
+                }
+            }
         }
     }
 }
 
-fn encode_port(p: Port) -> u8 {
-    Port::ALL.iter().position(|q| *q == p).expect("port in ALL") as u8
-}
-
-fn decode_port(code: u8) -> Option<Port> {
-    Port::ALL.get(code as usize).copied()
-}
-
-/// Iterator over the forwarding nodes of one route (see
-/// [`RouteTable::load_nodes`]).
+/// Iterator over the forwarding nodes of one leg (see
+/// [`RouteTable::leg_nodes`]), chasing the legs' next-position links.
 #[derive(Debug)]
-pub struct LoadNodes<'a> {
+pub struct LegNodes<'a> {
     table: &'a RouteTable,
-    cur: NodeId,
-    dst: NodeId,
+    axis: Axis,
+    /// The row `y` or column `x` the leg runs along.
+    line: usize,
+    /// Position along the line of the next node to yield.
+    pos: usize,
+    /// Position the leg arrives at.
+    end: usize,
     remaining: u32,
 }
 
-impl Iterator for LoadNodes<'_> {
+impl Iterator for LegNodes<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
@@ -368,13 +599,18 @@ impl Iterator for LoadNodes<'_> {
             return None;
         }
         self.remaining -= 1;
-        let node = self.cur;
-        // The summary certified this route, so the chase cannot fail.
-        let port = decode_port(self.table.ports[node * self.table.n + self.dst])
-            .expect("certified route has a next hop");
-        self.cur = next_node(&self.table.cfg, node, port)
-            .expect("certified route stays on the fabric")
-            .expect("certified route makes progress");
+        let k = self.table.cfg.k;
+        let (node, i) = match self.axis {
+            Axis::Row => (
+                self.line * k + self.pos,
+                (self.line * k + self.pos) * k + self.end,
+            ),
+            Axis::Col => (
+                self.pos * k + self.line,
+                (self.pos * k + self.end) * k + self.line,
+            ),
+        };
+        self.pos = self.table.legs(self.axis)[i].next as usize;
         Some(node)
     }
 
@@ -383,7 +619,7 @@ impl Iterator for LoadNodes<'_> {
     }
 }
 
-impl ExactSizeIterator for LoadNodes<'_> {}
+impl ExactSizeIterator for LegNodes<'_> {}
 
 /// The node reached by leaving `cur` through `port` (`Ok(None)` for
 /// Local). A port that steps off the fabric — the mesh edge in a
@@ -392,37 +628,7 @@ impl ExactSizeIterator for LoadNodes<'_> {}
 /// than a panic.
 pub fn next_node(cfg: &NocConfig, cur: NodeId, port: Port) -> Result<Option<NodeId>, NocError> {
     let k = cfg.k;
-    let c = Coord::of(cur, k);
-    let off_edge = |ok: bool, node: NodeId| {
-        if ok {
-            Ok(Some(node))
-        } else {
-            Err(NocError::OffMeshEdge { cur, port })
-        }
-    };
-    match port {
-        Port::Local => Ok(None),
-        Port::North => off_edge(c.y > 0, cur.wrapping_sub(k)),
-        Port::South => off_edge(c.y + 1 < k, cur + k),
-        Port::East => {
-            if c.x + 1 < k {
-                Ok(Some(cur + 1))
-            } else if cfg.mode == TopologyMode::Rings {
-                Ok(Some(c.y * k)) // wrap over the row bypass wire
-            } else {
-                Err(NocError::OffMeshEdge { cur, port })
-            }
-        }
-        Port::West => off_edge(c.x > 0, cur.wrapping_sub(1)),
-        Port::BypassH => cfg
-            .h_bypass_peer(cur)
-            .map(Some)
-            .ok_or(NocError::MissingBypassAttachment { cur, port }),
-        Port::BypassV => cfg
-            .v_bypass_peer(cur)
-            .map(Some)
-            .ok_or(NocError::MissingBypassAttachment { cur, port }),
-    }
+    Ok(advance(cfg, cfg, Coord::of(cur, k), port)?.map(|c| c.id(k)))
 }
 
 #[cfg(test)]
@@ -553,20 +759,75 @@ mod tests {
         ));
     }
 
-    /// Walks the route hop-by-hop exactly like the pre-table `hop_count`
-    /// did — the oracle for the table-backed implementation.
-    fn walked_hop_count(cfg: &NocConfig, src: NodeId, dst: NodeId) -> Result<usize, NocError> {
+    /// Walks the route hop-by-hop through the public, config-scanning
+    /// [`compute_route`] / [`next_node`], as the pre-table `hop_count`
+    /// did: the route's summary and its forwarding nodes, or the walk's
+    /// error. The oracle for the factored table.
+    fn walk(
+        cfg: &NocConfig,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Result<(RouteSummary, Vec<NodeId>), NocError> {
         let mut cur = src;
-        let mut hops = 0;
+        let mut s = RouteSummary {
+            hops: 0,
+            bypass_hops: 0,
+        };
+        let mut nodes = Vec::new();
         while cur != dst {
             let port = compute_route(cfg, cur, dst)?;
+            nodes.push(cur);
+            s.hops += 1;
+            s.bypass_hops += matches!(port, Port::BypassH | Port::BypassV) as u32;
             cur = next_node(cfg, cur, port)?.ok_or(NocError::RoutingLivelock { src, dst })?;
-            hops += 1;
-            if hops > 4 * cfg.k * cfg.k {
+            if s.hops as usize > 4 * cfg.k * cfg.k {
                 return Err(NocError::RoutingLivelock { src, dst });
             }
         }
-        Ok(hops)
+        Ok((s, nodes))
+    }
+
+    /// Asserts the table agrees with the walker on every pair of `cfg`:
+    /// summary (or the exact error) and the forwarding-node sequence.
+    fn assert_table_matches_walker(cfg: &NocConfig) {
+        let table = RouteTable::build(cfg).unwrap();
+        let n = cfg.k * cfg.k;
+        assert_eq!(table.num_legs(), n * cfg.k);
+        for src in 0..n {
+            for dst in 0..n {
+                let walked = walk(cfg, src, dst);
+                let nodes: Vec<_> = table.load_nodes(src, dst).collect();
+                assert_eq!(
+                    table.summary(src, dst),
+                    walked.as_ref().map(|w| w.0).map_err(Clone::clone),
+                    "{cfg:?} {src}->{dst}"
+                );
+                assert_eq!(
+                    nodes,
+                    walked.map(|w| w.1).unwrap_or_default(),
+                    "{cfg:?} {src}->{dst}"
+                );
+            }
+        }
+    }
+
+    /// Disjoint, valid bypass segments from raw `(index, a, b)` draws:
+    /// each draw becomes the segment `min(a, b) → max(a, b)` on line
+    /// `index` (all mod `k`), kept unless it is empty or touches a kept
+    /// segment on the same line (overlap or a shared tap).
+    fn disjoint_segments(k: usize, raw: &[(usize, usize, usize)]) -> Vec<BypassSegment> {
+        let mut segs: Vec<BypassSegment> = Vec::new();
+        for &(index, a, b) in raw {
+            let (index, a, b) = (index % k, a % k, b % k);
+            let (from, to) = (a.min(b), a.max(b));
+            let clash = segs
+                .iter()
+                .any(|s| s.index == index && s.from <= to && from <= s.to);
+            if from < to && !clash {
+                segs.push(BypassSegment { index, from, to });
+            }
+        }
+        segs
     }
 
     #[test]
@@ -591,46 +852,27 @@ mod tests {
         );
     }
 
+    /// The paper's radix with a bypass segment on every row and column:
+    /// sampled pairs (the full 1M-pair sweep is too slow unoptimised).
     #[test]
-    fn route_table_matches_walked_routes() {
-        for cfg in [
-            NocConfig::mesh(4),
-            NocConfig::rings(4),
-            NocConfig::with_bypass(
-                8,
-                vec![BypassSegment {
-                    index: 0,
-                    from: 0,
-                    to: 7,
-                }],
-                vec![BypassSegment {
-                    index: 5,
-                    from: 1,
-                    to: 6,
-                }],
-            ),
-        ] {
-            let table = RouteTable::build(&cfg).unwrap();
-            let n = cfg.k * cfg.k;
-            assert_eq!(table.num_pairs(), n * n);
-            for src in 0..n {
-                for dst in 0..n {
-                    assert_eq!(
-                        table.hops(src, dst),
-                        walked_hop_count(&cfg, src, dst),
-                        "{cfg:?} {src}->{dst}"
-                    );
-                    if let Ok(s) = table.summary(src, dst) {
-                        let nodes: Vec<_> = table.load_nodes(src, dst).collect();
-                        assert_eq!(nodes.len(), s.hops as usize);
-                        if s.hops > 0 {
-                            assert_eq!(nodes[0], src);
-                            assert!(!nodes.contains(&dst), "dst ejects, never forwards");
-                        }
-                    } else {
-                        assert_eq!(table.load_nodes(src, dst).count(), 0);
-                    }
-                }
+    fn route_table_matches_walker_at_paper_radix() {
+        let k = 32;
+        let segs = |stride: usize| {
+            (0..k)
+                .map(|i| BypassSegment {
+                    index: i,
+                    from: i % stride,
+                    to: k - 1 - i % (stride + 1),
+                })
+                .collect()
+        };
+        let cfg = NocConfig::with_bypass(k, segs(5), segs(7));
+        let table = RouteTable::build(&cfg).unwrap();
+        for src in (0..k * k).step_by(37) {
+            for dst in (0..k * k).step_by(11) {
+                let (s, nodes) = walk(&cfg, src, dst).unwrap();
+                assert_eq!(table.summary(src, dst), Ok(s), "{src}->{dst}");
+                assert!(table.load_nodes(src, dst).eq(nodes), "{src}->{dst}");
             }
         }
     }
@@ -643,6 +885,32 @@ mod tests {
             RouteTable::build(&cfg).unwrap_err(),
             NocError::NoVirtualChannels
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        /// Random valid configs — several disjoint segments per row and
+        /// column at arbitrary positions, plain meshes and rings — route
+        /// every pair exactly as the hop-by-hop walker does.
+        #[test]
+        fn route_table_matches_walked_routes(
+            k in 1usize..11,
+            mode in 0u8..4,
+            rows in proptest::collection::vec((0usize..16, 0usize..16, 0usize..16), 0..24),
+            cols in proptest::collection::vec((0usize..16, 0usize..16, 0usize..16), 0..24),
+        ) {
+            let cfg = match mode {
+                0 => NocConfig::mesh(k),
+                1 => NocConfig::rings(k),
+                _ => NocConfig::with_bypass(
+                    k,
+                    disjoint_segments(k, &rows),
+                    disjoint_segments(k, &cols),
+                ),
+            };
+            cfg.validate().unwrap();
+            assert_table_matches_walker(&cfg);
+        }
     }
 
     proptest! {

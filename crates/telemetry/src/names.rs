@@ -9,8 +9,9 @@
 /// traffic cache sees; a cached run builds each config's table once).
 pub const NOC_ROUTE_TABLE_BUILDS: &str = "noc.route_table.builds";
 
-/// Total `(src, dst)` pairs precomputed across all route-table builds
-/// (k⁴ per build).
+/// Total `(src, dst)` pairs covered across all route-table builds (k⁴
+/// per build, counted from the config: the table itself stores 2k³ row
+/// and column legs that compose into those pairs).
 pub const NOC_ROUTE_TABLE_PAIRS: &str = "noc.route_table.pairs";
 
 /// Tile traffic-profile cache hits: a later layer reused a tile's binned

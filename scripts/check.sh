@@ -130,7 +130,8 @@ if ratio > 1.05:
 EOF
 
 echo "==> noc_kernel_bench --quick (informational: traffic-kernel speedup)"
-# Wall-clock comparison of the route-table kernel vs the seed's per-edge
+# Wall-clock comparison of the route-table kernel (leg-table build and
+# leg binning, at k=8 and at the paper's k=32) vs the seed's per-edge
 # walker. Informational only — host timing never gates — but the binary
 # asserts the two estimators produce bit-identical results.
 cargo run --release -q -p aurora-bench --bin noc_kernel_bench -- --quick
