@@ -1,9 +1,9 @@
 //! Arena-backed scratch memory for the engine's steady state.
 //!
-//! The per-tile pipeline used to allocate fresh `Vec`s for every tile of
-//! every layer — degrees, placements, per-PE loads, bypass plans, NoC
-//! configs, report roll-ups. This module keeps all of that working
-//! memory alive across tiles, layers *and* runs:
+//! The per-tile pipeline needs working memory for every tile of every
+//! layer — degrees, placements, per-PE loads, bypass plans, NoC configs,
+//! traffic estimates. This module keeps all of it alive across tiles,
+//! layers *and* runs:
 //!
 //! * [`WorkerArena`] — one per pool worker thread (thread-local),
 //!   holding the buffers a single tile's pure precompute needs. Fan-out
@@ -12,8 +12,8 @@
 //! * [`TileArena`] — one per *calling* thread (thread-local, taken at
 //!   the start of the engine's layer loop and put back at the end), holding
 //!   the structure-of-arrays slabs the tiles write into
-//!   ([`TileSlabs`]) and the sequential walk's reusable roll-up
-//!   buffers ([`SeqScratch`]).
+//!   ([`TileSlabs`]) and the traffic stages' per-tile buffers
+//!   ([`SeqScratch`]).
 //!
 //! The SoA layout: one flat `pe_of` slab indexed by global vertex id
 //! (tiles partition the vertex space contiguously), plus fixed-stride
@@ -25,7 +25,7 @@
 use crate::engine::ProfileKey;
 use crate::noc_model::OnChipEstimate;
 use aurora_mapping::plan::{PlanScratch, SegmentPlan};
-use aurora_mapping::MapScratch;
+use aurora_mapping::{MapScratch, MapView, MappingPolicy};
 use aurora_model::{LayerShape, ModelId, Workload};
 use aurora_noc::{BypassSegment, NocConfig};
 use std::cell::RefCell;
@@ -157,6 +157,9 @@ pub(crate) struct TileSlabs {
     /// share them across every tile of a run).
     pub s_pes: Vec<usize>,
     s_pes_k: usize,
+    /// Stride of the `high` slab: the high-degree cap of the layer's
+    /// longest tile.
+    pub high_cap: usize,
 }
 
 impl TileSlabs {
@@ -177,6 +180,7 @@ impl TileSlabs {
         self.outs.clear();
         self.outs.resize(num_tiles, TileOut::default());
         self.noc_cfgs.clear();
+        self.high_cap = high_cap;
     }
 
     /// Re-enters a layer whose slabs already hold the previous session
@@ -188,6 +192,22 @@ impl TileSlabs {
     /// from-scratch layer).
     pub fn begin_layer_incremental(&mut self) {
         self.noc_cfgs.clear();
+    }
+
+    /// Tile `ti`'s mapping, borrowed straight out of the slabs.
+    pub fn map_view(&self, ti: usize, policy: MappingPolicy, k: usize) -> MapView<'_> {
+        let out = &self.outs[ti];
+        MapView {
+            policy,
+            range: out.start..out.end,
+            pe_of: &self.pe_of[out.start as usize..out.end as usize],
+            k,
+            s_pes: match policy {
+                MappingPolicy::DegreeAware => &self.s_pes,
+                MappingPolicy::Hashing => &[],
+            },
+            high_degree: &self.high[ti * self.high_cap..][..out.n_high],
+        }
     }
 
     /// The N-Queen S_PE positions for radix `k`, recomputed only when
@@ -213,8 +233,7 @@ impl TileSlabs {
 
     /// The interned bypass config for a planned segment set, built on
     /// first sight. A plan the NoC layer rejects (a planner bug) falls
-    /// back to the plain mesh, exactly like the historical per-tile
-    /// construction did.
+    /// back to the plain mesh.
     pub fn intern_bypass(
         interned: &mut Vec<Arc<NocConfig>>,
         mesh: &Arc<NocConfig>,
@@ -275,8 +294,7 @@ impl TileSlabs {
     }
 }
 
-/// Reusable buffers for the sequential traffic-cache step and the
-/// stateful walk's report roll-ups.
+/// Per-tile buffers of the route-table and traffic-kernel stages.
 #[derive(Debug, Default)]
 pub(crate) struct SeqScratch {
     pub keys: Vec<ProfileKey>,
@@ -285,10 +303,9 @@ pub(crate) struct SeqScratch {
     /// stored traffic profile instead of binning (decided sequentially,
     /// consumed by the parallel bin fan-out).
     pub replay: Vec<bool>,
-    pub est_a_of: Vec<Option<OnChipEstimate>>,
-    pub est_as: Vec<OnChipEstimate>,
-    pub exec_cycles: Vec<u64>,
-    pub dram_cycles: Vec<u64>,
+    /// Per-tile aggregation-traffic estimate: cache hits fill theirs in
+    /// the route-table stage, misses in the traffic-kernel stage.
+    pub est_a: Vec<OnChipEstimate>,
 }
 
 impl SeqScratch {
@@ -296,16 +313,13 @@ impl SeqScratch {
         self.keys.clear();
         self.miss_tiles.clear();
         self.replay.clear();
-        self.est_a_of.clear();
-        self.est_as.clear();
-        self.exec_cycles.clear();
-        self.dram_cycles.clear();
+        self.est_a.clear();
     }
 }
 
-/// The engine's per-run scratch: SoA tile slabs plus sequential-walk
-/// buffers. Held in a thread-local of the calling thread between runs,
-/// so back-to-back simulations (a serving worker, the autotuner, a
+/// The engine's per-run scratch: SoA tile slabs plus the traffic
+/// stages' buffers. Held in a thread-local of the calling thread between
+/// runs, so back-to-back simulations (a serving worker, the autotuner, a
 /// bench loop) reach zero steady-state allocations.
 #[derive(Debug, Default)]
 pub(crate) struct TileArena {

@@ -398,14 +398,13 @@ impl SimSession {
         let graph = req.graph.resolve()?;
         let workload = req.workload_label();
         let mut state = SessionState::default();
-        let last = sim.run_with_session(
+        let last = sim.run_core(
             &graph,
             req.model,
             &req.layers,
             &workload,
             req.options.input_density,
-            &mut state,
-            &DirtyScope::All,
+            Some((&mut state, &DirtyScope::All)),
         )?;
         let digest = req.digest();
         Ok(SimSession {
@@ -443,14 +442,13 @@ impl SimSession {
             DirtyScope::Vertices(delta.touched_sources())
         };
         let workload = self.base.workload_label();
-        match self.sim.run_with_session(
+        match self.sim.run_core(
             &new_graph,
             self.base.model,
             &self.base.layers,
             &workload,
             self.base.options.input_density,
-            &mut self.state,
-            &scope,
+            Some((&mut self.state, &scope)),
         ) {
             Ok(report) => {
                 // the retired graph's arrays become the next surgery's
@@ -942,10 +940,79 @@ mod tests {
         };
         let fresh2 = AuroraSimulator::new(req.config).run(&fresh_req2).unwrap();
         assert_eq!(
-            session.last_report().total_cycles,
-            fresh2.total_cycles,
+            serde_json::to_string(session.last_report()).unwrap(),
+            serde_json::to_string(&fresh2).unwrap(),
             "structural fallback must still match from-scratch"
         );
+    }
+
+    /// Multi-layer, multi-tile sessions: the second layer re-uses the
+    /// first layer's tiling, so its tiles hit the cross-layer profile
+    /// cache and refresh the session store from it. Both an edge delta
+    /// (dirty tiles only) and a structural delta (full recompute) must
+    /// reproduce a from-scratch run byte for byte.
+    #[test]
+    fn multi_layer_session_matches_from_scratch() {
+        let g = aurora_graph::generate::rmat(16_384, 160_000, Default::default(), 21);
+        let shapes = [LayerShape::new(256, 256), LayerShape::new(256, 64)];
+        let fresh = |req: &SimRequest, g: &Csr| {
+            let req = SimRequest {
+                graph: crate::GraphSpec::Inline(g.clone()),
+                ..req.clone()
+            };
+            let r = AuroraSimulator::new(req.config).run(&req).unwrap();
+            serde_json::to_string(&r).unwrap()
+        };
+        for k in [4, 8] {
+            for flexible_noc in [true, false] {
+                let req = SimRequest::builder(ModelId::Gcn)
+                    .config(AcceleratorConfig {
+                        flexible_noc,
+                        ..AcceleratorConfig::small(k)
+                    })
+                    .inline_graph(g.clone())
+                    .layers(&shapes)
+                    .workload("delta-multi")
+                    .build()
+                    .unwrap();
+                let cell = format!("k={k} flexible={flexible_noc}");
+                let mut session = SimSession::open(&req).unwrap();
+                let open = session.last_report();
+                assert!(open.layers[0].tiles > 1, "{cell}: need several tiles");
+                assert!(
+                    open.profile.tile_profile_hits > 0,
+                    "{cell}: layer 1 must hit the cross-layer cache"
+                );
+
+                let base = session.graph().clone();
+                let (u, v) = base.edges().nth(1_000).unwrap();
+                let edge = GraphDelta {
+                    remove_edges: vec![(u, v)],
+                    ..GraphDelta::default()
+                };
+                session.apply(&edge).unwrap();
+                let g1 = edge.apply(&base).unwrap();
+                assert_eq!(
+                    serde_json::to_string(session.last_report()).unwrap(),
+                    fresh(&req, &g1),
+                    "{cell}: edge delta ≠ from-scratch"
+                );
+
+                let n = g1.num_vertices() as u32;
+                let structural = GraphDelta {
+                    add_vertices: 1,
+                    insert_edges: vec![(n, 0), (7, n)],
+                    ..GraphDelta::default()
+                };
+                session.apply(&structural).unwrap();
+                let g2 = structural.apply(&g1).unwrap();
+                assert_eq!(
+                    serde_json::to_string(session.last_report()).unwrap(),
+                    fresh(&req, &g2),
+                    "{cell}: structural delta ≠ from-scratch"
+                );
+            }
+        }
     }
 
     #[test]

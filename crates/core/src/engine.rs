@@ -1,13 +1,16 @@
 //! The per-subgraph execution pipeline (§III-E walk-through).
 //!
-//! For each layer: generate the workflow, run Algorithm 2 once per layer
-//! (it is "triggered by the arrival of a new sub-graph or a GNN layer"),
-//! tile the graph by on-chip capacity, and for every tile: map (Algorithm
-//! 1), plan and apply the NoC/PE configuration, execute sub-accelerators A
-//! and B as a pipeline, and overlap each tile's execution with the next
-//! tile's DRAM load (double buffering) — "after mapping a subgraph to the
-//! PE array, the next subgraph starts being loaded from DRAM to overlap
-//! the latency" (§IV).
+//! Each layer runs six stages, one function each, in order: `partition`
+//! tiles the graph by on-chip capacity and sizes the sub-accelerators
+//! with Algorithm 2 (it is "triggered by the arrival of a new sub-graph
+//! or a GNN layer"); `tile_precompute` maps every tile (Algorithm 1) and
+//! plans its NoC configuration; `route_tables` and `traffic_kernels`
+//! estimate each tile's on-chip traffic; `engine_walk` executes
+//! sub-accelerators A and B as a pipeline, overlapping each tile's
+//! execution with the next tile's DRAM load (double buffering) — "after
+//! mapping a subgraph to the PE array, the next subgraph starts being
+//! loaded from DRAM to overlap the latency" (§IV); and `finalize_layer`
+//! rolls the layer up. Each stage is one host-profiling span.
 
 use crate::arena::{
     put_engine_scratch, take_engine_scratch, with_worker, TileArena, TileOut, TileSlabs,
@@ -15,7 +18,7 @@ use crate::arena::{
 use crate::config::AcceleratorConfig;
 use crate::instr::Instruction;
 use crate::noc_model::{self, OnChipEstimate, TrafficProfile};
-use crate::profile::{LayerProfile, ProfileReport, SideAttribution, TileAttribution};
+use crate::profile::{BoundMix, LayerProfile, ProfileReport, SideAttribution, TileAttribution};
 use crate::report::{LayerReport, NocReport, PhaseCycles, SimReport};
 use crate::request::{GraphSpec, SimError, SimRequest};
 use crate::workflow::Workflow;
@@ -24,7 +27,7 @@ use aurora_graph::{Csr, Tiling, TilingConfig};
 use aurora_mapping::plan::{plan_bypass_into, SegmentPlan};
 use aurora_mapping::{degree_aware, hashing, MapView, MappingPolicy};
 use aurora_mem::MemoryController;
-use aurora_model::{LayerShape, ModelId, Phase, Workload};
+use aurora_model::{LayerShape, ModelId, Phase, PhaseOpCounts, Workload};
 use aurora_noc::{NocConfig, RouteTable};
 use aurora_partition::{partition, PartitionStrategy, TileIndex};
 use aurora_telemetry::span::{self, Stage};
@@ -54,30 +57,24 @@ pub(crate) struct ProfileKey {
 /// All lookups and insertions happen on the sequential path of the
 /// engine, so hit/miss resolution — and therefore every telemetry
 /// counter — is identical at every `AURORA_THREADS` value.
+#[derive(Default)]
 struct TrafficCache {
     tables: Vec<TableSlot>,
     table_ids: HashMap<NocConfig, usize>,
     profiles: HashMap<ProfileKey, TrafficProfile>,
     /// Insertion order of `profiles`, for FIFO eviction.
     profile_order: VecDeque<ProfileKey>,
-    /// Pre-built tables carried across a session's applies (route tables
-    /// are pure functions of the config, so they never go stale).
-    /// Consulted by [`Self::ensure_built`] before paying the O(k³)
-    /// build; counters are untouched — they fire at intern time and must
-    /// match a cold run's exactly.
-    warm: HashMap<NocConfig, RouteTable>,
     builds: u64,
     hits: u64,
     misses: u64,
 }
 
 /// One interned NoC configuration and its lazily-built route table.
-/// Interning counts as the "build" for report/telemetry purposes (the
-/// numbers are what an eager build produced historically); the
+/// Interning is the countable "build" for reports and telemetry; the
 /// dimension-factored leg table itself (2k³ leg summaries plus a k²
-/// bypass-peer index) is only materialised for tiles that actually
-/// bin edges — a session apply with one dirty tile routes one table,
-/// not one per tile.
+/// bypass-peer index) is only materialised for tiles that actually bin
+/// edges — a session apply with one dirty tile routes one table, not one
+/// per tile.
 struct TableSlot {
     cfg: NocConfig,
     table: Option<RouteTable>,
@@ -93,23 +90,9 @@ const MAX_ROUTE_TABLES: usize = 64;
 const MAX_TILE_PROFILES: usize = 1024;
 
 impl TrafficCache {
-    fn new() -> Self {
-        Self {
-            tables: Vec::new(),
-            table_ids: HashMap::new(),
-            profiles: HashMap::new(),
-            profile_order: VecDeque::new(),
-            warm: HashMap::new(),
-            builds: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Interns `cfg`, allocating a table id on first sight. The counters
-    /// fire here — interning is the countable "build" event, and the
-    /// pair count is `k⁴` straight from the config — but the table
-    /// itself stays unbuilt until [`Self::ensure_built`].
+    /// Interns `cfg`, allocating a table id on first sight. The build
+    /// counter fires here, but the table itself stays unbuilt until
+    /// [`Self::ensure_built`].
     fn intern(&mut self, cfg: &NocConfig, tel: &Telemetry, scope: &Scope) -> usize {
         if let Some(&id) = self.table_ids.get(cfg) {
             return id;
@@ -122,8 +105,6 @@ impl TrafficCache {
         }
         self.builds += 1;
         tel.counter_add(names::NOC_ROUTE_TABLE_BUILDS, scope, 1);
-        let n = cfg.k * cfg.k;
-        tel.counter_add(names::NOC_ROUTE_TABLE_PAIRS, scope, (n * n) as u64);
         let id = self.tables.len();
         self.tables.push(TableSlot {
             cfg: cfg.clone(),
@@ -135,37 +116,13 @@ impl TrafficCache {
 
     /// Materialises the route table for an interned id. A configuration
     /// the NoC layer rejects surfaces as [`SimError::Noc`] instead of
-    /// aborting the run; callers invoke this sequentially in tile order,
-    /// so the first erroring tile decides the error exactly as the
-    /// historical build-at-intern did.
+    /// aborting the run.
     fn ensure_built(&mut self, id: usize) -> Result<(), SimError> {
         let slot = &mut self.tables[id];
         if slot.table.is_none() {
-            // a warm table can only exist for a config that built
-            // successfully before, so the error behaviour for bad
-            // configs is untouched by the session carry-over
-            slot.table = Some(match self.warm.remove(&slot.cfg) {
-                Some(t) => t,
-                None => RouteTable::build(&slot.cfg)?,
-            });
+            slot.table = Some(RouteTable::build(&slot.cfg)?);
         }
         Ok(())
-    }
-
-    /// Drains every materialised table (and any unconsumed warm entries)
-    /// into `store`, for the next apply of the same session. Wholesale
-    /// reset past the cap, mirroring the in-run eviction policy.
-    fn harvest_into(&mut self, store: &mut HashMap<NocConfig, RouteTable>) {
-        if store.len() > MAX_ROUTE_TABLES {
-            store.clear();
-        }
-        store.extend(self.warm.drain());
-        for slot in self.tables.drain(..) {
-            if let Some(t) = slot.table {
-                store.insert(slot.cfg, t);
-            }
-        }
-        self.table_ids.clear();
     }
 
     fn table(&self, id: usize) -> &RouteTable {
@@ -173,10 +130,6 @@ impl TrafficCache {
             .table
             .as_ref()
             .expect("route table materialised by the sequential ensure_built pass")
-    }
-
-    fn profile(&self, key: &ProfileKey) -> Option<&TrafficProfile> {
-        self.profiles.get(key)
     }
 
     fn insert_profile(&mut self, key: ProfileKey, profile: TrafficProfile) {
@@ -209,10 +162,10 @@ pub(crate) enum DirtyScope {
 }
 
 /// One layer's warm artifacts between session applies: the SoA slabs the
-/// arena core wrote (mapping, bypass plans, `TileOut` rows) plus each
-/// tile's unit-flit traffic profile stamped with the signature of the
-/// route table it was binned under ([`RouteTable::signature`], the noc
-/// invalidation hook).
+/// tile precompute wrote (mapping, bypass plans, `TileOut` rows) plus
+/// each tile's unit-flit traffic profile stamped with the signature of
+/// the route table it was binned under ([`RouteTable::signature`], the
+/// noc invalidation hook).
 #[derive(Debug, Default)]
 pub(crate) struct SessionLayerState {
     pub(crate) slabs: TileSlabs,
@@ -226,7 +179,6 @@ pub(crate) struct SessionLayerState {
     /// count change but are recomputed fresh each run.
     pub(crate) tiling: Option<Tiling>,
     pub(crate) split: Option<(usize, usize)>,
-    pub(crate) high_cap: usize,
     pub(crate) valid: bool,
 }
 
@@ -234,10 +186,6 @@ pub(crate) struct SessionLayerState {
 #[derive(Debug, Default)]
 pub(crate) struct SessionState {
     pub(crate) layers: Vec<SessionLayerState>,
-    /// Route tables built by earlier applies, keyed by NoC config. Pure
-    /// functions of the config — they survive [`Self::invalidate`] and
-    /// save the O(k³) rebuild every apply would otherwise pay.
-    pub(crate) route_tables: HashMap<NocConfig, RouteTable>,
 }
 
 impl SessionState {
@@ -249,65 +197,131 @@ impl SessionState {
             layer.valid = false;
         }
     }
-}
 
-/// A borrowed view of one precomputed tile — the only shape the
-/// sequential traffic step and the stateful walk consume.
-struct TileView<'a> {
-    map: MapView<'a>,
-    noc_cfg: &'a NocConfig,
-    rho_a: f64,
-    rho_b: f64,
-    num_vertices: usize,
-    num_edges: usize,
-    halo: u64,
-    t_a: u64,
-    t_b: u64,
-    est_b: OnChipEstimate,
-}
-
-/// The layer's precomputed tiles: the SoA slabs the parallel precompute
-/// wrote, plus what it takes to slice one tile's [`TileView`] out of
-/// them.
-struct LayerTiles<'a> {
-    slabs: &'a TileSlabs,
-    policy: MappingPolicy,
-    k: usize,
-    high_cap: usize,
-}
-
-impl LayerTiles<'_> {
-    fn view(&self, ti: usize) -> TileView<'_> {
-        let slabs = self.slabs;
-        let out = &slabs.outs[ti];
-        let s_pes: &[usize] = match self.policy {
-            MappingPolicy::DegreeAware => &slabs.s_pes,
-            MappingPolicy::Hashing => &[],
-        };
-        TileView {
-            map: MapView {
-                policy: self.policy,
-                range: out.start..out.end,
-                pe_of: &slabs.pe_of[out.start as usize..out.end as usize],
-                k: self.k,
-                s_pes,
-                high_degree: &slabs.high[ti * self.high_cap..][..out.n_high],
-            },
-            noc_cfg: &slabs.noc_cfgs[ti],
-            rho_a: out.rho_a,
-            rho_b: out.rho_b,
-            num_vertices: out.num_vertices,
-            num_edges: out.num_edges,
-            halo: out.halo,
-            t_a: out.t_a,
-            t_b: out.t_b,
-            est_b: out.est_b,
+    /// Layer `li`'s warm state, created empty on first use.
+    fn layer(&mut self, li: usize) -> &mut SessionLayerState {
+        if self.layers.len() <= li {
+            self.layers.resize_with(li + 1, SessionLayerState::default);
         }
+        &mut self.layers[li]
     }
 }
 
+/// A session apply's hold on one layer: its warm state, the delta's
+/// dirty scope, and the dirty set tile precompute resolves it to.
+struct LayerSession<'a> {
+    state: &'a mut SessionLayerState,
+    scope: &'a DirtyScope,
+    /// `Some(mask)` when only the flagged tiles recompute, `None` when
+    /// every tile does.
+    dirty: Option<Vec<bool>>,
+}
+
+impl LayerSession<'_> {
+    /// Swaps the layer's warm slabs in for this apply and decides its
+    /// dirty set. A valid layer whose fresh tiling, Algorithm-2 split and
+    /// slab stride still match recomputes only the tiles owning a
+    /// touched vertex; any mismatch (or a structural delta) recomputes
+    /// every tile, repopulating the store. Both paths are bit-identical
+    /// to a from-scratch run.
+    fn enter(&mut self, ctx: &LayerCtx, slabs: &mut TileSlabs, k: usize, high_cap: usize) {
+        let state = &mut *self.state;
+        std::mem::swap(slabs, &mut state.slabs);
+        let num_tiles = ctx.tiling.num_tiles();
+        let incremental = state.valid
+            && slabs.high_cap == high_cap
+            && state.profiles.len() == num_tiles
+            && state.split == Some((ctx.strategy.a, ctx.strategy.b))
+            && state.tiling.as_ref() == Some(&ctx.tiling);
+        self.dirty = match (incremental, self.scope) {
+            (true, DirtyScope::Vertices(touched)) => {
+                let mut bounds: Vec<u32> = (0..num_tiles)
+                    .map(|ti| ctx.tiling.range(ti).start)
+                    .collect();
+                bounds.push(ctx.g.num_vertices() as u32);
+                Some(TileIndex::from_boundaries(bounds).dirty_tiles(touched.iter().copied(), false))
+            }
+            _ => None,
+        };
+        if self.dirty.is_some() {
+            slabs.begin_layer_incremental();
+        } else {
+            slabs.begin_layer(ctx.g.num_vertices(), num_tiles, k, high_cap);
+            state.tiling = Some(ctx.tiling.clone());
+            state.split = Some((ctx.strategy.a, ctx.strategy.b));
+            state.profiles.clear();
+            state.profiles.resize(num_tiles, None);
+            state.valid = true;
+        }
+    }
+
+    /// Hands the warm slabs back to the session once the walk is done.
+    fn leave(self, slabs: &mut TileSlabs) {
+        std::mem::swap(slabs, &mut self.state.slabs);
+    }
+
+    /// True when tile `ti` is clean and its stored profile was binned
+    /// under the route table with signature `sig`: it replays that
+    /// profile instead of binning (same mapping, same edges, same table
+    /// ⇒ the same result without the O(E) pass or the table build).
+    fn replays(&self, ti: usize, sig: u64) -> bool {
+        self.dirty.as_ref().is_some_and(|m| !m[ti])
+            && self.state.profiles[ti]
+                .as_ref()
+                .is_some_and(|(s, _)| *s == sig)
+    }
+}
+
+/// One layer's immutable inputs, fixed by the partition stage before any
+/// tile runs.
+struct LayerCtx<'a> {
+    g: &'a Csr,
+    wf: &'a Workflow,
+    shape: LayerShape,
+    layer: usize,
+    /// The `model/layer` telemetry scope.
+    scope: Scope,
+    tiling: Tiling,
+    strategy: PartitionStrategy,
+    /// Algorithm 2's op counts over the whole graph.
+    counts: PhaseOpCounts,
+    /// Per-PE vertex capacity at this layer's `f_in`.
+    c_pe: usize,
+    /// Per-edge message width in words, before compression.
+    raw_msg_words: usize,
+    /// Per-edge message width on the NoC, after compression.
+    msg_words: usize,
+    /// Sparse-input compression factor (1.0 for dense inputs).
+    compress: f64,
+}
+
+/// The run's mutable state, threaded through every layer's stages.
+struct RunState {
+    mem: MemoryController,
+    activity: ActivityCounts,
+    instructions: Vec<Instruction>,
+    cache: TrafficCache,
+    arena: Box<TileArena>,
+    /// Every tile's bound attribution, in execution order.
+    tiles: Vec<TileAttribution>,
+}
+
+/// The engine walk's per-layer roll-ups.
+#[derive(Default)]
+struct LayerTotals {
+    /// Layer latency: the exposed controller overheads plus every tile's
+    /// double-buffered slot.
+    cycles: u64,
+    phase_cycles: PhaseCycles,
+    noc: OnChipEstimate,
+    dram_cycles: u64,
+    dram_bytes: u64,
+    reconfigs: u64,
+    mix: BoundMix,
+}
+
 /// One tile's mutable slices into the layer's SoA slabs — the unit of
-/// work the arena precompute fans out over the pool. Disjoint
+/// work the tile precompute fans out over the pool. Disjoint
 /// `split_at_mut` slices keep the parallel writes safe without locks.
 struct TileTask<'a> {
     ti: usize,
@@ -402,37 +416,14 @@ impl AuroraSimulator {
         Ok(report)
     }
 
-    /// [`Self::run_core`] with a session's warm per-layer state: clean
-    /// tiles replay their cached artifacts, dirty tiles recompute, and
-    /// the state is refreshed for the next apply. On error the caller
-    /// must invalidate the state (the slabs may be half-written).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_with_session(
-        &self,
-        g: &Csr,
-        model: ModelId,
-        shapes: &[LayerShape],
-        workload: &str,
-        input_density: f64,
-        state: &mut SessionState,
-        scope: &DirtyScope,
-    ) -> Result<SimReport, SimError> {
-        self.run_core(
-            g,
-            model,
-            shapes,
-            workload,
-            input_density,
-            Some((state, scope)),
-        )
-    }
-
-    /// The engine proper: the per-layer loop over [`Self::simulate_layer`]
-    /// plus run-level finalisation. `session` carries a
-    /// [`SimSession`](crate::delta::SimSession)'s warm state; `None` is a
-    /// plain from-scratch run.
-    #[allow(clippy::too_many_arguments)]
-    fn run_core(
+    /// The engine proper: the per-layer loop over the six stages plus
+    /// run-level finalisation. `session` carries a
+    /// [`SimSession`](crate::delta::SimSession)'s warm state and the
+    /// apply's dirty scope: clean tiles replay their cached artifacts,
+    /// dirty tiles recompute, and the state is refreshed for the next
+    /// apply. On error the caller must invalidate that state (the slabs
+    /// may be half-written). `None` is a plain from-scratch run.
+    pub(crate) fn run_core(
         &self,
         g: &Csr,
         model: ModelId,
@@ -456,23 +447,11 @@ impl AuroraSimulator {
         let mut mem = MemoryController::new(cfg.dram_channels);
         mem.attach_telemetry(self.telemetry.clone());
         mem.set_scope(Scope::model(model.name()));
-        let mut activity = ActivityCounts::default();
         let mut layers = Vec::with_capacity(shapes.len());
         let mut profile = ProfileReport {
             link_utilisation: cfg.link_utilisation,
             ..ProfileReport::default()
         };
-        let mut instructions = Vec::new();
-        let mut reconfigs = 0u64;
-        let mut total_cycles = 0u64;
-        // Route tables and tile traffic profiles persist across the run's
-        // layers: later layers rescale instead of re-binning. A session
-        // additionally donates the tables its earlier applies built —
-        // config-pure, so never stale — and takes them back at the end.
-        let mut traffic_cache = TrafficCache::new();
-        if let Some((state, _)) = session.as_mut() {
-            traffic_cache.warm = std::mem::take(&mut state.route_tables);
-        }
         let wf = {
             let _span = span::enter(Stage::Workflow);
             Workflow::generate(model)
@@ -483,113 +462,75 @@ impl AuroraSimulator {
             self.telemetry
                 .instant(tracks::CONTROLLER, "generate workflow", 0);
         }
-
+        // Route tables and tile traffic profiles persist across the run's
+        // layers: later layers rescale instead of re-binning. The engine
+        // scratch persists across runs on this thread: a warmed-up arena
+        // makes tile precompute and the walk allocation-free in the
+        // steady state.
+        let mut run = RunState {
+            mem,
+            activity: ActivityCounts::default(),
+            instructions: Vec::new(),
+            cache: TrafficCache::default(),
+            arena: take_engine_scratch(),
+            tiles: Vec::new(),
+        };
         if cfg.trace_instructions {
-            instructions.push(Instruction::AcceptRequest {
+            run.instructions.push(Instruction::AcceptRequest {
                 model: model.name().to_string(),
                 layers: shapes.len(),
             });
-            instructions.push(Instruction::GenerateWorkflow {
+            run.instructions.push(Instruction::GenerateWorkflow {
                 phases: wf.phases.len(),
                 single_accelerator: wf.single_accelerator,
             });
         }
 
-        // The engine scratch persists across runs on this thread: a
-        // warmed-up arena makes tile precompute and the walk
-        // allocation-free in the steady state.
-        let mut engine_arena = take_engine_scratch();
-        let mut layer_err: Option<SimError> = None;
-        for (li, &shape) in shapes.iter().enumerate() {
-            let density = if li == 0 { input_density } else { 1.0 };
-            let layer_session = session.as_mut().map(|(state, scope)| {
-                while state.layers.len() <= li {
-                    state.layers.push(SessionLayerState::default());
+        let mut reconfigs = 0u64;
+        let mut total_cycles = 0u64;
+        let mut run_layers = || -> Result<(), SimError> {
+            for (li, &shape) in shapes.iter().enumerate() {
+                let density = if li == 0 { input_density } else { 1.0 };
+                let mut layer_session = session.as_mut().map(|(state, scope)| LayerSession {
+                    state: state.layer(li),
+                    scope,
+                    dirty: None,
+                });
+                let (ctx, w) = self.partition(g, &wf, shape, li, density, &mut run);
+                self.tile_precompute(&ctx, &mut run.arena.slabs, layer_session.as_mut());
+                self.route_tables(&ctx, &mut run, layer_session.as_mut())?;
+                self.traffic_kernels(&ctx, &mut run, layer_session.as_mut())?;
+                let totals = self.engine_walk(&ctx, &mut run, w, total_cycles);
+                let (report, layer_profile) = self.finalize_layer(ctx, &totals);
+                if let Some(s) = layer_session {
+                    s.leave(&mut run.arena.slabs);
                 }
-                (&mut state.layers[li], &**scope)
-            });
-            match self.simulate_layer(
-                g,
-                model,
-                &wf,
-                shape,
-                li,
-                density,
-                total_cycles,
-                &mut mem,
-                &mut activity,
-                &mut instructions,
-                &mut traffic_cache,
-                &mut engine_arena,
-                &mut profile.tiles,
-                layer_session,
-            ) {
-                Ok((report, recfg, layer_profile)) => {
-                    reconfigs += recfg;
-                    total_cycles += report.total_cycles;
-                    profile.mix = profile.mix.add(&layer_profile.mix);
-                    profile.overhead_cycles += layer_profile.overhead_cycles;
-                    profile.ops += layer_profile.ops;
-                    profile.layers.push(layer_profile);
-                    layers.push(report);
-                }
-                Err(e) => {
-                    layer_err = Some(e);
-                    break;
-                }
+                reconfigs += totals.reconfigs;
+                total_cycles += report.total_cycles;
+                profile.mix = profile.mix.add(&layer_profile.mix);
+                profile.overhead_cycles += layer_profile.overhead_cycles;
+                profile.ops += layer_profile.ops;
+                profile.layers.push(layer_profile);
+                layers.push(report);
             }
-        }
-        put_engine_scratch(engine_arena);
-        if let Some((state, _)) = session.as_mut() {
-            // keep the tables even when a layer errored: they are pure
-            // functions of their configs, and the recovery recompute
-            // after `SessionState::invalidate` reuses them
-            traffic_cache.harvest_into(&mut state.route_tables);
-        }
-        if let Some(e) = layer_err {
-            return Err(e);
-        }
+            Ok(())
+        };
+        let result = run_layers();
+        put_engine_scratch(run.arena);
+        result?;
 
-        let _finalize_span = span::enter(Stage::Finalize);
+        let (mem, mut activity) = (run.mem, run.activity);
         activity.cycles = total_cycles;
         activity.dram_bytes = mem.counters().total_bytes();
         activity.reconfigurations = reconfigs;
-        let energy = EnergyModel {
-            clock_mhz: cfg.clock_mhz as f64,
-            ..EnergyModel::default()
-        }
-        .evaluate(&activity);
-
-        if self.telemetry.is_enabled() {
-            let scope = Scope::model(model.name());
-            self.telemetry
-                .counter_add("run.total_cycles", &scope, total_cycles);
-            self.telemetry
-                .counter_add("run.reconfigurations", &scope, reconfigs);
-            self.telemetry
-                .gauge_set("run.energy_joules", &scope, energy.total());
-        }
-
-        profile.route_table_builds = traffic_cache.builds;
-        profile.tile_profile_hits = traffic_cache.hits;
-        profile.tile_profile_misses = traffic_cache.misses;
-        profile.dram_bytes = mem.counters().total_bytes();
-        profile.operational_intensity = if profile.dram_bytes == 0 {
-            0.0
-        } else {
-            profile.ops as f64 / profile.dram_bytes as f64
-        };
-        let seconds = total_cycles as f64 / (cfg.clock_mhz as f64 * 1e6);
-        profile.achieved_gflops = if seconds > 0.0 {
-            profile.ops as f64 / seconds / 1e9
-        } else {
-            0.0
-        };
+        profile.tiles = run.tiles;
+        profile.route_table_builds = run.cache.builds;
+        profile.tile_profile_hits = run.cache.hits;
+        profile.tile_profile_misses = run.cache.misses;
         profile.peak_gflops = cfg.num_pes() as f64 * cfg.flops_per_pe() / 1e9;
         profile.dram_peak_gbps =
             mem.peak_bytes_per_cycle() * mem.timing().clock_mhz as f64 * 1e6 / 1e9;
-
-        Ok(SimReport {
+        let mut report = SimReport {
             accelerator: "Aurora".into(),
             model: model.name().into(),
             workload: workload.into(),
@@ -598,13 +539,49 @@ impl AuroraSimulator {
             clock_mhz: cfg.clock_mhz,
             dram: mem.counters(),
             activity,
-            energy,
+            energy: Default::default(),
             reconfigurations: reconfigs,
-            instructions,
-            metrics: self.telemetry.snapshot(),
+            instructions: run.instructions,
+            metrics: Default::default(),
             profile,
             host_profile: None,
-        })
+        };
+        self.derive_totals(&mut report);
+        if self.telemetry.is_enabled() {
+            let scope = Scope::model(model.name());
+            self.telemetry
+                .counter_add("run.total_cycles", &scope, total_cycles);
+            self.telemetry
+                .counter_add("run.reconfigurations", &scope, reconfigs);
+            self.telemetry
+                .gauge_set("run.energy_joules", &scope, report.energy.total());
+        }
+        report.metrics = self.telemetry.snapshot();
+        Ok(report)
+    }
+
+    /// The run-level figures derived from a report's totals: energy from
+    /// the activity counts, and the roofline coordinates (operational
+    /// intensity, achieved GFLOP/s) from ops, DRAM bytes and cycles.
+    fn derive_totals(&self, report: &mut SimReport) {
+        report.energy = EnergyModel {
+            clock_mhz: self.config.clock_mhz as f64,
+            ..EnergyModel::default()
+        }
+        .evaluate(&report.activity);
+        let seconds = report.seconds();
+        let p = &mut report.profile;
+        p.dram_bytes = report.dram.total_bytes();
+        p.operational_intensity = if p.dram_bytes == 0 {
+            0.0
+        } else {
+            p.ops as f64 / p.dram_bytes as f64
+        };
+        p.achieved_gflops = if seconds > 0.0 {
+            p.ops as f64 / seconds / 1e9
+        } else {
+            0.0
+        };
     }
 
     /// Simulates inference over a *batch* of graphs (the point-cloud /
@@ -666,76 +643,44 @@ impl AuroraSimulator {
             });
         }
         let mut report = merged.ok_or(SimError::EmptyBatch)?;
-        report.energy = EnergyModel {
-            clock_mhz: self.config.clock_mhz as f64,
-            ..EnergyModel::default()
-        }
-        .evaluate(&report.activity);
-        // re-derive the roofline coordinates from the merged totals (the
-        // batch refunds resident-weight bytes, so intensity shifts)
-        report.profile.dram_bytes = report.dram.total_bytes();
-        report.profile.operational_intensity = if report.profile.dram_bytes == 0 {
-            0.0
-        } else {
-            report.profile.ops as f64 / report.profile.dram_bytes as f64
-        };
-        let seconds = report.seconds();
-        report.profile.achieved_gflops = if seconds > 0.0 {
-            report.profile.ops as f64 / seconds / 1e9
-        } else {
-            0.0
-        };
+        // the batch refunds resident-weight bytes, so energy and the
+        // roofline coordinates re-derive from the merged totals
+        self.derive_totals(&mut report);
         if let Some(m) = &profile_mark {
             report.host_profile = Some(span::collect(m, start.elapsed()));
         }
         Ok(report)
     }
 
-    /// Simulates one layer; returns its report, reconfiguration count,
-    /// and per-layer bottleneck attribution. Per-tile attributions are
-    /// appended to `tiles_out` (the run's preallocated report buffer);
-    /// `arena` supplies the reusable slabs and roll-up scratch.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_layer(
+    /// Stage 1, partition: tiles the graph by on-chip capacity, sizes the
+    /// sub-accelerators with Algorithm 2, and fixes the layer's context.
+    /// The returned layer workload doubles as the walk's per-tile
+    /// workload: a `resize` per tile yields the same values `from_sizes`
+    /// would, without rebuilding the model spec.
+    fn partition<'a>(
         &self,
-        g: &Csr,
-        model: ModelId,
-        wf: &Workflow,
+        g: &'a Csr,
+        wf: &'a Workflow,
         shape: LayerShape,
-        layer_idx: usize,
+        layer: usize,
         input_density: f64,
-        layer_start: u64,
-        mem: &mut MemoryController,
-        activity: &mut ActivityCounts,
-        instructions: &mut Vec<Instruction>,
-        cache: &mut TrafficCache,
-        arena: &mut TileArena,
-        tiles_out: &mut Vec<TileAttribution>,
-        session: Option<(&mut SessionLayerState, &DirtyScope)>,
-    ) -> Result<(LayerReport, u64, LayerProfile), SimError> {
+        run: &mut RunState,
+    ) -> (LayerCtx<'a>, Workload) {
+        let _span = span::enter(Stage::Partition);
         let cfg = &self.config;
-        let k = cfg.k;
-        let trace = cfg.trace_instructions;
-        let tel = &self.telemetry;
-        let lscope = Scope::model(model.name()).layer(layer_idx);
-        let dram_bytes_before = mem.counters().total_bytes();
-
-        // --- Tile by on-chip capacity -----------------------------------
-        let partition_span = span::enter(Stage::Partition);
-        let tiling_cfg = TilingConfig {
-            onchip_bytes: cfg.onchip_bytes(),
-            feature_dim: shape.f_in,
-            bytes_per_element: 8,
-            feature_fraction: cfg.feature_fraction,
-        };
-        let tiling = Tiling::build(g, &tiling_cfg);
-
-        // --- Algorithm 2: size the sub-accelerators ---------------------
-        // The layer workload doubles as the walk's per-tile workload: a
-        // `resize` per tile yields the same values `from_sizes` would,
-        // without rebuilding the model spec.
-        let mut w_tile = Workload::of(model, g, shape);
-        let counts = w_tile.op_counts();
+        let model = wf.model.id;
+        let scope = Scope::model(model.name()).layer(layer);
+        let tiling = Tiling::build(
+            g,
+            &TilingConfig {
+                onchip_bytes: cfg.onchip_bytes(),
+                feature_dim: shape.f_in,
+                bytes_per_element: 8,
+                feature_fraction: cfg.feature_fraction,
+            },
+        );
+        let w = Workload::of(model, g, shape);
+        let counts = w.op_counts();
         let strategy = if cfg.dynamic_partition {
             partition(&counts, cfg.num_pes(), cfg.flops_per_pe())
         } else {
@@ -757,49 +702,16 @@ impl AuroraSimulator {
                 ),
             }
         };
-        if trace {
-            instructions.push(Instruction::Partition {
+        if cfg.trace_instructions {
+            run.instructions.push(Instruction::Partition {
                 a: strategy.a,
                 b: strategy.b,
             });
         }
-        strategy.record_to(tel, &lscope);
-        drop(partition_span);
+        strategy.record_to(&self.telemetry, &scope);
+        // room for this layer's attributions before the walk pushes them
+        run.tiles.reserve(tiling.num_tiles());
 
-        // Trace timeline: the exposed controller overheads (mapping +
-        // partition decisions, then the first NoC reconfiguration when the
-        // fabric is flexible) lead the layer; tiles follow back-to-back,
-        // each occupying max(execution, DRAM) — the double-buffer envelope.
-        let mut cursor = layer_start;
-        if tel.is_enabled() {
-            tel.span(
-                tracks::CONTROLLER,
-                &format!("map+partition layer {layer_idx}"),
-                cursor,
-                100,
-                vec![
-                    ("pes_a".into(), strategy.a.into()),
-                    ("pes_b".into(), strategy.b.into()),
-                ],
-            );
-        }
-        cursor += 100;
-        if cfg.flexible_noc {
-            let recfg_cycles = (2 * k - 1) as u64;
-            if tel.is_enabled() {
-                tel.span(
-                    tracks::CONTROLLER,
-                    "NoC reconfigure (exposed)",
-                    cursor,
-                    recfg_cycles,
-                    vec![],
-                );
-            }
-            cursor += recfg_cycles;
-        }
-
-        // --- Per-tile pipeline -------------------------------------------
-        let c_pe = cfg.pe.vertex_capacity(shape.f_in);
         let raw_msg_words = if wf.model.has_edge_update() {
             wf.model.edge_feature_dim(shape.f_in)
         } else {
@@ -809,39 +721,47 @@ impl AuroraSimulator {
         // a 2× index overhead and a floor keep the model honest, so dense
         // inputs (Reddit) see no compression at all.
         let compress = (2.0 * input_density).clamp(0.3, 1.0);
-        let msg_words = ((raw_msg_words as f64 * compress).ceil() as usize).max(1);
-        let num_tiles = tiling.num_tiles();
-        let TileArena {
-            slabs: scratch_slabs,
-            seq,
-        } = arena;
-        seq.begin_layer();
-        seq.exec_cycles.reserve(num_tiles);
-        seq.dram_cycles.reserve(num_tiles);
-        let mut compute_total = 0u64;
-        let mut phase_cycles = PhaseCycles::default();
-        let mut noc_total = OnChipEstimate::default();
-        let mut reconfigs = 0u64;
-        let attr_start = tiles_out.len();
-        tiles_out.reserve(num_tiles);
-        let mut busy_a = 0u64;
-        let mut busy_b = 0u64;
-        let rings_cfg = NocConfig::rings(k);
+        let ctx = LayerCtx {
+            g,
+            wf,
+            shape,
+            layer,
+            scope,
+            tiling,
+            strategy,
+            counts,
+            c_pe: cfg.pe.vertex_capacity(shape.f_in),
+            raw_msg_words,
+            msg_words: ((raw_msg_words as f64 * compress).ceil() as usize).max(1),
+            compress,
+        };
+        (ctx, w)
+    }
 
-        // Pure per-tile precomputation — everything about a tile that does
-        // not touch the memory controller, telemetry or the instruction
-        // trace — fans out over the worker pool (`AURORA_THREADS`). Each
-        // tile writes its own pre-split slab slices, so the stateful walk
-        // below sees exactly the sequential schedule and cycle results are
-        // bit-identical at every thread count.
-        //
-        // A session apply swaps the thread-local slabs for the session's
-        // warm ones and restricts the fan-out to the delta's dirty tiles;
-        // `session_profiles` is the per-tile traffic store refreshed
-        // alongside.
-        let mut dirty_mask: Option<Vec<bool>> = None;
-        let mut session_profiles: Option<&mut Vec<Option<(u64, TrafficProfile)>>> = None;
-        let precompute_span = span::enter(Stage::TilePrecompute);
+    /// Stage 2, tile precompute: everything about a tile that does not
+    /// touch the memory controller, telemetry or the instruction trace —
+    /// Algorithm 1's mapping (the nested `Mapping` span), the per-PE load
+    /// balance, the bypass plan and both pipeline stages' times. Tiles
+    /// fan out over the worker pool (`AURORA_THREADS`), each writing its
+    /// own pre-split slab slices, so the walk sees exactly the sequential
+    /// schedule and cycle results are bit-identical at every thread
+    /// count. A session apply swaps in the layer's warm slabs and fans
+    /// out only its dirty tiles. Each tile's plan then resolves into an
+    /// interned NoC config, sequentially in tile order.
+    fn tile_precompute(
+        &self,
+        ctx: &LayerCtx,
+        slabs: &mut TileSlabs,
+        session: Option<&mut LayerSession>,
+    ) {
+        let _span = span::enter(Stage::TilePrecompute);
+        let cfg = &self.config;
+        let k = cfg.k;
+        let (g, tiling, shape, strategy, c_pe) =
+            (ctx.g, &ctx.tiling, ctx.shape, &ctx.strategy, ctx.c_pe);
+        let (model, has_vertex_update) = (ctx.wf.model.id, ctx.wf.model.has_vertex_update());
+        let num_tiles = tiling.num_tiles();
+        let rings_cfg = NocConfig::rings(k);
         // Uniform per-tile strides: the longest tile bounds the high-degree
         // slab (high_degree_cap is monotonic in n, so every tile fits its
         // slice), and each row/column plan is bounded by the k physical
@@ -851,49 +771,14 @@ impl AuroraSimulator {
             .max()
             .unwrap_or(0);
         let high_cap = aurora_mapping::high_degree_cap(max_len, k, c_pe);
-        // A valid session layer whose fresh tiling and Algorithm-2 split
-        // still match recomputes only the tiles owning a touched vertex;
-        // any mismatch (or a structural delta) recomputes everything into
-        // the session slabs, repopulating the store — both paths
-        // bit-identical to a from-scratch run.
-        let slabs: &mut TileSlabs = match session {
-            Some((state, scope)) => {
-                let incremental = state.valid
-                    && state.high_cap == high_cap
-                    && state.profiles.len() == num_tiles
-                    && state.split == Some((strategy.a, strategy.b))
-                    && state.tiling.as_ref() == Some(&tiling);
-                dirty_mask = match (incremental, scope) {
-                    (true, DirtyScope::Vertices(touched)) => {
-                        let mut bounds: Vec<u32> =
-                            (0..num_tiles).map(|ti| tiling.range(ti).start).collect();
-                        bounds.push(g.num_vertices() as u32);
-                        Some(
-                            TileIndex::from_boundaries(bounds)
-                                .dirty_tiles(touched.iter().copied(), false),
-                        )
-                    }
-                    _ => None,
-                };
-                if dirty_mask.is_some() {
-                    state.slabs.begin_layer_incremental();
-                } else {
-                    state
-                        .slabs
-                        .begin_layer(g.num_vertices(), num_tiles, k, high_cap);
-                    state.tiling = Some(tiling.clone());
-                    state.split = Some((strategy.a, strategy.b));
-                    state.high_cap = high_cap;
-                    state.profiles.clear();
-                    state.profiles.resize(num_tiles, None);
-                    state.valid = true;
-                }
-                session_profiles = Some(&mut state.profiles);
-                &mut state.slabs
+        let dirty = match session {
+            Some(s) => {
+                s.enter(ctx, slabs, k, high_cap);
+                s.dirty.as_deref()
             }
             None => {
-                scratch_slabs.begin_layer(g.num_vertices(), num_tiles, k, high_cap);
-                scratch_slabs
+                slabs.begin_layer(g.num_vertices(), num_tiles, k, high_cap);
+                None
             }
         };
         if cfg.mapping_policy == MappingPolicy::DegreeAware {
@@ -932,7 +817,7 @@ impl AuroraSimulator {
                 // Clean session tiles keep their slab contents from the
                 // previous apply; only dirty tiles enter the parallel
                 // fan-out.
-                if dirty_mask.as_ref().is_none_or(|m| m[ti]) {
+                if dirty.is_none_or(|m| m[ti]) {
                     tasks.push(TileTask {
                         ti,
                         pe_of,
@@ -1044,12 +929,12 @@ impl AuroraSimulator {
                 };
 
                 // Vertex-update traffic (the aggregation estimate goes
-                // through the route-table cache on the sequential path
-                // below). Without ring reconfiguration the vectors take
-                // mesh routes: same volume, roughly same hops, but the
+                // through the route-table cache in the next two stages).
+                // Without ring reconfiguration the vectors take mesh
+                // routes: same volume, roughly same hops, but the
                 // contention of a converging pattern — a 2× cycle
                 // multiplier on the ring estimate.
-                let est_b = if wf.model.has_vertex_update() {
+                let est_b = if has_vertex_update {
                     let contention = if cfg.flexible_noc { 1 } else { 2 };
                     let mut e = noc_model::ring_traffic(
                         &rings_cfg,
@@ -1082,172 +967,215 @@ impl AuroraSimulator {
             });
         });
 
-        // Resolve each tile's plan into an interned NoC config —
-        // sequential, so the intern table needs no lock and the config
-        // order matches the walk.
         let mesh = slabs.mesh_cfg(k);
         for ti in 0..num_tiles {
             slabs.resolve_noc_cfg(ti, k, cfg.flexible_noc, &mesh);
         }
-        let pres = LayerTiles {
-            slabs,
-            policy: cfg.mapping_policy,
-            k,
-            high_cap,
-        };
-        drop(precompute_span);
+    }
 
-        // Aggregation traffic through the cross-layer route-table/profile
-        // cache. Lookups, estimates of hits, and insertions all run on
-        // this sequential path — cache state and telemetry counters are
-        // identical at every AURORA_THREADS value; only the O(E) binning
-        // of missing tiles fans out over the pool.
-        let route_span = span::enter(Stage::RouteTableBuild);
-        let mut hits = 0u64;
-        for ti in 0..num_tiles {
-            let view = pres.view(ti);
-            let table_id = cache.intern(view.noc_cfg, tel, &lscope);
+    /// Stage 3, route tables: interns each tile's NoC configuration and
+    /// looks its unit-flit traffic profile up in the cross-layer cache.
+    /// Hits are estimated here, before this layer's misses insert (and
+    /// possibly evict) anything. Every miss that will bin — all but the
+    /// clean session tiles that replay a stored profile — gets its route
+    /// table materialised, sequentially in tile order, so a rejected
+    /// configuration errors at the same tile at every thread count.
+    fn route_tables(
+        &self,
+        ctx: &LayerCtx,
+        run: &mut RunState,
+        mut session: Option<&mut LayerSession>,
+    ) -> Result<(), SimError> {
+        let _span = span::enter(Stage::RouteTableBuild);
+        let cfg = &self.config;
+        let TileArena { slabs, seq, .. } = &mut *run.arena;
+        let cache = &mut run.cache;
+        seq.begin_layer();
+        for ti in 0..ctx.tiling.num_tiles() {
+            let (out, noc_cfg) = (&slabs.outs[ti], &*slabs.noc_cfgs[ti]);
+            let table_id = cache.intern(noc_cfg, &self.telemetry, &ctx.scope);
             let key = ProfileKey {
                 table_id,
-                start: view.map.range.start,
-                end: view.map.range.end,
-                c_pe,
+                start: out.start,
+                end: out.end,
+                c_pe: ctx.c_pe,
             };
             seq.keys.push(key);
-            // Hits are estimated *now*, before this layer's misses insert
-            // (and possibly evict) anything.
-            match cache.profile(&key) {
+            let est_a = match cache.profiles.get(&key) {
                 Some(p) => {
-                    hits += 1;
                     // the cache's profile is exactly what a fresh bin
                     // would produce — refresh the session store with it
-                    if let Some(store) = session_profiles.as_deref_mut() {
-                        store[ti] = Some((view.noc_cfg.signature(), p.clone()));
+                    if let Some(s) = session.as_deref_mut() {
+                        s.state.profiles[ti] = Some((noc_cfg.signature(), p.clone()));
                     }
-                    seq.est_a_of.push(Some(p.estimate(
-                        view.noc_cfg,
-                        msg_words,
-                        cfg.link_utilisation,
-                    )));
+                    p.estimate(noc_cfg, ctx.msg_words, cfg.link_utilisation)
                 }
                 None => {
                     seq.miss_tiles.push(ti);
-                    seq.est_a_of.push(None);
+                    OnChipEstimate::default()
                 }
-            }
+            };
+            seq.est_a.push(est_a);
         }
-        // Decide which missing tiles replay their session profile before
-        // any route table is touched: a clean tile whose stored profile
-        // still carries its config's signature needs no table at all.
-        // Every tile that will genuinely bin gets its table materialised
-        // here, sequentially in tile order, so a rejected configuration
-        // errors exactly where the historical build-at-intern did.
-        seq.replay.clear();
-        for &ti in seq.miss_tiles.iter() {
-            let clean = dirty_mask.as_ref().is_some_and(|m| !m[ti]);
-            let replays = clean
-                && session_profiles.as_deref().is_some_and(|store| {
-                    store[ti]
-                        .as_ref()
-                        .is_some_and(|(sig, _)| *sig == pres.view(ti).noc_cfg.signature())
-                });
+        for &ti in &seq.miss_tiles {
+            let replays = session
+                .as_deref()
+                .is_some_and(|s| s.replays(ti, slabs.noc_cfgs[ti].signature()));
             if !replays {
                 cache.ensure_built(seq.keys[ti].table_id)?;
             }
             seq.replay.push(replays);
         }
-        drop(route_span);
-        // Misses bin in parallel but resolve sequentially: the first
-        // erroring tile (in tile order) decides the returned `SimError`,
-        // independent of AURORA_THREADS.
-        let traffic_span = span::enter(Stage::TrafficKernels);
+        Ok(())
+    }
+
+    /// Stage 4, traffic kernels: bins each missing tile's edges into a
+    /// unit-flit profile over the pool (a replaying session tile clones
+    /// its stored profile instead), then — sequentially, in tile order,
+    /// so the first erroring tile decides the returned error at every
+    /// thread count — estimates each miss and inserts its profile into
+    /// the cache and the session store.
+    fn traffic_kernels(
+        &self,
+        ctx: &LayerCtx,
+        run: &mut RunState,
+        mut session: Option<&mut LayerSession>,
+    ) -> Result<(), SimError> {
+        let _span = span::enter(Stage::TrafficKernels);
+        let cfg = &self.config;
+        let TileArena { slabs, seq, .. } = &mut *run.arena;
+        let cache = &mut run.cache;
         let binned: Vec<Result<TrafficProfile, aurora_noc::NocError>> = {
-            let cache_ref: &TrafficCache = cache;
-            let miss_ref: &[usize] = &seq.miss_tiles;
-            let keys_ref: &[ProfileKey] = &seq.keys;
-            let replay_ref: &[bool] = &seq.replay;
-            let pres_ref = &pres;
-            let store_ref = session_profiles.as_deref();
-            (0..miss_ref.len())
+            let (cache, slabs, seq) = (&*cache, &*slabs, &*seq);
+            let store = session.as_deref().map(|s| &s.state.profiles);
+            (0..seq.miss_tiles.len())
                 .into_par_iter()
                 .map(|i| {
                     let _tag = span::stage_scope(Stage::TrafficKernels);
-                    let ti = miss_ref[i];
-                    // A clean session tile substitutes its stored profile
-                    // — same mapping, same edges, same route table (the
-                    // signature stamp is the invalidation hook) ⇒ the
-                    // same bin result without the O(E) pass or the O(k³)
-                    // table build. The sequential pass above decided.
-                    if replay_ref[i] {
-                        let (_, p) = store_ref.expect("replay implies a session")[ti]
+                    let ti = seq.miss_tiles[i];
+                    if seq.replay[i] {
+                        let (_, p) = store.expect("replay implies a session")[ti]
                             .as_ref()
                             .expect("replay implies a stored profile");
                         return Ok(p.clone());
                     }
-                    let sg = tiling.subgraph(g, ti);
                     TrafficProfile::bin(
-                        cache_ref.table(keys_ref[ti].table_id),
-                        &pres_ref.view(ti).map,
-                        sg.edges(),
+                        cache.table(seq.keys[ti].table_id),
+                        &slabs.map_view(ti, cfg.mapping_policy, cfg.k),
+                        ctx.tiling.subgraph(ctx.g, ti).edges(),
                     )
                 })
                 .collect()
         };
+        let misses = seq.miss_tiles.len() as u64;
+        let hits = ctx.tiling.num_tiles() as u64 - misses;
         cache.hits += hits;
-        cache.misses += seq.miss_tiles.len() as u64;
-        tel.counter_add(names::NOC_TILE_PROFILE_HITS, &lscope, hits);
-        tel.counter_add(
-            names::NOC_TILE_PROFILE_MISSES,
-            &lscope,
-            seq.miss_tiles.len() as u64,
-        );
+        cache.misses += misses;
+        let tel = &self.telemetry;
+        tel.counter_add(names::NOC_TILE_PROFILE_HITS, &ctx.scope, hits);
+        tel.counter_add(names::NOC_TILE_PROFILE_MISSES, &ctx.scope, misses);
         for (&ti, profile) in seq.miss_tiles.iter().zip(binned) {
             let profile = profile?;
-            seq.est_a_of[ti] =
-                Some(profile.estimate(pres.view(ti).noc_cfg, msg_words, cfg.link_utilisation));
-            if let Some(store) = session_profiles.as_deref_mut() {
-                store[ti] = Some((pres.view(ti).noc_cfg.signature(), profile.clone()));
+            let noc_cfg = &slabs.noc_cfgs[ti];
+            seq.est_a[ti] = profile.estimate(noc_cfg, ctx.msg_words, cfg.link_utilisation);
+            if let Some(s) = session.as_deref_mut() {
+                s.state.profiles[ti] = Some((noc_cfg.signature(), profile.clone()));
             }
             cache.insert_profile(seq.keys[ti], profile);
         }
-        for e in &seq.est_a_of {
-            seq.est_as.push(e.ok_or_else(|| {
-                SimError::Internal("tile resolved neither as a hit nor a binned miss".into())
-            })?);
-        }
-        drop(traffic_span);
+        Ok(())
+    }
 
-        // Stateful walk: memory controller, telemetry, and the instruction
-        // trace consume the precomputed tiles strictly in order.
-        let walk_span = span::enter(Stage::EngineWalk);
+    /// Stage 5, engine walk: the memory controller, telemetry and the
+    /// instruction trace consume the precomputed tiles strictly in order,
+    /// and the tiles combine as the double-buffered A/B pipeline.
+    /// `start_cycle` places the layer on the trace timeline.
+    fn engine_walk(
+        &self,
+        ctx: &LayerCtx,
+        run: &mut RunState,
+        mut w_sg: Workload,
+        start_cycle: u64,
+    ) -> LayerTotals {
+        let _span = span::enter(Stage::EngineWalk);
+        let cfg = &self.config;
+        let (k, tel, trace) = (cfg.k, &self.telemetry, cfg.trace_instructions);
+        let (wf, shape, lscope) = (ctx.wf, ctx.shape, &ctx.scope);
+        let RunState {
+            mem,
+            activity,
+            instructions,
+            arena,
+            tiles,
+            ..
+        } = run;
+        let TileArena { slabs, seq } = &mut **arena;
+        let num_tiles = ctx.tiling.num_tiles();
+        let dram_bytes_before = mem.counters().total_bytes();
+        let mut t = LayerTotals::default();
+
+        // Trace timeline: the exposed controller overheads lead the layer
+        // — mapping + partition decisions (~100 cycles), then the first
+        // NoC reconfiguration when the fabric is flexible; later ones
+        // overlap the previous tile's execution. Tiles follow
+        // back-to-back, each occupying max(execution, DRAM): the crossbar
+        // streams a tile's data while the PEs execute and the next tile
+        // prefetches meanwhile — the double-buffer envelope.
+        let mut cursor = start_cycle;
+        if tel.is_enabled() {
+            tel.span(
+                tracks::CONTROLLER,
+                &format!("map+partition layer {}", ctx.layer),
+                cursor,
+                100,
+                vec![
+                    ("pes_a".into(), ctx.strategy.a.into()),
+                    ("pes_b".into(), ctx.strategy.b.into()),
+                ],
+            );
+        }
+        cursor += 100;
+        if cfg.flexible_noc {
+            let recfg_cycles = (2 * k - 1) as u64;
+            if tel.is_enabled() {
+                tel.span(
+                    tracks::CONTROLLER,
+                    "NoC reconfigure (exposed)",
+                    cursor,
+                    recfg_cycles,
+                    vec![],
+                );
+            }
+            cursor += recfg_cycles;
+        }
+
         for ti in 0..num_tiles {
-            let pre = pres.view(ti);
+            let (pre, noc_cfg) = (&slabs.outs[ti], &slabs.noc_cfgs[ti]);
+            let map = slabs.map_view(ti, cfg.mapping_policy, k);
             if tel.is_enabled() {
                 // scope strings only matter to an attached recorder, and
                 // building them clones — skip both when disabled
                 mem.set_scope(lscope.tile(ti));
             }
-            aurora_mapping::record_quality_view(tel, &lscope, &pre.map);
+            aurora_mapping::record_quality_view(tel, lscope, &map);
             let (rho_a, rho_b) = (pre.rho_a, pre.rho_b);
             let (t_a, t_b) = (pre.t_a, pre.t_b);
-            let (est_a, est_b) = (seq.est_as[ti], pre.est_b);
-            w_tile.resize(pre.num_vertices, pre.num_edges);
-            let w_sg = &w_tile;
+            let (est_a, est_b) = (seq.est_a[ti], pre.est_b);
+            w_sg.resize(pre.num_vertices, pre.num_edges);
             let c_sg = w_sg.op_counts();
             if trace {
                 instructions.push(Instruction::MapSubgraph {
                     tile: ti,
                     vertices: pre.num_vertices,
-                    high_degree: pre.map.high_degree.len(),
+                    high_degree: map.high_degree.len(),
                 });
             }
             if cfg.flexible_noc {
-                reconfigs += 1;
+                t.reconfigs += 1;
                 if trace {
                     instructions.push(Instruction::Configure {
                         tile: ti,
-                        bypass_segments: pre.noc_cfg.row_bypass.len()
-                            + pre.noc_cfg.col_bypass.len(),
+                        bypass_segments: noc_cfg.row_bypass.len() + noc_cfg.col_bypass.len(),
                         reconfig_cycles: (2 * k - 1) as u64,
                     });
                 }
@@ -1263,7 +1191,7 @@ impl AuroraSimulator {
             let owned_bytes = (pre.num_vertices * shape.f_in * 8) as u64;
             mem_cycles += mem.stream_read(owned_bytes);
             if wf.model.uses_edge_embeddings() {
-                let e_bytes = (pre.num_edges * raw_msg_words * 8) as u64;
+                let e_bytes = (pre.num_edges * ctx.raw_msg_words * 8) as u64;
                 mem_cycles += mem.stream_read(e_bytes);
             }
             // Cross-tile neighbours are gathered once per tile (destination-
@@ -1272,12 +1200,12 @@ impl AuroraSimulator {
             // directly, which is how Aurora "fully utilizes the on-chip
             // buffer capacity" where baselines re-fetch (§VI-B).
             let halo = pre.halo;
-            let halo_bytes = (halo as f64 * (shape.f_in * 8) as f64 * compress) as u64;
+            let halo_bytes = (halo as f64 * (shape.f_in * 8) as f64 * ctx.compress) as u64;
             mem_cycles += mem.random_read(halo_bytes);
             let out_dim = if wf.model.has_vertex_update() {
                 shape.f_out
             } else {
-                raw_msg_words.max(shape.f_in)
+                ctx.raw_msg_words.max(shape.f_in)
             };
             mem_cycles += mem.stream_write((pre.num_vertices * out_dim * 8) as u64);
             let d_cycles = mem.to_accel_cycles(mem_cycles, cfg.clock_mhz);
@@ -1308,9 +1236,6 @@ impl AuroraSimulator {
             // (vertex update + ring traffic) — B works on the previous
             // tile's output while A fills.
             let exec = (t_a + est_a.cycles).max(t_b + est_b.cycles);
-            seq.exec_cycles.push(exec);
-            seq.dram_cycles.push(d_cycles);
-
             let slot = exec.max(d_cycles);
             if tel.is_enabled() {
                 est_a.record_to(tel, &lscope.phase("aggregation"));
@@ -1382,15 +1307,15 @@ impl AuroraSimulator {
                         ],
                     );
                 }
-                tel.observe("tile.exec_cycles", &lscope, exec);
-                tel.observe("tile.dram_cycles", &lscope, d_cycles);
-                tel.counter_add("tile.hidden_cycles", &lscope, exec.min(d_cycles));
+                tel.observe("tile.exec_cycles", lscope, exec);
+                tel.observe("tile.dram_cycles", lscope, d_cycles);
+                tel.counter_add("tile.hidden_cycles", lscope, exec.min(d_cycles));
             }
 
             // Bound attribution: keep the losers' slack instead of
             // throwing the max() decisions away.
             let attr = TileAttribution::new(
-                layer_idx,
+                ctx.layer,
                 ti,
                 SideAttribution::new(t_a, est_a.cycles, rho_a, est_a.hot_router),
                 SideAttribution::new(t_b, est_b.cycles, rho_b, est_b.hot_router),
@@ -1400,17 +1325,16 @@ impl AuroraSimulator {
             if tel.is_enabled() {
                 attr.record_to(tel, &lscope.tile(ti));
             }
-            busy_a += t_a + est_a.cycles;
-            busy_b += t_b + est_b.cycles;
-            tiles_out.push(attr);
+            t.mix = t.mix.add(&attr.mix);
+            tiles.push(attr);
 
             cursor += slot;
-            compute_total += t_a + t_b;
-            phase_cycles.sub_a_compute += t_a;
-            phase_cycles.sub_b_compute += t_b;
-            phase_cycles.sub_a_noc += est_a.cycles;
-            phase_cycles.sub_b_noc += est_b.cycles;
-            noc_total = noc_total.then(&est_a).then(&est_b);
+            t.dram_cycles += d_cycles;
+            t.phase_cycles.sub_a_compute += t_a;
+            t.phase_cycles.sub_b_compute += t_b;
+            t.phase_cycles.sub_a_noc += est_a.cycles;
+            t.phase_cycles.sub_b_noc += est_b.cycles;
+            t.noc = t.noc.then(&est_a).then(&est_b);
 
             // Activity counters.
             for p in [Phase::EdgeUpdate, Phase::Aggregation, Phase::VertexUpdate] {
@@ -1424,80 +1348,55 @@ impl AuroraSimulator {
                 c_sg.total() + (pre.num_vertices * (shape.f_in + out_dim)) as u64;
             activity.noc_flit_hops += est_a.flit_hops + est_b.flit_hops;
             // datapath mode switches across the phase sequence, per tile
-            reconfigs += wf.mode_switches();
+            t.reconfigs += wf.mode_switches();
         }
-        drop(walk_span);
-        let _finalize_span = span::enter(Stage::Finalize);
+        t.cycles = cursor - start_cycle;
+        t.dram_bytes = mem.counters().total_bytes() - dram_bytes_before;
+        t
+    }
 
-        // --- Double-buffered pipeline combination ------------------------
-        // the crossbar streams each tile's data while the PEs execute, and
-        // the next tile prefetches during the current tile's execution, so
-        // each tile costs max(execution, its off-chip traffic); the first
-        // NoC reconfiguration is exposed, later ones overlap.
-        let mut total = 0u64;
-        for i in 0..seq.exec_cycles.len() {
-            total += seq.exec_cycles[i].max(seq.dram_cycles[i]);
-        }
-        if cfg.flexible_noc {
-            total += (2 * k - 1) as u64; // first reconfiguration exposed
-        }
-        // mapping + partition decisions (~100 cycles) overlap with the
-        // previous tile's execution; only the first is exposed.
-        total += 100;
-
+    /// Stage 6, finalize: rolls the walk's totals into the layer's report
+    /// and bottleneck profile, releasing the layer's context.
+    fn finalize_layer(&self, ctx: LayerCtx, t: &LayerTotals) -> (LayerReport, LayerProfile) {
+        let _span = span::enter(Stage::Finalize);
+        let tel = &self.telemetry;
+        let tiles = ctx.tiling.num_tiles();
+        let pc = t.phase_cycles;
+        let compute = pc.sub_a_compute + pc.sub_b_compute;
         if tel.is_enabled() {
-            debug_assert_eq!(
-                cursor - layer_start,
-                total,
-                "trace timeline must cover the layer exactly"
-            );
-            tel.counter_add("layer.total_cycles", &lscope, total);
-            tel.counter_add("layer.compute_cycles", &lscope, compute_total);
-            tel.counter_add("layer.reconfigurations", &lscope, reconfigs);
-            tel.gauge_set("layer.tiles", &lscope, tiling.num_tiles() as f64);
+            tel.counter_add("layer.total_cycles", &ctx.scope, t.cycles);
+            tel.counter_add("layer.compute_cycles", &ctx.scope, compute);
+            tel.counter_add("layer.reconfigurations", &ctx.scope, t.reconfigs);
+            tel.gauge_set("layer.tiles", &ctx.scope, tiles as f64);
         }
-
-        let dram_total: u64 = seq.dram_cycles.iter().sum();
         let report = LayerReport {
-            layer: layer_idx,
-            shape,
-            partition: strategy,
-            tiles: tiling.num_tiles(),
-            op_counts: counts,
-            compute_cycles: compute_total,
-            phase_cycles,
-            noc: NocReport::from(noc_total),
-            dram_cycles: dram_total,
-            total_cycles: total,
+            layer: ctx.layer,
+            shape: ctx.shape,
+            partition: ctx.strategy,
+            tiles,
+            op_counts: ctx.counts,
+            compute_cycles: compute,
+            phase_cycles: pc,
+            noc: NocReport::from(t.noc),
+            dram_cycles: t.dram_cycles,
+            total_cycles: t.cycles,
         };
-
-        // --- Bottleneck profile ------------------------------------------
-        let mut mix = crate::profile::BoundMix::default();
-        for t in &tiles_out[attr_start..] {
-            mix = mix.add(&t.mix);
-        }
-        let overhead_cycles = total - mix.total();
-        debug_assert_eq!(
-            mix.total() + overhead_cycles,
-            total,
-            "attributed cycles plus overhead must equal the layer total"
-        );
-        let slot_total = mix.total().max(1) as f64;
-        let layer_dram_bytes = mem.counters().total_bytes() - dram_bytes_before;
-        let layer_profile = LayerProfile {
-            layer: layer_idx,
-            tiles: tiling.num_tiles(),
-            mix,
-            overhead_cycles,
-            util_a: busy_a as f64 / slot_total,
-            util_b: busy_b as f64 / slot_total,
-            util_dram: dram_total as f64 / slot_total,
-            ops: counts.total(),
-            dram_bytes: layer_dram_bytes,
-            operational_intensity: counts.total() as f64 / (layer_dram_bytes.max(1)) as f64,
-            dominant: mix.dominant(),
+        let slot_total = t.mix.total().max(1) as f64;
+        let ops = ctx.counts.total();
+        let profile = LayerProfile {
+            layer: ctx.layer,
+            tiles,
+            mix: t.mix,
+            overhead_cycles: t.cycles - t.mix.total(),
+            util_a: (pc.sub_a_compute + pc.sub_a_noc) as f64 / slot_total,
+            util_b: (pc.sub_b_compute + pc.sub_b_noc) as f64 / slot_total,
+            util_dram: t.dram_cycles as f64 / slot_total,
+            ops,
+            dram_bytes: t.dram_bytes,
+            operational_intensity: ops as f64 / (t.dram_bytes.max(1)) as f64,
+            dominant: t.mix.dominant(),
         };
-        Ok((report, reconfigs, layer_profile))
+        (report, profile)
     }
 }
 

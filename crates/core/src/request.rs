@@ -71,7 +71,15 @@ impl GraphSpec {
             GraphSpec::Rmat { vertices: 0, .. } | GraphSpec::Ring { vertices: 0 } => {
                 Err(SimError::EmptyGraph)
             }
-            GraphSpec::Inline(g) if g.num_vertices() == 0 => Err(SimError::EmptyGraph),
+            GraphSpec::Inline(g) => {
+                g.validate()
+                    .map_err(|e| SimError::InvalidRequest(format!("inline graph: {e}")))?;
+                if g.num_vertices() == 0 {
+                    Err(SimError::EmptyGraph)
+                } else {
+                    Ok(())
+                }
+            }
             _ => Ok(()),
         }
     }
@@ -544,6 +552,27 @@ mod tests {
         );
         // the version participates in the digest (it re-keys the cache).
         assert_ne!(toy_request().digest(), cur.digest());
+    }
+
+    #[test]
+    fn malformed_inline_csr_is_rejected_by_validate() {
+        let inline = SimRequest {
+            graph: GraphSpec::Inline(Csr::empty(1)),
+            ..toy_request()
+        };
+        let json = serde_json::to_string(&inline).unwrap();
+        let graph = serde_json::to_string(&inline.graph).unwrap();
+        assert!(json.contains(&graph));
+        // an empty row_ptr (num_vertices() would wrap) and a column
+        // index past the vertex count, straight off the wire
+        for bad in [
+            r#"{"Inline":{"row_ptr":[],"col_idx":[]}}"#,
+            r#"{"Inline":{"row_ptr":[0,5],"col_idx":[9]}}"#,
+        ] {
+            let req: SimRequest = serde_json::from_str(&json.replace(&graph, bad)).unwrap();
+            let err = req.validate().unwrap_err();
+            assert!(matches!(err, SimError::InvalidRequest(_)), "{bad}: {err:?}");
+        }
     }
 
     #[test]

@@ -23,27 +23,13 @@ impl Csr {
     /// Builds a CSR directly from its raw arrays.
     ///
     /// # Panics
-    /// Panics if the arrays are inconsistent: `row_ptr` must be non-empty,
-    /// monotonically non-decreasing, start at 0, end at `col_idx.len()`, and
-    /// every column index must be `< n`.
+    /// Panics if the arrays break an invariant of [`Self::validate`].
     pub fn from_raw(row_ptr: Vec<u32>, col_idx: Vec<VertexId>) -> Self {
-        assert!(!row_ptr.is_empty(), "row_ptr must have at least one entry");
-        assert_eq!(row_ptr[0], 0, "row_ptr must start at 0");
-        assert_eq!(
-            *row_ptr.last().unwrap() as usize,
-            col_idx.len(),
-            "row_ptr must end at the edge count"
-        );
-        assert!(
-            row_ptr.windows(2).all(|w| w[0] <= w[1]),
-            "row_ptr must be monotone"
-        );
-        let n = (row_ptr.len() - 1) as u32;
-        assert!(
-            col_idx.iter().all(|&c| c < n),
-            "column index out of range (n = {n})"
-        );
-        Self { row_ptr, col_idx }
+        let g = Self { row_ptr, col_idx };
+        if let Err(e) = g.validate() {
+            panic!("{e}");
+        }
+        g
     }
 
     /// [`Self::from_raw`] without the O(V+E) validation passes — the
@@ -55,22 +41,36 @@ impl Csr {
     /// Callers must uphold everything `from_raw` checks *plus* the
     /// sorted-neighbour-list invariant `has_edge` relies on.
     pub fn from_raw_unchecked(row_ptr: Vec<u32>, col_idx: Vec<VertexId>) -> Self {
-        debug_assert!(!row_ptr.is_empty(), "row_ptr must have at least one entry");
-        debug_assert_eq!(row_ptr[0], 0, "row_ptr must start at 0");
-        debug_assert_eq!(
-            *row_ptr.last().unwrap() as usize,
-            col_idx.len(),
-            "row_ptr must end at the edge count"
-        );
-        debug_assert!(
-            row_ptr.windows(2).all(|w| w[0] <= w[1]),
-            "row_ptr must be monotone"
-        );
-        debug_assert!(
-            col_idx.iter().all(|&c| (c as usize) < row_ptr.len() - 1),
-            "column index out of range"
-        );
-        Self { row_ptr, col_idx }
+        let g = Self { row_ptr, col_idx };
+        debug_assert_eq!(g.validate(), Ok(()));
+        g
+    }
+
+    /// Checks the CSR invariants: `row_ptr` is non-empty, starts at 0,
+    /// ends at the edge count and is monotonically non-decreasing, and
+    /// every column index is `< n`. A CSR deserialized from untrusted
+    /// input must pass this before anything indexes into it.
+    pub fn validate(&self) -> Result<(), String> {
+        let Some(&last) = self.row_ptr.last() else {
+            return Err("row_ptr must have at least one entry".into());
+        };
+        if self.row_ptr[0] != 0 {
+            return Err("row_ptr must start at 0".into());
+        }
+        if last as usize != self.col_idx.len() {
+            return Err(format!(
+                "row_ptr must end at the edge count ({last} != {})",
+                self.col_idx.len()
+            ));
+        }
+        if !self.row_ptr.windows(2).all(|w| w[0] <= w[1]) {
+            return Err("row_ptr must be monotone".into());
+        }
+        let n = self.num_vertices();
+        match self.col_idx.iter().find(|&&c| c as usize >= n) {
+            Some(c) => Err(format!("column index {c} out of range (n = {n})")),
+            None => Ok(()),
+        }
     }
 
     /// Decomposes into `(row_ptr, col_idx)` — the inverse of
@@ -404,5 +404,22 @@ mod tests {
     #[should_panic(expected = "edge count")]
     fn from_raw_rejects_bad_tail() {
         let _ = Csr::from_raw(vec![0, 3], vec![0]);
+    }
+
+    #[test]
+    fn validate_rejects_each_broken_invariant() {
+        let bad = [
+            (vec![], vec![]),
+            (vec![1, 1], vec![0]),
+            (vec![0, 5], vec![9]),
+            (vec![0, 2, 1, 2], vec![0, 1]),
+            (vec![0, 1], vec![1]),
+        ];
+        for (row_ptr, col_idx) in bad {
+            let g = Csr { row_ptr, col_idx };
+            assert!(g.validate().is_err(), "{g:?} passed validate");
+        }
+        assert_eq!(triangle().validate(), Ok(()));
+        assert_eq!(Csr::empty(0).validate(), Ok(()));
     }
 }

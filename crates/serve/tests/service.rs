@@ -168,13 +168,26 @@ fn timed_out_request_still_warms_the_cache() {
         timeout_ms: 0,
         ..ServeConfig::default()
     });
+    // Occupy the single worker first, so the probe below is still queued
+    // behind this run when its zero budget expires. (Alone, a small
+    // request can finish before the caller's first deadline check and
+    // answer `Ok`.) The blocker's own answer does not matter.
+    let blocker = SimRequest::builder(ModelId::Gcn)
+        .config(AcceleratorConfig::small(4))
+        .rmat(8_192, 80_000, 99)
+        .layer(LayerShape::new(64, 32))
+        .workload("svc-blocker")
+        .build()
+        .expect("valid request");
+    let _ = svc.handle(&blocker);
     let req = small_request(4);
     let err = svc.handle(&req).unwrap_err();
     assert!(matches!(err, ServeError::Timeout { ms: 0 }), "got {err:?}");
     assert!(svc.metrics().counter_total(names::SERVE_TIMEOUTS) >= 1);
-    // the abandoned job completes in the background and lands in the
-    // cache; a zero-budget caller is then served instantly from it
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    // the abandoned job completes in the background (after the blocker)
+    // and lands in the cache; a zero-budget caller is then served
+    // instantly from it
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
     loop {
         match svc.handle(&req) {
             Ok(outcome) => {

@@ -9,11 +9,6 @@
 /// traffic cache sees; a cached run builds each config's table once).
 pub const NOC_ROUTE_TABLE_BUILDS: &str = "noc.route_table.builds";
 
-/// Total `(src, dst)` pairs covered across all route-table builds (k⁴
-/// per build, counted from the config: the table itself stores 2k³ row
-/// and column legs that compose into those pairs).
-pub const NOC_ROUTE_TABLE_PAIRS: &str = "noc.route_table.pairs";
-
 /// Tile traffic-profile cache hits: a later layer reused a tile's binned
 /// unit-flit profile instead of re-binning its edges.
 pub const NOC_TILE_PROFILE_HITS: &str = "noc.tile_profile.hits";

@@ -201,11 +201,6 @@ fn traffic_cache_counters_reconcile_with_telemetry() {
         m.counter_total(metric_names::NOC_TILE_PROFILE_MISSES),
         p.tile_profile_misses
     );
-    // Each k=8 build precomputes all (k²)² = 4096 source/dest pairs.
-    assert_eq!(
-        m.counter_total(metric_names::NOC_ROUTE_TABLE_PAIRS),
-        p.route_table_builds * 4096
-    );
 
     // Caching is transparent: a cold single-layer run of the same first
     // layer reports identical cycles, and both cached layers see the
