@@ -255,7 +255,9 @@ impl LayerSession<'_> {
         }
     }
 
-    /// Hands the warm slabs back to the session once the walk is done.
+    /// Hands the warm slabs back to the session once the layer's stages
+    /// have run, whether or not they succeeded: the slabs never leave
+    /// the session's ownership past one layer.
     fn leave(self, slabs: &mut TileSlabs) {
         std::mem::swap(slabs, &mut self.state.slabs);
     }
@@ -497,14 +499,18 @@ impl AuroraSimulator {
                     dirty: None,
                 });
                 let (ctx, w) = self.partition(g, &wf, shape, li, density, &mut run);
-                self.tile_precompute(&ctx, &mut run.arena.slabs, layer_session.as_mut());
-                self.route_tables(&ctx, &mut run, layer_session.as_mut())?;
-                self.traffic_kernels(&ctx, &mut run, layer_session.as_mut())?;
-                let totals = self.engine_walk(&ctx, &mut run, w, total_cycles);
-                let (report, layer_profile) = self.finalize_layer(ctx, &totals);
+                let walked = (|| -> Result<_, SimError> {
+                    self.tile_precompute(&ctx, &mut run.arena.slabs, layer_session.as_mut());
+                    self.route_tables(&ctx, &mut run, layer_session.as_mut())?;
+                    self.traffic_kernels(&ctx, &mut run, layer_session.as_mut())?;
+                    Ok(self.engine_walk(&ctx, &mut run, w, total_cycles))
+                })();
+                // the warm slabs return to the session on error too
                 if let Some(s) = layer_session {
                     s.leave(&mut run.arena.slabs);
                 }
+                let totals = walked?;
+                let (report, layer_profile) = self.finalize_layer(ctx, &totals);
                 reconfigs += totals.reconfigs;
                 total_cycles += report.total_cycles;
                 profile.mix = profile.mix.add(&layer_profile.mix);

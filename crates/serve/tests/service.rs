@@ -180,10 +180,17 @@ fn timed_out_request_still_warms_the_cache() {
         .build()
         .expect("valid request");
     let _ = svc.handle(&blocker);
+    // the blocker's own call may have counted a timeout; the probe's must
+    // add exactly one more
+    let timeouts_before = svc.metrics().counter_total(names::SERVE_TIMEOUTS);
     let req = small_request(4);
     let err = svc.handle(&req).unwrap_err();
     assert!(matches!(err, ServeError::Timeout { ms: 0 }), "got {err:?}");
-    assert!(svc.metrics().counter_total(names::SERVE_TIMEOUTS) >= 1);
+    assert_eq!(
+        svc.metrics().counter_total(names::SERVE_TIMEOUTS),
+        timeouts_before + 1,
+        "the probe's timeout is counted"
+    );
     // the abandoned job completes in the background (after the blocker)
     // and lands in the cache; a zero-budget caller is then served
     // instantly from it
