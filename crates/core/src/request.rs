@@ -71,6 +71,18 @@ impl GraphSpec {
             GraphSpec::Rmat { vertices: 0, .. } | GraphSpec::Ring { vertices: 0 } => {
                 Err(SimError::EmptyGraph)
             }
+            GraphSpec::Rmat { vertices, .. } | GraphSpec::Ring { vertices }
+                if u32::try_from(*vertices).is_err() =>
+            {
+                Err(SimError::InvalidRequest(format!(
+                    "{vertices} vertices exceed the u32 vertex id range"
+                )))
+            }
+            GraphSpec::Rmat { edges, .. } if generate::rmat_draw_count(*edges).is_none() => {
+                Err(SimError::InvalidRequest(format!(
+                    "R-MAT edge target {edges} overflows the draw count"
+                )))
+            }
             GraphSpec::Inline(g) => {
                 g.validate()
                     .map_err(|e| SimError::InvalidRequest(format!("inline graph: {e}")))?;
@@ -573,6 +585,46 @@ mod tests {
             let err = req.validate().unwrap_err();
             assert!(matches!(err, SimError::InvalidRequest(_)), "{bad}: {err:?}");
         }
+    }
+
+    #[test]
+    fn oversized_synthetic_specs_are_rejected_by_validate() {
+        let too_wide = u32::MAX as usize + 1;
+        for graph in [
+            GraphSpec::Rmat {
+                vertices: too_wide,
+                edges: 10,
+                seed: 1,
+            },
+            GraphSpec::Ring { vertices: too_wide },
+            GraphSpec::Rmat {
+                vertices: 128,
+                edges: usize::MAX,
+                seed: 1,
+            },
+            GraphSpec::Rmat {
+                vertices: 128,
+                edges: usize::MAX - usize::MAX / 5,
+                seed: 1,
+            },
+        ] {
+            let req = SimRequest {
+                graph: graph.clone(),
+                ..toy_request()
+            };
+            let err = req.validate().unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidRequest(_)),
+                "{graph:?}: {err:?}"
+            );
+            assert_eq!(graph.resolve().unwrap_err(), err);
+        }
+        // the largest vertex count ids can name is still accepted
+        assert!(GraphSpec::Ring {
+            vertices: u32::MAX as usize
+        }
+        .validate()
+        .is_ok());
     }
 
     #[test]

@@ -1,4 +1,13 @@
 //! Incremental edge-list construction of [`Csr`] graphs.
+//!
+//! Every graph this crate builds goes through one two-pass counting-sort
+//! constructor ([`csr_from_replay`]): it reads a *replayable* edge source
+//! twice — once to count out-degrees, once to scatter destinations into
+//! an exactly sized `col_idx` — and then sorts and deduplicates each row
+//! in place. There is no pair buffer and no global sort, so the peak
+//! memory of a build is the CSR itself. The output is exactly the CSR of
+//! the source's edge set (sorted, duplicate-free rows), the same graph
+//! the earlier sort-and-dedup builder produced.
 
 use crate::csr::{Csr, VertexId};
 
@@ -64,32 +73,84 @@ impl GraphBuilder {
     }
 
     /// Finalises into a CSR, deduplicating and sorting neighbour lists.
-    pub fn build(mut self) -> Csr {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        let mut row_ptr = vec![0u32; self.n + 1];
-        for &(u, _) in &self.edges {
-            row_ptr[u as usize + 1] += 1;
-        }
-        for i in 0..self.n {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let col_idx = self.edges.into_iter().map(|(_, v)| v).collect();
-        Csr::from_raw(row_ptr, col_idx)
+    pub fn build(self) -> Csr {
+        csr_from_replay(self.n, || self.edges.iter().copied())
     }
 
     /// Builds the symmetrised graph: every added edge is mirrored.
     pub fn build_symmetric(self) -> Csr {
-        let n = self.n;
-        let mut b = GraphBuilder::new(n);
-        for (u, v) in &self.edges {
-            b.add_edge(*u, *v);
-            if u != v {
-                b.add_edge(*v, *u);
+        csr_from_replay(self.n, || {
+            let mirrored = self
+                .edges
+                .iter()
+                .filter(|(u, v)| u != v)
+                .map(|&(u, v)| (v, u));
+            self.edges.iter().copied().chain(mirrored)
+        })
+    }
+}
+
+/// Builds the CSR of the edge set yielded by `edges()` on `n` vertices.
+///
+/// `edges` must be *replayable*: every call returns an iterator over the
+/// same multiset of edges (order is free). It is called exactly twice:
+///
+/// 1. count every source's out-degree and prefix-sum the counts into
+///    row ends;
+/// 2. replay and scatter each destination into an exactly sized
+///    `col_idx`, filling each row from its end down to its start.
+///
+/// Each row is then sorted and deduplicated, and `col_idx` is compacted
+/// in place, so the result is a pure function of the edge multiset.
+///
+/// # Panics
+/// Panics if a source is `>= n`, a destination is out of range (via
+/// [`Csr::from_raw`]'s validation), or the edge count exceeds `u32`.
+pub(crate) fn csr_from_replay<I, F>(n: usize, edges: F) -> Csr
+where
+    F: Fn() -> I,
+    I: Iterator<Item = (VertexId, VertexId)>,
+{
+    let mut row_ptr = vec![0u32; n + 1];
+    let degree = &mut row_ptr[..n];
+    for (u, _) in edges() {
+        degree[u as usize] += 1;
+    }
+    // inclusive prefix sum: row_ptr[u] becomes the end of row u
+    let mut total = 0u32;
+    for end in degree.iter_mut() {
+        total = total
+            .checked_add(*end)
+            .expect("edge count exceeds u32 range");
+        *end = total;
+    }
+    row_ptr[n] = total;
+
+    let mut col_idx = vec![0 as VertexId; total as usize];
+    for (u, v) in edges() {
+        let slot = &mut row_ptr[u as usize];
+        *slot -= 1;
+        col_idx[*slot as usize] = v;
+    }
+    // row_ptr[u] is now the start of row u; rows are contiguous, so row
+    // u ends where row u + 1 starts (still unwritten when u is visited)
+    let mut kept = 0usize;
+    for u in 0..n {
+        let (start, end) = (row_ptr[u] as usize, row_ptr[u + 1] as usize);
+        col_idx[start..end].sort_unstable();
+        row_ptr[u] = kept as u32;
+        for i in start..end {
+            let v = col_idx[i];
+            if i == start || v != col_idx[i - 1] {
+                col_idx[kept] = v;
+                kept += 1;
             }
         }
-        b.build()
     }
+    row_ptr[n] = kept as u32;
+    col_idx.truncate(kept);
+    col_idx.shrink_to_fit();
+    Csr::from_raw(row_ptr, col_idx)
 }
 
 #[cfg(test)]

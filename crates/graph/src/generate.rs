@@ -6,11 +6,19 @@
 //! partition could only have a few high-degree vertices"). The R-MAT
 //! recursive generator reproduces that skew; Erdős–Rényi provides a
 //! no-skew control, and a few regular toys support unit tests.
+//!
+//! Every generator is a pure function of its arguments. [`rmat`] in
+//! particular is a pure function of `(n, edges, params, seed)`: it replays
+//! its SplitMix64 draw loop from the seed once per pass of the builder's
+//! two-pass counting sort, so it never holds an edge buffer, and its
+//! output is bit-identical to the earlier pair-buffer-and-global-sort
+//! build (pinned by `crates/bench/tests/csr_golden.rs` and by an oracle
+//! proptest against a test-only copy of that build).
 
-use crate::builder::GraphBuilder;
+use crate::builder::{csr_from_replay, GraphBuilder};
 use crate::csr::{Csr, VertexId};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// R-MAT quadrant probabilities. The classic skewed setting is
 /// `a=0.57, b=0.19, c=0.19, d=0.05`.
@@ -42,42 +50,62 @@ impl RmatParams {
         );
         assert!(self.a >= 0.0 && self.b >= 0.0 && self.c >= 0.0 && self.d >= 0.0);
     }
+
+    /// The three quadrant boundaries as exact integer cuts on a 53-bit
+    /// draw `m = next_u64() >> 11`. The unit float a draw stands for is
+    /// `r = m · 2⁻⁵³` (exact), so `r < t ⇔ m < ⌈t · 2⁵³⌉`: the integer
+    /// compare takes the same branch as the float compare for every `m`.
+    fn cuts(&self) -> [u64; 3] {
+        let ab = self.a + self.b;
+        [cut(self.a), cut(ab), cut(ab + self.c)]
+    }
+}
+
+/// `⌈t · 2⁵³⌉`, the integer cut equivalent to the float test `r < t`.
+fn cut(t: f64) -> u64 {
+    (t * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// How many R-MAT draws [`rmat`] makes for `target_edges`: dedup and the
+/// self-loop filter discard some draws, so it oversamples by a quarter
+/// plus 16. `None` when the count overflows `usize`.
+pub fn rmat_draw_count(target_edges: usize) -> Option<usize> {
+    target_edges.checked_add(target_edges / 4)?.checked_add(16)
 }
 
 /// Generates an R-MAT graph with `n` vertices (rounded up to a power of two
 /// internally, then vertices folded back into range) and approximately
 /// `target_edges` unique directed edges.
+///
+/// The draw loop is replayed from `seed` for each pass of the two-pass
+/// CSR build, so the output is a pure function of
+/// `(n, target_edges, params, seed)`.
+///
+/// # Panics
+/// Panics if `params` do not sum to 1, `n` is 0 or exceeds `u32`, or the
+/// draw count overflows (see [`rmat_draw_count`]).
 pub fn rmat(n: usize, target_edges: usize, params: RmatParams, seed: u64) -> Csr {
     params.validate();
     assert!(n > 0, "graph must have at least one vertex");
-    let mut rng = StdRng::seed_from_u64(seed);
+    assert!(n <= u32::MAX as usize, "vertex count exceeds u32 range");
+    let draws = rmat_draw_count(target_edges).expect("R-MAT edge target overflows the draw count");
     let levels = (usize::BITS - (n - 1).leading_zeros()).max(1);
-    let mut b = GraphBuilder::new(n);
-    // Oversample: dedup collapses repeats, so draw extra.
-    let draws = target_edges + target_edges / 4 + 16;
-    for _ in 0..draws {
-        let (mut u, mut v) = (0usize, 0usize);
-        for _ in 0..levels {
-            let r: f64 = rng.gen();
-            let (du, dv) = if r < params.a {
-                (0, 0)
-            } else if r < params.a + params.b {
-                (0, 1)
-            } else if r < params.a + params.b + params.c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            u = (u << 1) | du;
-            v = (v << 1) | dv;
-        }
-        let u = (u % n) as VertexId;
-        let v = (v % n) as VertexId;
-        if u != v {
-            b.add_edge(u, v);
-        }
-    }
-    b.build()
+    let cuts = params.cuts();
+    csr_from_replay(n, || {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..draws).filter_map(move |_| {
+            let (mut u, mut v) = (0usize, 0usize);
+            for _ in 0..levels {
+                // quadrant 0..4 = a, b, c, d; its bits are (du, dv)
+                let m = rng.next_u64() >> 11;
+                let q = (m >= cuts[0]) as usize + (m >= cuts[1]) as usize + (m >= cuts[2]) as usize;
+                u = (u << 1) | (q >> 1);
+                v = (v << 1) | (q & 1);
+            }
+            let (u, v) = ((u % n) as VertexId, (v % n) as VertexId);
+            (u != v).then_some((u, v))
+        })
+    })
 }
 
 /// Erdős–Rényi G(n, m): `m` unique directed edges chosen uniformly.
@@ -156,6 +184,128 @@ pub fn complete(n: usize) -> Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The R-MAT generator as it was before the two-pass build: float
+    /// quadrant if-chain, one pair buffer, a global sort and dedup. The
+    /// oracle the replaying [`rmat`] must match exactly.
+    fn rmat_sorted_oracle(n: usize, target_edges: usize, params: RmatParams, seed: u64) -> Csr {
+        params.validate();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let levels = (usize::BITS - (n - 1).leading_zeros()).max(1);
+        let mut edges = Vec::new();
+        for _ in 0..target_edges + target_edges / 4 + 16 {
+            let (mut u, mut v) = (0usize, 0usize);
+            for _ in 0..levels {
+                let r: f64 = rng.gen();
+                let (du, dv) = if r < params.a {
+                    (0, 0)
+                } else if r < params.a + params.b {
+                    (0, 1)
+                } else if r < params.a + params.b + params.c {
+                    (1, 0)
+                } else {
+                    (1, 1)
+                };
+                u = (u << 1) | du;
+                v = (v << 1) | dv;
+            }
+            let (u, v) = ((u % n) as VertexId, (v % n) as VertexId);
+            if u != v {
+                edges.push((u, v));
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        let mut row_ptr = vec![0u32; n + 1];
+        for &(u, _) in &edges {
+            row_ptr[u as usize + 1] += 1;
+        }
+        for i in 0..n {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        Csr::from_raw(row_ptr, edges.into_iter().map(|(_, v)| v).collect())
+    }
+
+    /// Valid quadrant probabilities from raw weights; `shape` forces the
+    /// corners `a = 1` (1) and `d = 0` (2), or zeroes `b` (3).
+    fn params_from(shape: u8, w: (f64, f64, f64, f64)) -> RmatParams {
+        let (a, b, c, d) = match shape {
+            1 => (1.0, 0.0, 0.0, 0.0),
+            2 => (w.0, w.1, w.2, 0.0),
+            3 => (w.0, 0.0, w.2, w.3),
+            _ => w,
+        };
+        let s = a + b + c + d;
+        RmatParams {
+            a: a / s,
+            b: b / s,
+            c: c / s,
+            d: d / s,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn rmat_matches_sorted_oracle(
+            n in 1usize..4096,
+            edges in 0usize..20_000,
+            seed in 0u64..u64::MAX,
+            shape in 0u8..4,
+            w in (0.01f64..1.0, 0.01f64..1.0, 0.01f64..1.0, 0.01f64..1.0)
+        ) {
+            let params = params_from(shape, w);
+            prop_assert_eq!(
+                rmat(n, edges, params, seed),
+                rmat_sorted_oracle(n, edges, params, seed),
+                "n={} edges={} seed={} params={:?}", n, edges, seed, params
+            );
+        }
+    }
+
+    #[test]
+    fn rmat_matches_sorted_oracle_at_dataset_shapes() {
+        for (n, m) in [(1, 10), (2, 0), (2_708, 10_556), (16_384, 160_000)] {
+            let p = RmatParams::default();
+            assert_eq!(
+                rmat(n, m, p, 9),
+                rmat_sorted_oracle(n, m, p, 9),
+                "n={n} m={m}"
+            );
+        }
+    }
+
+    /// The integer cut takes the float compare's branch on both sides of
+    /// every boundary, including the degenerate thresholds 0 and 1.
+    #[test]
+    fn integer_cuts_agree_with_float_compare() {
+        let unit = |m: u64| m as f64 * (1.0 / (1u64 << 53) as f64);
+        for t in [
+            0.0,
+            1.0,
+            0.57,
+            0.76,
+            0.95,
+            0.05,
+            1e-300,
+            1.0 + f64::EPSILON,
+            1.0 / 3.0,
+        ] {
+            let c = cut(t);
+            for m in [c.saturating_sub(1), c, c + 1, 0, 1, (1 << 53) - 1] {
+                assert_eq!(m < c, unit(m) < t, "t={t} m={m} cut={c}");
+            }
+        }
+        assert_eq!(cut(0.0), 0);
+        assert_eq!(cut(1.0), 1 << 53);
+    }
+
+    #[test]
+    fn draw_count_overflow_is_none() {
+        assert_eq!(rmat_draw_count(160_000), Some(200_016));
+        assert_eq!(rmat_draw_count(usize::MAX), None);
+        assert_eq!(rmat_draw_count(usize::MAX / 5 * 4 + 3), None);
+    }
 
     #[test]
     fn rmat_is_deterministic() {

@@ -245,6 +245,38 @@ fn invalid_requests_are_typed_errors() {
     assert_eq!(svc.metrics().counter_total(names::SERVE_CACHE_MISSES), 0);
 }
 
+/// Synthetic graph specs too large to build (vertex ids past `u32`, an
+/// R-MAT draw count that overflows) are typed `InvalidRequest` errors,
+/// rejected before any synthesis starts.
+#[test]
+fn oversized_graph_specs_are_invalid_request_lines() {
+    let (svc, _tel) = service(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let sim_json = serde_json::to_string(&small_request(23)).unwrap();
+    let spec = r#"{"Rmat":{"vertices":128,"edges":800,"seed":23}}"#;
+    assert!(sim_json.contains(spec));
+    for bad in [
+        r#"{"Rmat":{"vertices":4294967296,"edges":800,"seed":23}}"#,
+        r#"{"Ring":{"vertices":4294967296}}"#,
+        r#"{"Rmat":{"vertices":128,"edges":18446744073709551615,"seed":23}}"#,
+    ] {
+        let line = format!(r#"{{"id":5,"sim":{}}}"#, sim_json.replace(spec, bad));
+        let req: aurora_serve::ServeRequest = serde_json::from_str(&line).unwrap();
+        let (result, record) = svc.handle_traced(&req.sim);
+        assert!(
+            matches!(result, Err(ServeError::Sim(SimError::InvalidRequest(_)))),
+            "{bad}: {result:?}"
+        );
+        assert_eq!(record.outcome, "error", "{bad}");
+        let wire = respond(&svc, &line).error.expect("typed error");
+        assert_eq!(wire.kind, "sim", "{bad}");
+    }
+    assert_eq!(svc.metrics().counter_total(names::SERVE_ERRORS), 6);
+    assert_eq!(svc.metrics().counter_total(names::SERVE_CACHE_MISSES), 0);
+}
+
 #[test]
 fn protocol_answers_malformed_lines_without_dropping() {
     let (svc, _tel) = service(ServeConfig {
