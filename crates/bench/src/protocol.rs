@@ -8,12 +8,17 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EvalProtocol {
     pub dataset: Dataset,
-    /// Down-scaling factor applied to |V| and |E| (1 = full size). The
-    /// route-walking estimator touches every edge, so the largest graphs
-    /// are scaled to keep the harness interactive; scaling preserves the
-    /// degree-distribution shape (R-MAT is self-similar) and the
-    /// feature/class dimensions that set per-message volume. DESIGN.md's
-    /// substitution table documents this.
+    /// Down-scaling factor applied to |V| and |E| (1 = full size). Nell
+    /// and Reddit are scaled to keep the figure and sweep binaries,
+    /// which run every dataset under every design, interactive: full
+    /// Reddit is 57.3 M directed edges, and each run synthesizes its
+    /// graph and walks every edge once per layer. Graph synthesis is no
+    /// longer the limit: the two-pass generator's peak memory is its CSR
+    /// before dedup (EXPERIMENTS.md gives full-size wall time and peak
+    /// memory). Scaling preserves the degree-distribution
+    /// shape (R-MAT is self-similar) and the feature/class dimensions
+    /// that set per-message volume. DESIGN.md's substitution table
+    /// documents this.
     pub scale: usize,
     /// Hidden width of the two-layer GCN (Kipf & Welling use 16).
     pub hidden: usize,

@@ -1,13 +1,11 @@
 //! Incremental edge-list construction of [`Csr`] graphs.
 //!
-//! Every graph this crate builds goes through one two-pass counting-sort
-//! constructor ([`csr_from_replay`]): it reads a *replayable* edge source
-//! twice — once to count out-degrees, once to scatter destinations into
-//! an exactly sized `col_idx` — and then sorts and deduplicates each row
-//! in place. There is no pair buffer and no global sort, so the peak
-//! memory of a build is the CSR itself. The output is exactly the CSR of
-//! the source's edge set (sorted, duplicate-free rows), the same graph
-//! the earlier sort-and-dedup builder produced.
+//! Both [`GraphBuilder`] finalisers and the R-MAT generator build through
+//! `csr_from_replay`, a two-pass counting sort over a replayable edge
+//! source: no global sort, and no pair buffer for a source that can
+//! regenerate its edges. Its output is the CSR of the source's edge set
+//! (sorted, duplicate-free rows), the same graph the earlier pair-sort
+//! builder produced.
 
 use crate::csr::{Csr, VertexId};
 

@@ -7,10 +7,9 @@
 //! distribution shape, |V|, |E|, feature dimensions, sparsity — is matched;
 //! the numeric feature values themselves never influence cycle counts.
 //!
-//! [`DatasetSpec::scaled`] produces a proportionally smaller instance so the
-//! detailed cycle-level NoC simulation stays tractable for the largest
-//! graphs (Reddit); the experiment harness documents which scale each figure
-//! uses.
+//! [`DatasetSpec::scaled`] produces a proportionally smaller instance, which
+//! keeps whole-suite sweeps over the largest graphs (Reddit) interactive;
+//! the experiment harness documents which scale each figure uses.
 
 use crate::csr::Csr;
 use crate::generate::{rmat, RmatParams};

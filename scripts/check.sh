@@ -43,6 +43,12 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test --workspace -q
 
+echo "==> cargo test --release (perfbench)"
+# The benchmark is a workspace of its own that links the crates by path.
+# Its tests regenerate the serve-mix base graph with aurora-graph, so
+# they also exercise the graph generator the benchmark measures.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
