@@ -64,14 +64,9 @@ struct FlightsReply {
     flights: Vec<FlightRecord>,
 }
 
-/// Answers one admin line (already parsed far enough to see its
-/// `"admin"` key). Returns the serialized response line.
-pub fn dispatch(service: &SimService, request: &serde_json::Value) -> String {
-    let id = request.get("id").and_then(|v| v.as_u64()).unwrap_or(0);
-    let command = request
-        .get("admin")
-        .and_then(|v| v.as_str())
-        .unwrap_or_default();
+/// Answers one decoded admin line: `command` under the client's `id`.
+/// Returns the serialized response line.
+pub fn dispatch(service: &SimService, id: u64, command: &str) -> String {
     let reply = match command {
         "health" => serde_json::to_string(&HealthReply {
             id,
@@ -120,12 +115,12 @@ pub fn dispatch(service: &SimService, request: &serde_json::Value) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::answer;
     use crate::service::ServeConfig;
     use aurora_core::Telemetry;
 
     fn admin(service: &SimService, line: &str) -> serde_json::Value {
-        let request: serde_json::Value = serde_json::from_str(line).expect("admin line parses");
-        serde_json::from_str(&dispatch(service, &request)).expect("admin reply parses")
+        serde_json::from_str(&answer(service, line)).expect("admin reply parses")
     }
 
     #[test]

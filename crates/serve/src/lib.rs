@@ -19,7 +19,10 @@
 //!   [`ServeError::Overloaded`] rejection instead of blocking, graceful
 //!   drain, and `serve.*` telemetry.
 //! * [`server`] — the NDJSON transport (listener, protocol loop, and a
-//!   blocking [`Client`]).
+//!   blocking [`Client`]). Every request line a worker or a router reads
+//!   is decoded once, by the crate-private `wire` decoder: one JSON
+//!   parse (nesting bounded at 128 levels), one typed lift, and one
+//!   place that builds the reply and access record of a bad line.
 //! * [`observe`] — the per-request observability plane: the structured
 //!   access log behind the pluggable [`EventLog`] sink and the bounded
 //!   [`FlightRecorder`] of slow/error requests.
@@ -45,6 +48,7 @@ pub mod router;
 pub mod server;
 pub mod service;
 pub mod sessions;
+mod wire;
 
 pub use backend::{
     Backend, BackendHealth, ProcessLauncher, ThreadLauncher, WorkerHandle, WorkerLauncher,
@@ -57,7 +61,7 @@ pub use observe::{
 };
 pub use router::{ClusterStats, RouteRecord, Router, RouterConfig, RouterTotals};
 pub use server::{
-    answer, respond, serve, serve_with, Client, ClientOptions, Endpoint, LineHandler, ServeRequest,
+    answer, serve, serve_with, Client, ClientOptions, Endpoint, LineHandler, ServeRequest,
     ServerOptions, SessionLine,
 };
 pub use service::{LatencySummary, ServeConfig, ServeOutcome, ServiceStats, SimService};

@@ -42,9 +42,9 @@
 use crate::backend::{Backend, BackendHealth};
 use crate::error::ServeError;
 use crate::observe::{EventLog, NullLog};
-use crate::server::{recover_id, ClientOptions, LineHandler, ServeRequest};
-use aurora_core::{SessionCommand, SimResponse};
-use serde::Deserialize;
+use crate::server::{parse_reply, Client, ClientOptions, LineHandler};
+use crate::wire::{self, Line};
+use aurora_core::SimResponse;
 use serde::Serialize;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -406,81 +406,58 @@ impl Router {
         Ok(reply)
     }
 
-    /// Routes one sim line: parse for the digest, pick by rendezvous,
-    /// forward with at-most-once-per-shard retries, answer locally only
-    /// when nothing can.
-    fn route_sim(&self, line: &str) -> String {
+    /// Routes one decoded sim or session line by `digest` (its error
+    /// when the line cannot be routed) and writes its route record.
+    fn route(&self, line: &str, id: u64, digest: Result<String, ServeError>) -> String {
         let started = Instant::now();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        self.routed.fetch_add(1, Ordering::Relaxed);
-
-        if self.is_draining() {
-            let reply = SimResponse::err(recover_id(line), "", ServeError::ShuttingDown.to_wire());
-            return self.finish(
-                seq,
-                String::new(),
-                String::new(),
-                "reject",
-                0,
-                started,
-                &reply,
-            );
-        }
-        // Session lines route by the command's pinned digest: `d₀` for
-        // every op of one session (open derives it from the base
-        // request, delta/close carry it as `sid`), so the whole session
-        // rendezvous-hashes to the shard holding its warm state.
-        let id;
-        let digest = if let Some(session) = serde_json::from_str::<serde_json::Value>(line)
-            .ok()
-            .and_then(|v| v.get("session").cloned())
-        {
-            id = recover_id(line);
-            let routed = SessionCommand::from_value(&session)
-                .map_err(|e| ServeError::BadRequest(format!("unparseable session line: {e:?}")))
-                .and_then(|cmd| cmd.routing_digest().map_err(ServeError::Sim));
-            match routed {
-                Ok(digest) => digest,
-                Err(err) => {
-                    let reply = SimResponse::err(id, "", err.to_wire());
-                    return self.finish(
-                        seq,
-                        String::new(),
-                        String::new(),
-                        "error",
-                        0,
-                        started,
-                        &reply,
-                    );
-                }
-            }
-        } else {
-            let parsed: Result<ServeRequest, _> = serde_json::from_str(line);
-            match parsed {
-                Ok(req) => {
-                    id = req.id;
-                    req.sim.digest()
-                }
-                Err(e) => {
-                    let err = ServeError::BadRequest(format!("unparseable request: {e:?}"));
-                    let reply = SimResponse::err(recover_id(line), "", err.to_wire());
-                    return self.finish(
-                        seq,
-                        String::new(),
-                        String::new(),
-                        "error",
-                        0,
-                        started,
-                        &reply,
-                    );
-                }
-            }
+        let mut record = RouteRecord {
+            seq: self.seq.fetch_add(1, Ordering::Relaxed) + 1,
+            digest: String::new(),
+            shard: String::new(),
+            outcome: String::new(),
+            retries: 0,
+            latency_us: 0,
+            bytes_out: 0,
         };
+        self.routed.fetch_add(1, Ordering::Relaxed);
+        let reply = self.place(line, id, digest, &mut record);
+        if self.access_log.enabled() {
+            record.latency_us = started.elapsed().as_micros() as u64;
+            record.bytes_out = reply.len() as u64 + 1;
+            self.access_log
+                .emit(&serde_json::to_string(&record).expect("route record serializes"));
+        }
+        reply
+    }
+
+    /// Picks a shard by rendezvous and forwards with
+    /// at-most-once-per-shard retries, answering locally only when
+    /// nothing can. Fills in where the line went and how.
+    fn place(
+        &self,
+        line: &str,
+        id: u64,
+        digest: Result<String, ServeError>,
+        record: &mut RouteRecord,
+    ) -> String {
+        let local = |record: &mut RouteRecord, outcome: &str, err: ServeError| {
+            record.outcome = outcome.to_string();
+            let reply = SimResponse::err(id, record.digest.clone(), err.to_wire());
+            serde_json::to_string(&reply).expect("response serializes")
+        };
+        if self.is_draining() {
+            return local(record, "reject", ServeError::ShuttingDown);
+        }
+        match digest {
+            Ok(digest) => record.digest = digest,
+            Err(err) => return local(record, "error", err),
+        }
 
         let mut excluded: Vec<usize> = Vec::new();
         let mut last_error: Option<ServeError> = None;
         loop {
-            let Some(i) = self.pick(&digest, &excluded) else {
+            record.retries = excluded.len() as u64;
+            let Some(i) = self.pick(&record.digest, &excluded) else {
                 self.unavailable.fetch_add(1, Ordering::Relaxed);
                 let err = last_error.take().unwrap_or_else(|| {
                     ServeError::Unavailable(format!(
@@ -488,27 +465,16 @@ impl Router {
                         self.backends.len()
                     ))
                 });
-                let err = match err {
-                    // a shard-level timeout stays a timeout; everything
-                    // else collapses to unavailable for the client
-                    e @ ServeError::Timeout { .. } => e,
-                    e => ServeError::Unavailable(e.to_string()),
+                // a shard-level timeout stays a timeout; everything
+                // else collapses to unavailable for the client
+                return match err {
+                    e @ ServeError::Timeout { .. } => local(record, "timeout", e),
+                    e => local(
+                        record,
+                        "unavailable",
+                        ServeError::Unavailable(e.to_string()),
+                    ),
                 };
-                let reply = SimResponse::err(id, digest.clone(), err.to_wire());
-                let outcome = if matches!(err, ServeError::Timeout { .. }) {
-                    "timeout"
-                } else {
-                    "unavailable"
-                };
-                return self.finish(
-                    seq,
-                    digest,
-                    String::new(),
-                    outcome,
-                    excluded.len() as u64,
-                    started,
-                    &reply,
-                );
             };
             let backend = &self.backends[i];
             match self.forward(backend, line) {
@@ -535,37 +501,20 @@ impl Router {
                         }
                         _ => {}
                     }
-                    let outcome = if excluded.is_empty() {
-                        "ok"
+                    record.shard = backend.name.clone();
+                    record.outcome = if excluded.is_empty() {
+                        "ok".to_string()
                     } else {
-                        "failover"
-                    };
-                    if !excluded.is_empty() {
                         self.failovers.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return self.finish_raw(
-                        seq,
-                        digest,
-                        backend.name.clone(),
-                        outcome,
-                        excluded.len() as u64,
-                        started,
-                        reply_line,
-                    );
+                        "failover".to_string()
+                    };
+                    return reply_line;
                 }
                 Err(e @ ServeError::Timeout { .. }) => {
                     // the worker may still be computing; don't duplicate
                     // the run elsewhere — surface the timeout
-                    let reply = SimResponse::err(id, digest.clone(), e.to_wire());
-                    return self.finish(
-                        seq,
-                        digest,
-                        backend.name.clone(),
-                        "timeout",
-                        excluded.len() as u64,
-                        started,
-                        &reply,
-                    );
+                    record.shard = backend.name.clone();
+                    return local(record, "timeout", e);
                 }
                 Err(e) => {
                     backend.mark_down();
@@ -575,48 +524,6 @@ impl Router {
                 }
             }
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        seq: u64,
-        digest: String,
-        shard: String,
-        outcome: &str,
-        retries: u64,
-        started: Instant,
-        reply: &SimResponse,
-    ) -> String {
-        let line = serde_json::to_string(reply).expect("response serializes");
-        self.finish_raw(seq, digest, shard, outcome, retries, started, line)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish_raw(
-        &self,
-        seq: u64,
-        digest: String,
-        shard: String,
-        outcome: &str,
-        retries: u64,
-        started: Instant,
-        line: String,
-    ) -> String {
-        if self.access_log.enabled() {
-            let record = RouteRecord {
-                seq,
-                digest,
-                shard,
-                outcome: outcome.to_string(),
-                retries,
-                latency_us: started.elapsed().as_micros() as u64,
-                bytes_out: line.len() as u64 + 1,
-            };
-            self.access_log
-                .emit(&serde_json::to_string(&record).expect("route record serializes"));
-        }
-        line
     }
 
     /// Routing counters plus shard census.
@@ -635,12 +542,7 @@ impl Router {
         }
     }
 
-    fn admin_dispatch(&self, request: &serde_json::Value) -> String {
-        let id = request.get("id").and_then(|v| v.as_u64()).unwrap_or(0);
-        let command = request
-            .get("admin")
-            .and_then(|v| v.as_str())
-            .unwrap_or_default();
+    fn admin_dispatch(&self, id: u64, command: &str) -> String {
         let reply = match command {
             "health" => serde_json::to_string(&RouterHealthReply {
                 id,
@@ -699,8 +601,8 @@ impl Router {
                 None
             } else {
                 self.forward(b, "{\"admin\":\"stats\"}")
+                    .and_then(|line| parse_reply::<serde_json::Value>(&line))
                     .ok()
-                    .and_then(|line| serde_json::from_str::<serde_json::Value>(&line).ok())
                     .and_then(|reply| reply.get("stats").cloned())
             };
             if let Some(stats) = &body {
@@ -756,13 +658,21 @@ impl Drop for Router {
 }
 
 impl LineHandler for Router {
+    /// Decodes the line once: admin commands answer locally, everything
+    /// else routes. Session lines route by the command's pinned digest —
+    /// `d₀` for every op of one session (open derives it from the base
+    /// request, delta/close carry it as `sid`) — so the whole session
+    /// rendezvous-hashes to the shard holding its warm state. A line
+    /// that cannot be routed is answered here with the error a worker
+    /// would give it.
     fn answer_line(&self, line: &str) -> String {
-        if let Ok(value) = serde_json::from_str::<serde_json::Value>(line) {
-            if value.get("admin").is_some() {
-                return self.admin_dispatch(&value);
-            }
-        }
-        self.route_sim(line)
+        let (id, digest) = match wire::decode(line) {
+            Ok(Line::Admin { id, command }) => return self.admin_dispatch(id, &command),
+            Ok(Line::Sim(req)) => (req.id, Ok(req.sim.digest())),
+            Ok(Line::Session(s)) => (s.id, s.session.routing_digest().map_err(ServeError::Sim)),
+            Err(bad) => (bad.id, Err(bad.error)),
+        };
+        self.route(line, id, digest)
     }
 
     fn drain(&self) {
@@ -782,8 +692,6 @@ fn reply_error_kind(line: &str) -> Option<&'static str> {
         _ => Some("other"),
     }
 }
-
-use crate::server::Client;
 
 #[cfg(test)]
 mod tests {

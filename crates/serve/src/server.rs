@@ -9,8 +9,11 @@
 //!    "report": { ...SimReport... }, "error": null}
 //! ```
 //!
-//! A line that fails to parse gets a `bad_request` response with the
-//! request id when one could be recovered (id `0` otherwise); the
+//! Each line is decoded once, by the crate's one request-line decoder
+//! (`wire::decode`), which both this loop and the cluster router call.
+//! A line that fails to decode — including one nested deeper than the
+//! parser's 128-level limit — gets a `bad_request` response with the
+//! request id when the line holds one (id `0` otherwise); the
 //! connection stays open. Requests on one connection are answered in
 //! order. Concurrency comes from concurrent connections — each gets its
 //! own thread, and the bounded admission queue inside [`SimService`]
@@ -24,15 +27,17 @@
 //! shared — a router daemon and a worker daemon stop identically.
 //!
 //! Lines carrying an `"admin"` key are introspection commands (see
-//! [`crate::admin`]) answered on the same connection. Every *sim* line
-//! additionally produces one access-log record (with the serialized
-//! response size as `bytes_out`) through the service's `EventLog`;
-//! admin traffic is not logged.
+//! [`crate::admin`]) answered on the same connection. Every other line
+//! — sim, session, or undecodable — additionally produces one
+//! access-log record (with the serialized response size as
+//! `bytes_out`) through the service's `EventLog`; admin traffic is not
+//! logged.
 
 use crate::admin;
 use crate::error::ServeError;
 use crate::observe::{AccessRecord, Outcome};
 use crate::service::SimService;
+use crate::wire::{self, Line};
 use aurora_core::{SessionCommand, SimError, SimRequest, SimResponse, WIRE_VERSION};
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
@@ -309,152 +314,93 @@ fn handle_connection(
     }
 }
 
-/// Answers one protocol line — admin or sim — returning the response
-/// line (no trailing newline). Sim lines are access-logged through the
-/// service's sink with the response size filled in; admin lines are
-/// not. This is the function the connection loop speaks.
+/// Answers one protocol line — admin, session or sim — returning the
+/// response line (no trailing newline). The line is decoded once by
+/// [`wire::decode`]; every non-admin line, bad ones included, becomes
+/// one reply plus one access record, logged through the service's sink
+/// with the response size filled in. Admin lines are not logged. This
+/// is the function the connection loop speaks.
 pub fn answer(service: &SimService, line: &str) -> String {
-    if let Ok(value) = serde_json::from_str::<serde_json::Value>(line) {
-        if value.get("admin").is_some() {
-            return admin::dispatch(service, &value);
+    let (response, mut record) = match wire::decode(line) {
+        Ok(Line::Admin { id, command }) => return admin::dispatch(service, id, &command),
+        Ok(Line::Sim(req)) if req.version > WIRE_VERSION => rejected(
+            service,
+            req.id,
+            req.sim.digest(),
+            req.sim.workload_label(),
+            unsupported(req.version),
+        ),
+        Ok(Line::Session(s)) if s.version > WIRE_VERSION => rejected(
+            service,
+            s.id,
+            String::new(),
+            format!("session:{}", s.session.op),
+            unsupported(s.version),
+        ),
+        // an error reply carries the record's digest: the request's, or
+        // the session's pinned one
+        Ok(Line::Sim(req)) => {
+            let (result, record) = service.handle_traced(&req.sim);
+            let response = match result {
+                Ok(o) => SimResponse::ok(req.id, o.digest, o.cached, (*o.report).clone()),
+                Err(e) => SimResponse::err(req.id, record.digest.clone(), e.to_wire()),
+            };
+            (response, record)
         }
-        if value.get("session").is_some() {
-            return answer_session(service, line);
+        Ok(Line::Session(s)) => {
+            let (result, record) = service.handle_session_traced(&s.session);
+            let response = match result {
+                Ok(r) => SimResponse::ok(s.id, r.digest, r.cached, r.report),
+                Err(e) => SimResponse::err(s.id, record.digest.clone(), e.to_wire()),
+            };
+            (response, record)
         }
-    }
-    let (response, mut record) = respond_traced(service, line);
+        Err(bad) => rejected(
+            service,
+            bad.id,
+            String::new(),
+            bad.workload.into(),
+            bad.error,
+        ),
+    };
     let out = serde_json::to_string(&response).expect("response serializes");
     record.bytes_out = out.len() as u64 + 1; // the newline ships too
     service.log_access(&record);
     out
 }
 
-/// Answers one sim request line (the whole protocol, transport aside).
-pub fn respond(service: &SimService, line: &str) -> SimResponse {
-    respond_traced(service, line).0
+/// The refusal of an envelope newer than this server.
+fn unsupported(got: u32) -> ServeError {
+    ServeError::Sim(SimError::UnsupportedVersion {
+        got,
+        supported: WIRE_VERSION,
+    })
 }
 
-/// Answers one session line (`"session"` verb): parse, gate the
-/// envelope version, dispatch to the service's session table, and
-/// access-log the op like a sim line.
-fn answer_session(service: &SimService, line: &str) -> String {
-    let response = match serde_json::from_str::<SessionLine>(line) {
-        Err(e) => {
-            let err = ServeError::BadRequest(format!("unparseable session line: {e:?}"));
-            let record = AccessRecord {
-                seq: service.next_seq(),
-                digest: String::new(),
-                workload: "session".into(),
-                outcome: Outcome::Error.label().to_string(),
-                queue_wait_us: 0,
-                execute_us: 0,
-                latency_us: 0,
-                bytes_out: 0,
-                error: Some(err.to_string()),
-            };
-            let out = serde_json::to_string(&SimResponse::err(recover_id(line), "", err.to_wire()))
-                .expect("response serializes");
-            let mut record = record;
-            record.bytes_out = out.len() as u64 + 1;
-            service.log_access(&record);
-            return out;
-        }
-        Ok(parsed) if parsed.version > WIRE_VERSION => {
-            let err = ServeError::Sim(SimError::UnsupportedVersion {
-                got: parsed.version,
-                supported: WIRE_VERSION,
-            });
-            SimResponse::err(parsed.id, "", err.to_wire())
-        }
-        Ok(parsed) => {
-            let (result, mut record) = service.handle_session_traced(&parsed.session);
-            let response = match result {
-                Ok(reply) => SimResponse::ok(parsed.id, reply.digest, reply.cached, reply.report),
-                Err(e) => SimResponse::err(
-                    parsed.id,
-                    parsed.session.routing_digest().unwrap_or_default(),
-                    e.to_wire(),
-                ),
-            };
-            let out = serde_json::to_string(&response).expect("response serializes");
-            record.bytes_out = out.len() as u64 + 1;
-            service.log_access(&record);
-            return out;
-        }
+/// The reply and access record of a line refused before it reached the
+/// service: a bad line, or an unsupported envelope version.
+fn rejected(
+    service: &SimService,
+    id: u64,
+    digest: String,
+    workload: String,
+    error: ServeError,
+) -> (SimResponse, AccessRecord) {
+    let record = AccessRecord {
+        seq: service.next_seq(),
+        digest,
+        workload,
+        outcome: Outcome::of_error(&error).label().to_string(),
+        queue_wait_us: 0,
+        execute_us: 0,
+        latency_us: 0,
+        bytes_out: 0,
+        error: Some(error.to_string()),
     };
-    serde_json::to_string(&response).expect("response serializes")
-}
-
-/// [`respond`] plus the request's access record (`bytes_out` still 0).
-fn respond_traced(service: &SimService, line: &str) -> (SimResponse, AccessRecord) {
-    let parsed: Result<ServeRequest, _> = serde_json::from_str(line);
-    match parsed {
-        Err(e) => {
-            // A malformed line still deserves an addressed reply when
-            // the id field itself was readable.
-            let id = recover_id(line);
-            let err = ServeError::BadRequest(format!("unparseable request: {e:?}"));
-            let record = AccessRecord {
-                seq: service.next_seq(),
-                digest: String::new(),
-                workload: String::new(),
-                outcome: Outcome::Error.label().to_string(),
-                queue_wait_us: 0,
-                execute_us: 0,
-                latency_us: 0,
-                bytes_out: 0,
-                error: Some(err.to_string()),
-            };
-            (SimResponse::err(id, "", err.to_wire()), record)
-        }
-        Ok(req) if req.version > WIRE_VERSION => {
-            let err = ServeError::Sim(SimError::UnsupportedVersion {
-                got: req.version,
-                supported: WIRE_VERSION,
-            });
-            let record = AccessRecord {
-                seq: service.next_seq(),
-                digest: req.sim.digest(),
-                workload: req.sim.workload_label(),
-                outcome: Outcome::Error.label().to_string(),
-                queue_wait_us: 0,
-                execute_us: 0,
-                latency_us: 0,
-                bytes_out: 0,
-                error: Some(err.to_string()),
-            };
-            (
-                SimResponse::err(req.id, req.sim.digest(), err.to_wire()),
-                record,
-            )
-        }
-        Ok(req) => {
-            let (result, record) = service.handle_traced(&req.sim);
-            let response = match result {
-                Ok(outcome) => SimResponse::ok(
-                    req.id,
-                    outcome.digest,
-                    outcome.cached,
-                    (*outcome.report).clone(),
-                ),
-                Err(e) => SimResponse::err(req.id, req.sim.digest(), e.to_wire()),
-            };
-            (response, record)
-        }
-    }
-}
-
-/// Best-effort extraction of the `id` from a line that failed to parse
-/// as a full envelope.
-pub(crate) fn recover_id(line: &str) -> u64 {
-    #[derive(Deserialize)]
-    struct IdOnly {
-        id: u64,
-    }
-    serde_json::from_str::<serde_json::Value>(line)
-        .ok()
-        .and_then(|v| IdOnly::from_value(&v).ok().map(|i| i.id))
-        .unwrap_or(0)
+    (
+        SimResponse::err(id, record.digest.clone(), error.to_wire()),
+        record,
+    )
 }
 
 /// Connection and read-deadline budgets for a [`Client`].
@@ -575,53 +521,46 @@ impl Client {
 
     /// Sends one request and blocks for its response.
     pub fn request(&mut self, sim: &SimRequest) -> Result<SimResponse, ServeError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let envelope = ServeRequest {
-            id,
-            version: WIRE_VERSION,
-            sim: sim.clone(),
-        };
-        let line = serde_json::to_string(&envelope).expect("request serializes");
-        let reply = self.roundtrip(&line)?;
-        serde_json::from_str(&reply)
-            .map_err(|e| ServeError::Io(format!("unparseable response: {e:?}")))
+        self.call("sim", sim.to_value())
     }
 
     /// Sends one session command (open/delta/close — see
     /// [`SessionRequestBuilder`](aurora_core::SessionRequestBuilder))
     /// and blocks for its response.
     pub fn session(&mut self, command: &SessionCommand) -> Result<SimResponse, ServeError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let envelope = SessionLine {
-            id,
-            version: WIRE_VERSION,
-            session: command.clone(),
-        };
-        let line = serde_json::to_string(&envelope).expect("session line serializes");
-        let reply = self.roundtrip(&line)?;
-        serde_json::from_str(&reply)
-            .map_err(|e| ServeError::Io(format!("unparseable response: {e:?}")))
+        self.call("session", command.to_value())
     }
 
     /// Sends one admin command (`health`, `stats`, `metrics`,
     /// `flights`) and blocks for its reply as a raw JSON value.
     pub fn admin(&mut self, command: &str) -> Result<serde_json::Value, ServeError> {
+        self.call("admin", serde_json::Value::Str(command.to_string()))
+    }
+
+    /// Sends one `{"id":N,"version":V,<verb>:<body>}` envelope under the
+    /// next id and parses the reply line.
+    fn call<T: Deserialize>(
+        &mut self,
+        verb: &str,
+        body: serde_json::Value,
+    ) -> Result<T, ServeError> {
+        use serde_json::Value;
         let id = self.next_id;
         self.next_id += 1;
-        let envelope = serde_json::Value::Map(vec![
-            ("id".to_string(), serde_json::Value::UInt(id)),
-            (
-                "admin".to_string(),
-                serde_json::Value::Str(command.to_string()),
-            ),
+        let envelope = Value::Map(vec![
+            ("id".to_string(), Value::UInt(id)),
+            ("version".to_string(), Value::UInt(WIRE_VERSION.into())),
+            (verb.to_string(), body),
         ]);
-        let line = serde_json::to_string(&envelope).expect("admin request serializes");
+        let line = serde_json::to_string(&envelope).expect("request serializes");
         let reply = self.roundtrip(&line)?;
-        serde_json::from_str(&reply)
-            .map_err(|e| ServeError::Io(format!("unparseable admin reply: {e:?}")))
+        parse_reply(&reply)
     }
+}
+
+/// Parses one reply line from a daemon.
+pub(crate) fn parse_reply<T: Deserialize>(line: &str) -> Result<T, ServeError> {
+    serde_json::from_str(line).map_err(|e| ServeError::Io(format!("unparseable reply: {e:?}")))
 }
 
 /// `UnixStream::connect` has no native timeout in std; run the connect

@@ -312,12 +312,7 @@ impl SimService {
     /// Answers one session command (the `"session"` protocol verb):
     /// open runs the base request from scratch and caches the warm
     /// state, delta applies incrementally, close evicts and answers the
-    /// final state.
-    pub fn handle_session(&self, cmd: &SessionCommand) -> Result<SessionReply, ServeError> {
-        self.handle_session_traced(cmd).0
-    }
-
-    /// [`SimService::handle_session`] plus the op's [`AccessRecord`]
+    /// final state. Returns the op's [`AccessRecord`] alongside
     /// (`bytes_out` is 0; the transport owns the wire size). Session
     /// lines share the sim lines' access log and error counters —
     /// dashboards see one request stream.

@@ -478,3 +478,45 @@ fn session_lines_pin_to_one_shard() {
     assert_eq!(digests.len(), 1, "all lines route by d0");
     assert!(digests.contains(sb.sid()));
 }
+
+/// A line nested 100,000 levels deep is a `bad_request` at both hops —
+/// a worker and a router, each over a socket — and the connection that
+/// carried it keeps answering. An unbounded recursive parser would
+/// overflow the connection thread's stack here and abort the process.
+#[test]
+fn deeply_nested_line_is_a_bad_request_at_both_hops() {
+    let deep = format!("{{\"id\":1,\"sim\":{}", "[".repeat(100_000));
+    let (worker, stop_worker) = external_worker("w0", "deep-0");
+    let router = Arc::new(Router::new(
+        vec![thread_backend("r0", "deep-1")],
+        fast_probe(),
+    ));
+    router.start().expect("cluster starts");
+    assert_eq!(router.wait_ready(Duration::from_secs(10)), 1);
+    let front = scratch_sock("deep-front");
+    let _ = std::fs::remove_file(&front);
+    let (stop_router, server) = serve_router(Arc::clone(&router), front.clone());
+
+    for endpoint in [worker.endpoint.clone(), Endpoint::Unix(front)] {
+        let mut client = Client::connect(&endpoint).expect("connect");
+        let reply: aurora_core::SimResponse =
+            serde_json::from_str(&client.roundtrip(&deep).expect("answered")).unwrap();
+        let error = reply.error.expect("typed error");
+        assert_eq!(error.kind, "bad_request", "{endpoint}: {}", error.message);
+        assert!(
+            error.message.contains("nesting deeper than 128"),
+            "{endpoint}: {}",
+            error.message
+        );
+        let health = client.admin("health").expect("same connection answers");
+        assert_eq!(
+            health.get("status").and_then(|v| v.as_str()),
+            Some("ok"),
+            "{endpoint}"
+        );
+    }
+
+    stop_router.store(true, Ordering::SeqCst);
+    server.join().unwrap().expect("router exits cleanly");
+    stop_worker.store(true, Ordering::SeqCst);
+}

@@ -7,8 +7,8 @@
 use aurora_core::{metric_names as names, AcceleratorConfig, SimError, SimRequest, Telemetry};
 use aurora_model::{LayerShape, ModelId};
 use aurora_serve::{
-    answer, respond, serve, serve_with, Client, Endpoint, MemoryLog, ServeConfig, ServeError,
-    ServerOptions, SimService,
+    answer, serve, serve_with, Client, Endpoint, MemoryLog, ServeConfig, ServeError, ServerOptions,
+    SimService,
 };
 use rayon::pool::ThreadPool;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -270,7 +270,7 @@ fn oversized_graph_specs_are_invalid_request_lines() {
             "{bad}: {result:?}"
         );
         assert_eq!(record.outcome, "error", "{bad}");
-        let wire = respond(&svc, &line).error.expect("typed error");
+        let wire = respond_line(&svc, &line).error.expect("typed error");
         assert_eq!(wire.kind, "sim", "{bad}");
     }
     assert_eq!(svc.metrics().counter_total(names::SERVE_ERRORS), 6);
@@ -283,11 +283,11 @@ fn protocol_answers_malformed_lines_without_dropping() {
         workers: 1,
         ..ServeConfig::default()
     });
-    let garbled = respond(&svc, "{this is not json");
+    let garbled = respond_line(&svc, "{this is not json");
     assert_eq!(garbled.error.as_ref().unwrap().kind, "bad_request");
     assert_eq!(garbled.id, 0);
     // a readable id in an otherwise bad envelope is echoed back
-    let half = respond(&svc, "{\"id\": 9, \"sim\": 5}");
+    let half = respond_line(&svc, "{\"id\": 9, \"sim\": 5}");
     assert_eq!(half.id, 9);
     assert_eq!(half.error.as_ref().unwrap().kind, "bad_request");
     // and a well-formed line still works on the same service
@@ -297,7 +297,7 @@ fn protocol_answers_malformed_lines_without_dropping() {
         sim: small_request(8),
     })
     .unwrap();
-    let ok = respond(&svc, &line);
+    let ok = respond_line(&svc, &line);
     assert_eq!(ok.id, 11);
     assert!(ok.is_ok(), "error: {:?}", ok.error);
     assert_eq!(ok.digest, small_request(8).digest());
@@ -657,10 +657,10 @@ fn envelope_version_gate_on_sim_lines() {
     let req = small_request(22);
     let sim_json = serde_json::to_string(&req).unwrap();
     let v0 = format!("{{\"id\":1,\"sim\":{sim_json}}}");
-    let ok = respond(&svc, &v0);
+    let ok = respond_line(&svc, &v0);
     assert!(ok.is_ok(), "v0 line must still answer: {:?}", ok.error);
     let future = format!("{{\"id\":2,\"version\":99,\"sim\":{sim_json}}}");
-    let refused = respond(&svc, &future);
+    let refused = respond_line(&svc, &future);
     assert_eq!(refused.id, 2);
     assert_eq!(refused.error.unwrap().kind, "unsupported_version");
 }

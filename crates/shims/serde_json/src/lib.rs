@@ -24,6 +24,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -122,9 +123,17 @@ fn render_string(s: &str, out: &mut String) {
 
 // --- parsing -----------------------------------------------------------
 
+/// Deepest array/object nesting [`from_str`] accepts (serde_json's own
+/// recursion limit). The parser recurses once per level, so without a
+/// bound a line of `[[[[…` overflows the thread's stack and aborts the
+/// process; past the limit it returns an [`Error`] instead.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -166,8 +175,8 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::map),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at byte {}",
@@ -175,6 +184,21 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn seq(&mut self) -> Result<Value, Error> {
@@ -365,6 +389,22 @@ mod tests {
         assert_eq!(from_str::<Value>("-12").unwrap(), Value::Int(-12));
         assert_eq!(from_str::<Value>("3.25").unwrap(), Value::Float(3.25));
         assert_eq!(from_str::<Value>("1e3").unwrap(), Value::Float(1000.0));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&deep(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(from_str::<Value>(&objects).is_err());
+        // a million unclosed brackets: an error, not a stack overflow
+        let err = from_str::<Value>(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.to_string().starts_with("nesting deeper than"), "{err}");
     }
 
     #[test]

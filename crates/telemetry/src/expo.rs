@@ -192,7 +192,7 @@ fn float(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
+    use crate::metrics::ConcurrentRegistry;
 
     #[test]
     fn names_sanitize_deterministically() {
@@ -223,7 +223,7 @@ mod tests {
     /// update deliberately.
     #[test]
     fn golden_exposition_format() {
-        let mut r = Registry::new();
+        let r = ConcurrentRegistry::new();
         r.counter_add("serve.requests", &Scope::ROOT, 5);
         r.counter_add("serve.requests", &Scope::model("GCN").layer(0), 2);
         r.gauge_set("serve.inflight", &Scope::ROOT, 2.0);
@@ -251,11 +251,11 @@ aurora_serve_latency_us_count 4
 
     #[test]
     fn rendering_is_deterministic_across_recording_orders() {
-        let mut a = Registry::new();
+        let a = ConcurrentRegistry::new();
         a.counter_add("z", &Scope::ROOT, 1);
         a.counter_add("a", &Scope::model("GIN"), 2);
         a.observe("lat", &Scope::ROOT, 7);
-        let mut b = Registry::new();
+        let b = ConcurrentRegistry::new();
         b.observe("lat", &Scope::ROOT, 7);
         b.counter_add("a", &Scope::model("GIN"), 2);
         b.counter_add("z", &Scope::ROOT, 1);

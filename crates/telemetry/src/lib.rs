@@ -2,10 +2,10 @@
 //!
 //! Two coordinated facilities, both keyed on **simulated cycles**:
 //!
-//! * a metrics [`Registry`] — named counters, gauges and log-scale
-//!   [`Histogram`]s, labeled with a [`Scope`] (model / layer / tile /
-//!   phase) — snapshotted into the serializable [`MetricsSnapshot`]
-//!   embedded in `SimReport`;
+//! * a thread-safe metrics [`ConcurrentRegistry`] — named counters,
+//!   gauges and log-scale [`Histogram`]s, labeled with a [`Scope`]
+//!   (model / layer / tile / phase) — snapshotted into the serializable
+//!   [`MetricsSnapshot`] embedded in `SimReport`;
 //! * a span/event recorder ([`TraceBuffer`]) that emits Chrome
 //!   trace-event JSON loadable in Perfetto, with one track per
 //!   sub-accelerator plus NoC, DRAM, tile-pipeline and controller
@@ -37,7 +37,7 @@ pub mod scope;
 pub mod span;
 pub mod trace;
 
-pub use metrics::{ConcurrentRegistry, Histogram, MetricsSnapshot, Registry};
+pub use metrics::{ConcurrentRegistry, Histogram, MetricsSnapshot};
 pub use scope::Scope;
 pub use span::{host_init, HostProfile, HostStage, Stage};
 pub use trace::{tracks, ArgValue, TraceBuffer};

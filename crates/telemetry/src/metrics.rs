@@ -112,77 +112,6 @@ impl Histogram {
     }
 }
 
-/// In-memory metric store. Keys are `(name, scope)`; maps are ordered so
-/// snapshots serialize deterministically.
-#[derive(Debug, Clone, Default)]
-pub struct Registry {
-    counters: BTreeMap<(String, Scope), u64>,
-    gauges: BTreeMap<(String, Scope), f64>,
-    histograms: BTreeMap<(String, Scope), Histogram>,
-}
-
-impl Registry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta` to a monotonic counter.
-    pub fn counter_add(&mut self, name: &str, scope: &Scope, delta: u64) {
-        if let Some(v) = self.counters.get_mut(&(name.to_string(), scope.clone())) {
-            *v += delta;
-        } else {
-            self.counters
-                .insert((name.to_string(), scope.clone()), delta);
-        }
-    }
-
-    /// Sets a gauge to its latest value.
-    pub fn gauge_set(&mut self, name: &str, scope: &Scope, value: f64) {
-        self.gauges.insert((name.to_string(), scope.clone()), value);
-    }
-
-    /// Records a histogram sample.
-    pub fn observe(&mut self, name: &str, scope: &Scope, value: u64) {
-        self.histograms
-            .entry((name.to_string(), scope.clone()))
-            .or_default()
-            .observe(value);
-    }
-
-    /// Immutable, serializable copy of every metric.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|((name, scope), &value)| CounterEntry {
-                    name: name.clone(),
-                    scope: scope.clone(),
-                    value,
-                })
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|((name, scope), &value)| GaugeEntry {
-                    name: name.clone(),
-                    scope: scope.clone(),
-                    value,
-                })
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|((name, scope), h)| HistogramEntry {
-                    name: name.clone(),
-                    scope: scope.clone(),
-                    histogram: h.clone(),
-                })
-                .collect(),
-        }
-    }
-}
-
 /// Histogram shard count. Samples for a given `(name, scope)` always
 /// land in the same shard, so per-key histograms never need merging —
 /// sharding only spreads lock contention across unrelated keys.
@@ -333,7 +262,7 @@ pub struct HistogramEntry {
     pub histogram: Histogram,
 }
 
-/// Serializable dump of a [`Registry`], embedded in `SimReport` and
+/// Serializable dump of a [`ConcurrentRegistry`], embedded in `SimReport` and
 /// written by `aurora_sim --metrics`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
@@ -432,7 +361,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_per_scope() {
-        let mut r = Registry::new();
+        let r = ConcurrentRegistry::new();
         let s0 = Scope::model("GCN").layer(0);
         let s1 = Scope::model("GCN").layer(1);
         r.counter_add("bytes", &s0, 10);
@@ -446,7 +375,7 @@ mod tests {
 
     #[test]
     fn gauges_keep_last_value() {
-        let mut r = Registry::new();
+        let r = ConcurrentRegistry::new();
         r.gauge_set("balance", &Scope::ROOT, 0.4);
         r.gauge_set("balance", &Scope::ROOT, 0.9);
         assert_eq!(r.snapshot().gauge_at("balance", &Scope::ROOT), Some(0.9));
@@ -538,7 +467,7 @@ mod tests {
 
     #[test]
     fn snapshot_quantiles_and_name_lookup() {
-        let mut r = Registry::new();
+        let r = ConcurrentRegistry::new();
         r.observe("lat", &Scope::ROOT, 8);
         r.counter_add("hits", &Scope::ROOT, 1);
         r.gauge_set("depth", &Scope::ROOT, 2.0);
@@ -554,7 +483,7 @@ mod tests {
 
     #[test]
     fn delta_since_reports_only_movement() {
-        let mut r = Registry::new();
+        let r = ConcurrentRegistry::new();
         r.counter_add("reqs", &Scope::ROOT, 3);
         r.counter_add("reqs", &Scope::model("GCN"), 1);
         r.counter_add("idle", &Scope::ROOT, 5);
@@ -583,7 +512,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_deterministic_and_serializable() {
-        let mut r = Registry::new();
+        let r = ConcurrentRegistry::new();
         r.counter_add("z", &Scope::ROOT, 1);
         r.counter_add("a", &Scope::ROOT, 2);
         r.observe("lat", &Scope::model("GIN"), 7);

@@ -171,7 +171,10 @@ echo "==> serve smoke (aurora_serve + 8 concurrent serve_bench connections)"
 # flip ok -> draining across SIGTERM (the drain grace keeps open
 # connections answering), flights must retain records (slow-ms 0
 # records everything), and the access log must hold exactly one
-# well-formed NDJSON line per served request.
+# well-formed NDJSON line per served request. Before any of that, a
+# line nested 100,000 levels deep must answer bad_request on the admin
+# connection (leaving one error record) without costing the daemon or
+# the connection.
 SERVE_SOCK="$(mktemp -u /tmp/aurora-serve-check-XXXXXX.sock)"
 SERVE_LOG="$(mktemp /tmp/aurora-serve-check-XXXXXX.log)"
 ./target/release/aurora_serve --socket "$SERVE_SOCK" --workers 2 \
@@ -195,6 +198,13 @@ def admin(command, id=1):
     io.write(json.dumps({"id": id, "admin": command}) + "\n")
     io.flush()
     return json.loads(io.readline())
+
+# a line nested 100,000 levels deep must cost a bad_request reply, not
+# the process: the same connection keeps answering afterwards
+io.write('{"id":1,"sim":' + "[" * 100_000 + "\n")
+io.flush()
+reply = json.loads(io.readline())
+assert reply["error"]["kind"] == "bad_request", f"deep line: {reply}"
 
 health = admin("health")
 assert health["status"] == "ok", f"health before drain: {health}"
@@ -223,17 +233,23 @@ SERVE_PID=""
 SERVE_LOG="$SERVE_LOG" python3 - <<'EOF'
 import json, os
 
-lines = open(os.environ["SERVE_LOG"], encoding="utf-8").read().splitlines()
-# 8 connections x 2 repeats x 4-request mix; admin traffic is never logged
-assert len(lines) == 64, f"access log holds {len(lines)} lines, expected 64"
-for line in lines:
-    record = json.loads(line)
+records = [json.loads(line) for line in
+           open(os.environ["SERVE_LOG"], encoding="utf-8").read().splitlines()]
+for record in records:
     for key in ("seq", "digest", "outcome", "queue_wait_us", "execute_us",
                 "latency_us", "bytes_out"):
         assert key in record, f"access record missing {key}: {record}"
-    assert record["outcome"] in ("hit", "miss", "join"), record["outcome"]
     assert record["bytes_out"] > 0, record
-print("access log: one well-formed line per served request")
+# 8 connections x 2 repeats x 4-request mix, plus the one deep line;
+# admin traffic is never logged
+served = [r for r in records if r["outcome"] != "error"]
+assert len(served) == 64, f"access log holds {len(served)} served lines, expected 64"
+for record in served:
+    assert record["outcome"] in ("hit", "miss", "join"), record["outcome"]
+bad = [r for r in records if r["outcome"] == "error"]
+assert len(bad) == 1 and "nesting deeper than 128" in bad[0]["error"], \
+    f"expected one error record for the deep line, got {bad}"
+print("access log: one well-formed line per served request and per bad line")
 EOF
 echo "serve smoke passed: daemon drained cleanly"
 
@@ -244,8 +260,10 @@ echo "==> cluster smoke (router + 3 workers, 200 connections, mid-run worker kil
 # and still requires zero client-visible failures (the router retries
 # on another shard), >= 90% warm affinity hits, ordered cluster-wide
 # latency quantiles, and the killed shard respawned back to `ok`. Then
-# SIGTERM the router itself: its health must flip ok -> draining on an
-# open connection before the whole cluster drains and exits 0.
+# send a line nested 100,000 levels deep (it must answer bad_request,
+# and the same connection must keep answering) and SIGTERM the router
+# itself: its health must flip ok -> draining on an open connection
+# before the whole cluster drains and exits 0.
 ROUTER_SOCK="$(mktemp -u /tmp/aurora-router-check-XXXXXX.sock)"
 ROUTER_LOG="$(mktemp /tmp/aurora-router-check-XXXXXX.log)"
 ./target/release/aurora_serve --router --socket "$ROUTER_SOCK" --workers 3 \
@@ -342,6 +360,13 @@ def admin(command, id=1):
     io.write(json.dumps({"id": id, "admin": command}) + "\n")
     io.flush()
     return json.loads(io.readline())
+
+# a line nested 100,000 levels deep must cost a bad_request reply, not
+# the process: the same connection keeps answering afterwards
+io.write('{"id":1,"sim":' + "[" * 100_000 + "\n")
+io.flush()
+reply = json.loads(io.readline())
+assert reply["error"]["kind"] == "bad_request", f"deep line: {reply}"
 
 health = admin("health")
 assert health["status"] == "ok", f"router health before drain: {health}"
