@@ -31,10 +31,12 @@
 //! line of one session lands on the worker holding the warm state.
 
 use crate::engine::{AuroraSimulator, DirtyScope, SessionState};
+use crate::graph_cache::{resolve_with, GraphCache};
 use crate::report::SimReport;
 use crate::request::{SimError, SimRequest};
 use aurora_graph::{Csr, GraphBuilder};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A serializable batch of graph edits, the unit a session applies.
 ///
@@ -389,13 +391,19 @@ pub struct SimSession {
 impl SimSession {
     /// Opens a session: validates and resolves `req`, runs it once from
     /// scratch (populating the warm per-tile state), and returns the
-    /// session positioned at `d₀ = req.digest()`.
-    pub(crate) fn open(req: &SimRequest) -> Result<SimSession, SimError> {
+    /// session positioned at `d₀ = req.digest()`. A spec graph resolves
+    /// through `graphs` when given; the session always owns its own copy
+    /// (deltas mutate it), so a shared cached graph is cloned, never
+    /// touched.
+    pub(crate) fn open(
+        req: &SimRequest,
+        graphs: Option<&GraphCache>,
+    ) -> Result<SimSession, SimError> {
         req.validate()?;
         let mut config = req.config;
         config.trace_instructions |= req.options.trace_instructions;
         let sim = AuroraSimulator::new(config);
-        let graph = req.graph.resolve()?;
+        let graph = Arc::unwrap_or_clone(resolve_with(&req.graph, graphs)?);
         let workload = req.workload_label();
         let mut state = SessionState::default();
         let last = sim.run_core(
@@ -513,7 +521,17 @@ impl AuroraSimulator {
     /// the warm per-tile state, then [`Self::apply_delta`] (or
     /// [`SimSession::apply`]) advances it incrementally.
     pub fn open_session(&self, req: &SimRequest) -> Result<SimSession, SimError> {
-        SimSession::open(req)
+        SimSession::open(req, None)
+    }
+
+    /// [`Self::open_session`], resolving a spec graph through `graphs`
+    /// (the open report is identical either way).
+    pub fn open_session_with(
+        &self,
+        req: &SimRequest,
+        graphs: Option<&GraphCache>,
+    ) -> Result<SimSession, SimError> {
+        SimSession::open(req, graphs)
     }
 
     /// Applies `delta` to an open session — sugar for
@@ -976,7 +994,7 @@ mod tests {
                     .build()
                     .unwrap();
                 let cell = format!("k={k} flexible={flexible_noc}");
-                let mut session = SimSession::open(&req).unwrap();
+                let mut session = SimSession::open(&req, None).unwrap();
                 let open = session.last_report();
                 assert!(open.layers[0].tiles > 1, "{cell}: need several tiles");
                 assert!(

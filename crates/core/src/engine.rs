@@ -16,6 +16,7 @@ use crate::arena::{
     put_engine_scratch, take_engine_scratch, with_worker, TileArena, TileOut, TileSlabs,
 };
 use crate::config::AcceleratorConfig;
+use crate::graph_cache::{resolve_with, GraphCache};
 use crate::instr::Instruction;
 use crate::noc_model::{self, OnChipEstimate, TrafficProfile};
 use crate::profile::{BoundMix, LayerProfile, ProfileReport, SideAttribution, TileAttribution};
@@ -385,6 +386,18 @@ impl AuroraSimulator {
     /// serve result cache exact. The simulator instance contributes only
     /// its telemetry handle.
     pub fn run(&self, req: &SimRequest) -> Result<SimReport, SimError> {
+        self.run_with(req, None)
+    }
+
+    /// [`Self::run`], resolving a spec graph through `graphs` when given:
+    /// a resident graph skips synthesis, and the report is identical
+    /// either way. `aurora-serve` workers pass their process-wide
+    /// [`GraphCache`].
+    pub fn run_with(
+        &self,
+        req: &SimRequest,
+        graphs: Option<&GraphCache>,
+    ) -> Result<SimReport, SimError> {
         req.validate()?;
         let mut config = req.config;
         config.trace_instructions |= req.options.trace_instructions;
@@ -407,7 +420,7 @@ impl AuroraSimulator {
             spec => {
                 let g = {
                     let _span = span::enter(Stage::GraphLoad);
-                    spec.resolve()?
+                    resolve_with(spec, graphs)?
                 };
                 sim.run_core(&g, req.model, &req.layers, &workload, density, None)?
             }

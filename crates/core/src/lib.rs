@@ -16,6 +16,8 @@
 //!   against the cycle-level `aurora-noc` engine;
 //! * [`engine`] — the per-subgraph execution pipeline (map → configure →
 //!   execute A ∥ B → write back, overlapped with the next tile's load);
+//! * [`graph_cache`] — the bounded `GraphSpec → Arc<Csr>` cache a
+//!   long-running worker resolves repeated graphs through;
 //! * [`functional`] — functional-mode execution: numeric results computed
 //!   on the mapped PE array, validated against the reference executors;
 //! * [`report`] — the simulation report (cycles, DRAM, NoC, energy).
@@ -42,6 +44,7 @@ pub mod config;
 pub mod delta;
 pub mod engine;
 pub mod functional;
+pub mod graph_cache;
 pub mod host;
 pub mod instr;
 pub mod noc_model;
@@ -55,6 +58,7 @@ pub use delta::{
     chain_digest, DeltaOutcome, GraphDelta, SessionCommand, SessionRequestBuilder, SimSession,
 };
 pub use engine::AuroraSimulator;
+pub use graph_cache::GraphCache;
 pub use instr::Instruction;
 pub use profile::{Bound, BoundMix, LayerProfile, ProfileReport, TileAttribution};
 pub use report::{LayerReport, NocReport, SimReport};

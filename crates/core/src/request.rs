@@ -46,8 +46,13 @@ pub enum GraphSpec {
 }
 
 impl GraphSpec {
-    /// Resolves the spec to a concrete graph. `Inline` clones; the
-    /// engine's `run` borrows inline graphs instead of calling this.
+    /// Resolves the spec to a concrete graph, synthesizing it afresh on
+    /// every call (after [`Self::validate`], so an invalid spec costs a
+    /// typed error, never a synthesis). `Inline` clones; the engine's
+    /// `run` borrows inline graphs instead of calling this. Callers that
+    /// see one spec repeatedly resolve through a
+    /// [`GraphCache`](crate::GraphCache), which returns the same graph
+    /// and the same errors.
     pub fn resolve(&self) -> Result<Csr, SimError> {
         self.validate()?;
         Ok(match self {

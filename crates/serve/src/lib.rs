@@ -62,7 +62,7 @@ pub use observe::{
 pub use router::{ClusterStats, RouteRecord, Router, RouterConfig, RouterTotals};
 pub use server::{
     answer, serve, serve_with, Client, ClientOptions, Endpoint, LineHandler, ServeRequest,
-    ServerOptions, SessionLine,
+    ServerOptions, SessionLine, MAX_LINE_BYTES,
 };
 pub use service::{LatencySummary, ServeConfig, ServeOutcome, ServiceStats, SimService};
 pub use sessions::{SessionReply, SessionTable};

@@ -173,6 +173,9 @@ pub struct ClusterStats {
     pub rejects: u64,
     pub timeouts: u64,
     pub errors: u64,
+    pub graph_cache_hits: u64,
+    pub graph_cache_misses: u64,
+    pub graph_cache_bytes: u64,
     pub latency_us: QuantileBound,
     pub queue_wait_us: QuantileBound,
 }
@@ -617,6 +620,9 @@ impl Router {
                 agg.rejects += at("rejects");
                 agg.timeouts += at("timeouts");
                 agg.errors += at("errors");
+                agg.graph_cache_hits += at("graph_cache_hits");
+                agg.graph_cache_misses += at("graph_cache_misses");
+                agg.graph_cache_bytes += at("graph_cache_bytes");
                 agg.latency_us.absorb(stats, "latency_us");
                 agg.queue_wait_us.absorb(stats, "queue_wait_us");
             }
@@ -673,6 +679,12 @@ impl LineHandler for Router {
             Err(bad) => (bad.id, Err(bad.error)),
         };
         self.route(line, id, digest)
+    }
+
+    /// Refused lines never reach a shard: they answer here and land in
+    /// the route log as errors, like an undecodable line.
+    fn refuse_line(&self, error: ServeError) -> String {
+        self.route("", 0, Err(error))
     }
 
     fn drain(&self) {

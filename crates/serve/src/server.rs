@@ -9,6 +9,11 @@
 //!    "report": { ...SimReport... }, "error": null}
 //! ```
 //!
+//! A request line may hold at most [`MAX_LINE_BYTES`] bytes before its
+//! newline. A longer line is answered `bad_request` ("line longer than
+//! N bytes", id `0`) without being buffered: the transport discards its
+//! bytes up to the next newline and keeps serving the connection.
+//!
 //! Each line is decoded once, by the crate's one request-line decoder
 //! (`wire::decode`), which both this loop and the cluster router call.
 //! A line that fails to decode — including one nested deeper than the
@@ -47,6 +52,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Longest request line the transport accepts, newline excluded. Every
+/// in-repo client sends spec-sized lines (a few KiB); the cap bounds a
+/// connection's buffer, not a useful request.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// Transport tuning for [`serve_with`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -130,6 +140,11 @@ pub trait LineHandler: Send + Sync + 'static {
     /// trailing newline).
     fn answer_line(&self, line: &str) -> String;
 
+    /// Answers a line the transport refused before reading it whole (one
+    /// longer than [`MAX_LINE_BYTES`]) with `error`, accounting for it
+    /// like any other bad line.
+    fn refuse_line(&self, error: ServeError) -> String;
+
     /// Stops taking new work and finishes what is in flight. Called by
     /// [`serve_with`] after the accept loop stops — on *every* exit
     /// path, including accept errors. Must be idempotent.
@@ -139,6 +154,11 @@ pub trait LineHandler: Send + Sync + 'static {
 impl LineHandler for SimService {
     fn answer_line(&self, line: &str) -> String {
         answer(self, line)
+    }
+
+    fn refuse_line(&self, error: ServeError) -> String {
+        let (response, record) = rejected(self, 0, String::new(), String::new(), error);
+        finish(self, &response, record)
     }
 
     fn drain(&self) {
@@ -278,19 +298,20 @@ fn handle_connection(
     drain_grace: Duration,
 ) -> std::io::Result<()> {
     let (mut reader, mut writer) = conn.split()?;
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut shutdown_seen: Option<Instant> = None;
     loop {
         line.clear();
+        let mut overlong = false;
         // Assemble one line, polling the shutdown flag on every read
-        // timeout. `read_line` keeps partially-read bytes in `line`, so
-        // resuming after a timeout never loses data. Once shutdown is
-        // observed the connection stays answerable for `drain_grace`
-        // (clients poll health for the drain transition), then closes.
+        // timeout. `read_capped_line` keeps its progress in `line` and
+        // `overlong`, so resuming after a timeout never loses data. Once
+        // shutdown is observed the connection stays answerable for
+        // `drain_grace` (clients poll health for the drain transition),
+        // then closes.
         let eof = loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => break true,
-                Ok(_) => break !line.ends_with('\n'),
+            match read_capped_line(&mut *reader, &mut line, &mut overlong) {
+                Ok(ended) => break !ended,
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     if shutdown.load(Ordering::SeqCst) {
                         let seen = *shutdown_seen.get_or_insert_with(Instant::now);
@@ -302,14 +323,60 @@ fn handle_connection(
                 Err(e) => return Err(e),
             }
         };
-        if !line.trim().is_empty() {
-            let mut out = handler.answer_line(line.trim_end_matches('\n'));
+        let reply = if overlong {
+            Some(handler.refuse_line(ServeError::BadRequest(format!(
+                "line longer than {MAX_LINE_BYTES} bytes"
+            ))))
+        } else {
+            let text = std::str::from_utf8(&line)
+                .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?;
+            (!text.trim().is_empty()).then(|| handler.answer_line(text))
+        };
+        if let Some(mut out) = reply {
             out.push('\n');
             writer.write_all(out.as_bytes())?;
             writer.flush()?;
         }
         if eof {
             return Ok(());
+        }
+    }
+}
+
+/// Reads the rest of one line into `line`, newline excluded, and
+/// returns whether a newline ended it (`false` at EOF). Once the line
+/// outgrows [`MAX_LINE_BYTES`], `overlong` is set, `line` is emptied and
+/// the remaining bytes through the newline are consumed without being
+/// kept. A read error (the poll timeout included) leaves all progress in
+/// `line` and `overlong`, so a repeated call resumes the same line.
+fn read_capped_line(
+    reader: &mut dyn BufRead,
+    line: &mut Vec<u8>,
+    overlong: &mut bool,
+) -> std::io::Result<bool> {
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(false);
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let body = &chunk[..newline.unwrap_or(chunk.len())];
+        if !*overlong {
+            if line.len() + body.len() > MAX_LINE_BYTES {
+                *overlong = true;
+                line.clear();
+            } else {
+                line.extend_from_slice(body);
+            }
+        }
+        let taken = body.len() + usize::from(newline.is_some());
+        reader.consume(taken);
+        if newline.is_some() {
+            return Ok(true);
         }
     }
 }
@@ -321,7 +388,7 @@ fn handle_connection(
 /// with the response size filled in. Admin lines are not logged. This
 /// is the function the connection loop speaks.
 pub fn answer(service: &SimService, line: &str) -> String {
-    let (response, mut record) = match wire::decode(line) {
+    let (response, record) = match wire::decode(line) {
         Ok(Line::Admin { id, command }) => return admin::dispatch(service, id, &command),
         Ok(Line::Sim(req)) if req.version > WIRE_VERSION => rejected(
             service,
@@ -363,7 +430,12 @@ pub fn answer(service: &SimService, line: &str) -> String {
             bad.error,
         ),
     };
-    let out = serde_json::to_string(&response).expect("response serializes");
+    finish(service, &response, record)
+}
+
+/// Serializes a reply and logs its access record with the wire size.
+fn finish(service: &SimService, response: &SimResponse, mut record: AccessRecord) -> String {
+    let out = serde_json::to_string(response).expect("response serializes");
     record.bytes_out = out.len() as u64 + 1; // the newline ships too
     service.log_access(&record);
     out

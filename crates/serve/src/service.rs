@@ -12,7 +12,9 @@
 //!    saturated daemon degrades into fast rejections instead of
 //!    unbounded latency.
 //! 3. **Execution** — worker threads pop jobs in FIFO order and run the
-//!    engine through the canonical [`AuroraSimulator::run`]; panics are
+//!    engine through the canonical [`AuroraSimulator::run_with`], which
+//!    resolves spec graphs through the service's one bounded
+//!    [`GraphCache`] (a repeated spec is synthesized once); panics are
 //!    caught and surfaced as internal errors. The leader (and any
 //!    followers) wait on the flight with the per-request timeout. A
 //!    timed-out waiter abandons the wait, but the job still completes
@@ -37,8 +39,8 @@ use crate::observe::{
 };
 use crate::sessions::{SessionReply, SessionTable};
 use aurora_core::{
-    metric_names as names, AuroraSimulator, Histogram, Scope, SessionCommand, SimReport,
-    SimRequest, Telemetry,
+    metric_names as names, AuroraSimulator, GraphCache, Histogram, Scope, SessionCommand,
+    SimReport, SimRequest, Telemetry,
 };
 use serde::Serialize;
 use std::collections::VecDeque;
@@ -132,6 +134,9 @@ struct Inner {
     recorder: FlightRecorder,
     access_log: Arc<dyn EventLog>,
     sessions: SessionTable,
+    /// The process's resolved graphs, shared by engine runs and
+    /// session opens.
+    graphs: GraphCache,
 }
 
 impl Inner {
@@ -144,8 +149,10 @@ impl Inner {
         let queue_wait_us = job.enqueued.elapsed().as_micros() as u64;
         let run_started = Instant::now();
         let sim = AuroraSimulator::new(job.request.config);
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run(&job.request)));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_with(&job.request, Some(&self.graphs))
+        }));
+        self.export_graph_cache();
         let result = match result {
             Ok(Ok(report)) => Ok(report),
             Ok(Err(e)) => Err(ServeError::Sim(e)),
@@ -163,6 +170,19 @@ impl Inner {
             execute_us: run_started.elapsed().as_micros() as u64,
         };
         self.cache.complete(&job.digest, result, timing);
+    }
+
+    /// Publishes the graph cache's totals as `serve.graph_cache.*`
+    /// gauges.
+    fn export_graph_cache(&self) {
+        let graphs = &self.graphs;
+        for (name, value) in [
+            (names::SERVE_GRAPH_CACHE_HITS, graphs.hits()),
+            (names::SERVE_GRAPH_CACHE_MISSES, graphs.misses()),
+            (names::SERVE_GRAPH_CACHE_BYTES, graphs.bytes() as u64),
+        ] {
+            self.telemetry.gauge_set(name, &Scope::ROOT, value as f64);
+        }
     }
 
     fn worker_loop(&self) {
@@ -223,6 +243,7 @@ impl SimService {
                 config.session_capacity,
                 Duration::from_millis(config.session_ttl_ms),
             ),
+            graphs: GraphCache::new(),
         });
         let workers = (0..config.workers)
             .map(|i| {
@@ -367,7 +388,13 @@ impl SimService {
             .telemetry
             .counter_add(names::SERVE_REQUESTS, &Scope::ROOT, 1);
         match cmd.op.as_str() {
-            SessionCommand::OPEN => inner.sessions.open(cmd.sim.as_ref().expect("validated")),
+            SessionCommand::OPEN => {
+                let opened = inner
+                    .sessions
+                    .open(cmd.sim.as_ref().expect("validated"), &inner.graphs);
+                inner.export_graph_cache();
+                opened
+            }
             SessionCommand::DELTA => inner.sessions.apply(
                 cmd.sid.as_deref().expect("validated"),
                 cmd.delta.as_ref().expect("validated"),
@@ -577,6 +604,9 @@ impl SimService {
                 snap.histogram_at(names::SERVE_QUEUE_WAIT_US, &Scope::ROOT),
             ),
             flights: self.inner.recorder.len() as u64,
+            graph_cache_hits: self.inner.graphs.hits(),
+            graph_cache_misses: self.inner.graphs.misses(),
+            graph_cache_bytes: self.inner.graphs.bytes() as u64,
             pool: PoolSummary::current(),
         }
     }
@@ -660,6 +690,12 @@ pub struct ServiceStats {
     pub queue_wait_us: LatencySummary,
     /// Records currently retained by the flight recorder.
     pub flights: u64,
+    /// Graph resolutions answered by the worker's graph cache.
+    pub graph_cache_hits: u64,
+    /// Graph resolutions that synthesized.
+    pub graph_cache_misses: u64,
+    /// CSR bytes resident in the graph cache.
+    pub graph_cache_bytes: u64,
     /// Engine worker-pool counters (cumulative since process start).
     pub pool: PoolSummary,
 }

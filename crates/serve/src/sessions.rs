@@ -24,7 +24,9 @@
 //!   dropped open must not rewind a session that already advanced.
 
 use crate::error::ServeError;
-use aurora_core::{AuroraSimulator, GraphDelta, SimError, SimReport, SimRequest, SimSession};
+use aurora_core::{
+    AuroraSimulator, GraphCache, GraphDelta, SimError, SimReport, SimRequest, SimSession,
+};
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -116,8 +118,9 @@ impl SessionTable {
         Ok(())
     }
 
-    /// Opens (or idempotently re-opens) a session for `req`.
-    pub fn open(&self, req: &SimRequest) -> Result<SessionReply, ServeError> {
+    /// Opens (or idempotently re-opens) a session for `req`, resolving
+    /// its graph through `graphs`.
+    pub fn open(&self, req: &SimRequest, graphs: &GraphCache) -> Result<SessionReply, ServeError> {
         let sid = req.digest();
         {
             let mut slots = self.slots.lock().unwrap();
@@ -138,7 +141,7 @@ impl SessionTable {
         // concurrent first opens of one sid both run, and the second
         // insert wins — identical content, only wasted work.
         let session = AuroraSimulator::new(req.config)
-            .open_session(req)
+            .open_session_with(req, Some(graphs))
             .map_err(ServeError::Sim)?;
         let reply = SessionReply {
             digest: session.digest().to_string(),
@@ -245,15 +248,16 @@ mod tests {
 
     #[test]
     fn open_apply_close_roundtrip() {
+        let graphs = GraphCache::new();
         let table = SessionTable::new(4, Duration::from_secs(60));
         let req = request(1);
         let sid = req.digest();
-        let opened = table.open(&req).unwrap();
+        let opened = table.open(&req, &graphs).unwrap();
         assert!(!opened.cached);
         assert_eq!(opened.digest, sid);
         assert_eq!(table.len(), 1);
         // re-open replays instead of resetting
-        let reopened = table.open(&req).unwrap();
+        let reopened = table.open(&req, &graphs).unwrap();
         assert!(reopened.cached);
         assert_eq!(reopened.digest, opened.digest);
         // a delta advances the chain
@@ -276,10 +280,11 @@ mod tests {
 
     #[test]
     fn failed_delta_keeps_session_open() {
+        let graphs = GraphCache::new();
         let table = SessionTable::new(4, Duration::from_secs(60));
         let req = request(2);
         let sid = req.digest();
-        table.open(&req).unwrap();
+        table.open(&req, &graphs).unwrap();
         let bad = GraphDelta {
             remove_edges: vec![(0, 9999)],
             ..GraphDelta::default()
@@ -294,13 +299,14 @@ mod tests {
 
     #[test]
     fn capacity_evicts_least_recently_used_idle_session() {
+        let graphs = GraphCache::new();
         let table = SessionTable::new(2, Duration::from_secs(60));
         let (a, b, c) = (request(3), request(4), request(5));
-        table.open(&a).unwrap();
-        table.open(&b).unwrap();
+        table.open(&a, &graphs).unwrap();
+        table.open(&b, &graphs).unwrap();
         // touch a so b is the LRU victim
-        table.open(&a).unwrap();
-        table.open(&c).unwrap();
+        table.open(&a, &graphs).unwrap();
+        table.open(&c, &graphs).unwrap();
         assert_eq!(table.len(), 2);
         assert!(matches!(
             table.close(&b.digest()),
@@ -312,10 +318,11 @@ mod tests {
 
     #[test]
     fn ttl_evicts_idle_sessions() {
+        let graphs = GraphCache::new();
         let table = SessionTable::new(4, Duration::from_millis(1));
         let req = request(6);
         let sid = req.digest();
-        table.open(&req).unwrap();
+        table.open(&req, &graphs).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         assert!(matches!(
             table.apply(
@@ -327,5 +334,45 @@ mod tests {
             ),
             Err(ServeError::Sim(SimError::UnknownSession(_)))
         ));
+    }
+
+    /// A session opened on a resident graph answers the same open and
+    /// delta reports as one opened without the cache, and its deltas
+    /// never reach the shared graph.
+    #[test]
+    fn cached_open_matches_uncached_session() {
+        let graphs = GraphCache::new();
+        let req = request(7);
+        let fresh_graph = req.graph.resolve().unwrap();
+        graphs.resolve(&req.graph).unwrap();
+        graphs.resolve(&req.graph).unwrap(); // the repeated miss admits
+        let table = SessionTable::new(4, Duration::from_secs(60));
+        let opened = table.open(&req, &graphs).unwrap();
+        assert_eq!(graphs.hits(), 1, "the open resolved a resident graph");
+
+        let sim = AuroraSimulator::new(req.config);
+        let mut plain = sim.open_session(&req).unwrap();
+        let json = |r: &SimReport| serde_json::to_string(r).unwrap();
+        assert_eq!(json(&opened.report), json(plain.last_report()));
+
+        let sid = req.digest();
+        let (u, v) = fresh_graph.edges().next().unwrap();
+        for delta in [
+            GraphDelta {
+                remove_edges: vec![(u, v)],
+                ..GraphDelta::default()
+            },
+            GraphDelta {
+                add_vertices: 1,
+                insert_edges: vec![(128, 0)],
+                ..GraphDelta::default()
+            },
+        ] {
+            let applied = table.apply(&sid, &delta).unwrap();
+            let outcome = plain.apply(&delta).unwrap();
+            assert_eq!(applied.digest, outcome.digest);
+            assert_eq!(json(&applied.report), json(plain.last_report()));
+        }
+        assert_eq!(*graphs.resolve(&req.graph).unwrap(), fresh_graph);
     }
 }

@@ -140,6 +140,15 @@ fn repeat_requests_stay_on_warm_shards() {
     let agg = stats.get("stats").expect("aggregate body");
     assert_eq!(agg.get("cache_hits").and_then(|v| v.as_u64()), Some(6));
     assert_eq!(agg.get("cache_misses").and_then(|v| v.as_u64()), Some(6));
+    // six distinct graphs, each synthesized once by the shard that ran it
+    assert_eq!(
+        agg.get("graph_cache_misses").and_then(|v| v.as_u64()),
+        Some(6)
+    );
+    assert_eq!(
+        agg.get("graph_cache_hits").and_then(|v| v.as_u64()),
+        Some(0)
+    );
     assert_eq!(
         stats
             .get("router")

@@ -4,7 +4,9 @@
 //! (access log, flight recorder, metric-name completeness, admin
 //! protocol over the wire).
 
-use aurora_core::{metric_names as names, AcceleratorConfig, SimError, SimRequest, Telemetry};
+use aurora_core::{
+    metric_names as names, AcceleratorConfig, AuroraSimulator, SimError, SimRequest, Telemetry,
+};
 use aurora_model::{LayerShape, ModelId};
 use aurora_serve::{
     answer, serve, serve_with, Client, Endpoint, MemoryLog, ServeConfig, ServeError, ServerOptions,
@@ -668,4 +670,122 @@ fn envelope_version_gate_on_sim_lines() {
 /// Parses an answered protocol line back into the typed response.
 fn respond_line(svc: &SimService, line: &str) -> aurora_core::SimResponse {
     serde_json::from_str(&answer(svc, line)).expect("response line parses")
+}
+
+/// A line over `MAX_LINE_BYTES` answers `bad_request` without killing
+/// the connection, and is access-logged like any bad line; a line of
+/// exactly the cap is still read and answered.
+#[test]
+fn overlong_line_is_refused_and_the_connection_keeps_serving() {
+    use aurora_serve::MAX_LINE_BYTES;
+
+    let sock = std::env::temp_dir().join(format!("aurora-serve-cap-{}.sock", std::process::id()));
+    let log = Arc::new(MemoryLog::default());
+    let svc = Arc::new(SimService::with_access_log(
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        Telemetry::enabled(),
+        Arc::clone(&log) as Arc<dyn aurora_serve::EventLog>,
+    ));
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let server = {
+        let svc = Arc::clone(&svc);
+        let shutdown = Arc::clone(&shutdown);
+        let endpoint = Endpoint::Unix(sock.clone());
+        std::thread::spawn(move || serve(svc, &endpoint, shutdown))
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !sock.exists() {
+        assert!(std::time::Instant::now() < deadline, "daemon never bound");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut client = Client::connect(&Endpoint::Unix(sock.clone())).expect("connect");
+
+    let line = serde_json::to_string(&aurora_serve::ServeRequest {
+        id: 4,
+        version: aurora_core::WIRE_VERSION,
+        sim: small_request(50),
+    })
+    .unwrap();
+    // trailing whitespace is valid JSON, so the padded line is a request
+    let padded = |len: usize| format!("{line}{}", " ".repeat(len - line.len()));
+    let parse = |reply: String| -> aurora_core::SimResponse {
+        serde_json::from_str(&reply).expect("reply parses")
+    };
+
+    let over = parse(client.roundtrip(&padded(MAX_LINE_BYTES + 1)).unwrap());
+    let err = over.error.expect("over-cap line is refused");
+    assert_eq!(err.kind, "bad_request");
+    assert!(
+        err.message
+            .contains(&format!("line longer than {MAX_LINE_BYTES} bytes")),
+        "{}",
+        err.message
+    );
+    assert_eq!(over.id, 0, "the refused line's id was never read");
+
+    let at_cap = parse(client.roundtrip(&padded(MAX_LINE_BYTES)).unwrap());
+    assert!(
+        at_cap.is_ok(),
+        "a line of exactly the cap answers: {:?}",
+        at_cap.error
+    );
+    assert_eq!(at_cap.id, 4);
+    let health = client.admin("health").expect("connection still serves");
+    assert_eq!(health.get("status").and_then(|v| v.as_str()), Some("ok"));
+
+    let records: Vec<serde_json::Value> = log
+        .lines()
+        .iter()
+        .map(|l| serde_json::from_str(l).expect("access line parses"))
+        .collect();
+    assert_eq!(records.len(), 2, "refused line + request, admin excluded");
+    assert_eq!(
+        records[0].get("outcome").and_then(|v| v.as_str()),
+        Some("error")
+    );
+
+    drop(client);
+    shutdown.store(true, Ordering::SeqCst);
+    server.join().unwrap().expect("server exits cleanly");
+}
+
+/// One dataset spec at three input densities: three result-cache
+/// misses, but the graph is synthesized twice (the repeated miss
+/// admits it) and the third run resolves it from the graph cache.
+#[test]
+fn repeated_graph_spec_resolves_from_the_graph_cache() {
+    let (svc, tel) = service(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    for density in [1.0, 0.5, 0.25] {
+        let req = SimRequest::builder(ModelId::Gcn)
+            .config(AcceleratorConfig::small(4))
+            .dataset(aurora_graph::Dataset::Cora, 8)
+            .layer(LayerShape::new(32, 16))
+            .input_density(density)
+            .build()
+            .expect("valid request");
+        let fresh = AuroraSimulator::new(req.config)
+            .run(&req)
+            .expect("fresh run");
+        let served = svc.handle(&req).expect("served");
+        assert!(!served.cached);
+        assert_eq!(
+            serde_json::to_string(&*served.report).unwrap(),
+            serde_json::to_string(&fresh).unwrap()
+        );
+    }
+    let stats = svc.stats();
+    assert_eq!(stats.graph_cache_misses, 2);
+    assert_eq!(stats.graph_cache_hits, 1);
+    assert!(stats.graph_cache_bytes > 0);
+    let snap = tel.snapshot();
+    assert_eq!(
+        snap.gauge_at(names::SERVE_GRAPH_CACHE_HITS, &aurora_core::Scope::ROOT),
+        Some(1.0)
+    );
 }

@@ -54,6 +54,18 @@ pub const SERVE_TIMEOUTS: &str = "serve.timeouts";
 /// Requests that failed with a typed error (bad request or `SimError`).
 pub const SERVE_ERRORS: &str = "serve.errors";
 
+/// Graph resolutions answered by the worker's resident graph cache
+/// (no synthesis). Gauge holding the process total, refreshed after
+/// every executed job and session open.
+pub const SERVE_GRAPH_CACHE_HITS: &str = "serve.graph_cache.hits";
+
+/// Graph resolutions that synthesized (spec not resident). Same gauge
+/// discipline as [`SERVE_GRAPH_CACHE_HITS`].
+pub const SERVE_GRAPH_CACHE_MISSES: &str = "serve.graph_cache.misses";
+
+/// CSR bytes resident in the worker's graph cache. Gauge.
+pub const SERVE_GRAPH_CACHE_BYTES: &str = "serve.graph_cache.bytes";
+
 /// Every `serve.*` metric the service emits, for completeness tests: a
 /// representative request mix must surface each of these in a snapshot,
 /// so a typo'd or silently dropped probe fails a test instead of
@@ -68,6 +80,9 @@ pub const SERVE_ALL: &[&str] = &[
     SERVE_REJECT_OVERLOADED,
     SERVE_TIMEOUTS,
     SERVE_ERRORS,
+    SERVE_GRAPH_CACHE_HITS,
+    SERVE_GRAPH_CACHE_MISSES,
+    SERVE_GRAPH_CACHE_BYTES,
 ];
 
 /// Configured size of the work-stealing pool, counting the caller

@@ -172,9 +172,12 @@ echo "==> serve smoke (aurora_serve + 8 concurrent serve_bench connections)"
 # connections answering), flights must retain records (slow-ms 0
 # records everything), and the access log must hold exactly one
 # well-formed NDJSON line per served request. Before any of that, a
-# line nested 100,000 levels deep must answer bad_request on the admin
-# connection (leaving one error record) without costing the daemon or
-# the connection.
+# line nested 100,000 levels deep and a line longer than the 4 MiB line
+# cap must each answer bad_request on the admin connection (leaving one
+# error record each) without costing the daemon or the connection, and
+# one dataset spec sent at three input densities must resolve its graph
+# from the worker's graph cache at least once (the repeated miss
+# admits it, the third hits).
 SERVE_SOCK="$(mktemp -u /tmp/aurora-serve-check-XXXXXX.sock)"
 SERVE_LOG="$(mktemp /tmp/aurora-serve-check-XXXXXX.log)"
 ./target/release/aurora_serve --socket "$SERVE_SOCK" --workers 2 \
@@ -206,10 +209,43 @@ io.flush()
 reply = json.loads(io.readline())
 assert reply["error"]["kind"] == "bad_request", f"deep line: {reply}"
 
+# a line past the 4 MiB cap is refused unread, and the connection keeps
+# answering
+io.write('{"id":2,"sim":"' + "x" * (4 << 20) + '"}\n')
+io.flush()
+reply = json.loads(io.readline())
+assert reply["error"]["kind"] == "bad_request", f"over-cap line: {reply}"
+assert "line longer than" in reply["error"]["message"], reply
+assert admin("health")["status"] == "ok", "connection lost after over-cap line"
+
+# one dataset spec at three densities: three fresh runs, one graph
+config = {
+    "k": 4, "clock_mhz": 700,
+    "pe": {"lanes": 16, "buffer_bytes": 102400, "banks": 8,
+           "fifo_depth": 16, "ppu_width": 4, "reconfig_cycles": 1},
+    "words_per_flit": 4, "dram_channels": 4,
+    "mapping_policy": "DegreeAware", "flexible_noc": True,
+    "dynamic_partition": True, "feature_fraction": 0.5,
+    "link_utilisation": 0.6, "trace_instructions": False,
+}
+for i, density in enumerate((1.0, 0.5, 0.25)):
+    sim = {
+        "version": 1, "config": config,
+        "graph": {"Dataset": {"dataset": "Cora", "scale": 8}},
+        "model": "Gcn", "layers": [{"f_in": 32, "f_out": 16}],
+        "options": {"workload": "graph-cache-smoke", "input_density": density,
+                    "trace_instructions": False},
+    }
+    io.write(json.dumps({"id": 10 + i, "sim": sim}) + "\n")
+    io.flush()
+    reply = json.loads(io.readline())
+    assert reply.get("error") is None, f"dataset request failed: {reply['error']}"
+
 health = admin("health")
 assert health["status"] == "ok", f"health before drain: {health}"
 stats = admin("stats")["stats"]
 assert stats["requests"] >= 64, f"stats undercounts: {stats['requests']}"
+assert stats["graph_cache_hits"] >= 1, f"graph cache never hit: {stats}"
 assert stats["latency_us"]["p50_us"] <= stats["latency_us"]["p99_us"]
 metrics = admin("metrics")
 assert "aurora_serve_requests" in metrics["prometheus"], "exposition missing serve counters"
@@ -240,15 +276,17 @@ for record in records:
                 "latency_us", "bytes_out"):
         assert key in record, f"access record missing {key}: {record}"
     assert record["bytes_out"] > 0, record
-# 8 connections x 2 repeats x 4-request mix, plus the one deep line;
-# admin traffic is never logged
+# 8 connections x 2 repeats x 4-request mix plus the 3 dataset
+# requests, and the deep and over-cap lines; admin traffic is never
+# logged
 served = [r for r in records if r["outcome"] != "error"]
-assert len(served) == 64, f"access log holds {len(served)} served lines, expected 64"
+assert len(served) == 67, f"access log holds {len(served)} served lines, expected 67"
 for record in served:
     assert record["outcome"] in ("hit", "miss", "join"), record["outcome"]
-bad = [r for r in records if r["outcome"] == "error"]
-assert len(bad) == 1 and "nesting deeper than 128" in bad[0]["error"], \
-    f"expected one error record for the deep line, got {bad}"
+bad = [r["error"] for r in records if r["outcome"] == "error"]
+assert len(bad) == 2 and "nesting deeper than 128" in bad[0] \
+    and "line longer than" in bad[1], \
+    f"expected error records for the deep and over-cap lines, got {bad}"
 print("access log: one well-formed line per served request and per bad line")
 EOF
 echo "serve smoke passed: daemon drained cleanly"
@@ -260,10 +298,12 @@ echo "==> cluster smoke (router + 3 workers, 200 connections, mid-run worker kil
 # and still requires zero client-visible failures (the router retries
 # on another shard), >= 90% warm affinity hits, ordered cluster-wide
 # latency quantiles, and the killed shard respawned back to `ok`. Then
-# send a line nested 100,000 levels deep (it must answer bad_request,
-# and the same connection must keep answering) and SIGTERM the router
-# itself: its health must flip ok -> draining on an open connection
-# before the whole cluster drains and exits 0.
+# send a line nested 100,000 levels deep and a line longer than the
+# 4 MiB line cap (each must answer bad_request, and the same connection
+# must keep answering), check the cluster stats carry the summed graph
+# cache counters, and SIGTERM the router itself: its health must flip
+# ok -> draining on an open connection before the whole cluster drains
+# and exits 0.
 ROUTER_SOCK="$(mktemp -u /tmp/aurora-router-check-XXXXXX.sock)"
 ROUTER_LOG="$(mktemp /tmp/aurora-router-check-XXXXXX.log)"
 ./target/release/aurora_serve --router --socket "$ROUTER_SOCK" --workers 3 \
@@ -367,6 +407,16 @@ io.write('{"id":1,"sim":' + "[" * 100_000 + "\n")
 io.flush()
 reply = json.loads(io.readline())
 assert reply["error"]["kind"] == "bad_request", f"deep line: {reply}"
+
+# a line past the 4 MiB cap is refused by the router itself, unread
+io.write('{"id":2,"sim":"' + "x" * (4 << 20) + '"}\n')
+io.flush()
+reply = json.loads(io.readline())
+assert reply["error"]["kind"] == "bad_request", f"over-cap line: {reply}"
+assert "line longer than" in reply["error"]["message"], reply
+
+stats = admin("stats")["stats"]
+assert stats["graph_cache_misses"] >= 1, f"no graph resolutions summed: {stats}"
 
 health = admin("health")
 assert health["status"] == "ok", f"router health before drain: {health}"
