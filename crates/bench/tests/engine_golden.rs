@@ -30,6 +30,12 @@
 //!   off: the plain-mesh routing path at k=32.
 //! * `batch/...` — `try_simulate_batch` over four small graphs: the
 //!   resident-weight refund and the merged profile.
+//! * `flush/rmat-15k/k8/buf1k/Gcn` — 1 KiB PE buffers cut the graph
+//!   into 117 tiles per layer whose bypass plans intern exactly 64
+//!   distinct NoC configs. The second layer has the first one's `f_in`,
+//!   so every tile hits its cached traffic profile. The third layer's
+//!   new `f_in` brings new plans, and its first tile overflows the
+//!   64-slot route-table cache, which flushes tables and profiles.
 //!
 //! Every cell is checked at 1, 2 and 4 worker threads (reports must not
 //! depend on the pool size). A separate test reruns one cell three times
@@ -56,6 +62,10 @@ const THREADS: [usize; 3] = [1, 2, 4];
 
 /// The cell the warm-arena rerun test repeats.
 const WARM_CELL: &str = "grid/k4/flex/DegreeAware/Gcn";
+
+/// The cell that overflows the route-table cache after a layer of
+/// cross-layer profile hits.
+const FLUSH_CELL: &str = "flush/rmat-15k/k8/buf1k/Gcn";
 
 /// One simulation: a single graph through `run`, or several graphs as
 /// one `try_simulate_batch`.
@@ -146,6 +156,19 @@ fn cells() -> Vec<Cell> {
         shapes: vec![LayerShape::new(64, 32), LayerShape::new(32, 16)],
         graphs: vec![generate::rmat(4_096, 40_000, Default::default(), 7)],
     });
+    let mut flush_cfg = AcceleratorConfig::small(8);
+    flush_cfg.pe.buffer_bytes = 1024;
+    cells.push(Cell {
+        name: FLUSH_CELL.into(),
+        cfg: flush_cfg,
+        model: ModelId::Gcn,
+        shapes: vec![
+            LayerShape::new(32, 32),
+            LayerShape::new(32, 16),
+            LayerShape::new(16, 8),
+        ],
+        graphs: vec![generate::rmat(14_880, 148_800, Default::default(), 9)],
+    });
     cells.push(Cell {
         name: "batch/k4/Gcn/x4".into(),
         cfg: AcceleratorConfig::small(4),
@@ -229,4 +252,31 @@ fn warm_arena_reruns_match_golden_digest() {
             "run {run} of {WARM_CELL} on a warm arena drifted"
         );
     }
+}
+
+/// The flush cell must keep covering what it is there for: more route
+/// tables than the 64-slot cache holds, and profiles reused across
+/// layers.
+#[test]
+fn flush_cell_overflows_the_route_table_cache_and_hits_profiles() {
+    let cell = cells()
+        .into_iter()
+        .find(|c| c.name == FLUSH_CELL)
+        .expect("flush cell exists");
+    let sim = AuroraSimulator::new(cell.cfg);
+    let report = run_inline(
+        &sim,
+        &cell.graphs[0],
+        cell.model,
+        &cell.shapes,
+        "golden",
+        1.0,
+    );
+    let p = &report.profile;
+    assert!(
+        p.route_table_builds > 64,
+        "{} route-table builds: the cache never flushed",
+        p.route_table_builds
+    );
+    assert!(p.tile_profile_hits > 0, "no cross-layer profile hit");
 }
