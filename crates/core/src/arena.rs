@@ -1,9 +1,9 @@
 //! Arena-backed scratch memory for the engine's steady state.
 //!
 //! The per-tile pipeline needs working memory for every tile of every
-//! layer — degrees, placements, per-PE loads, bypass plans, NoC configs,
-//! traffic estimates. This module keeps all of it alive across tiles,
-//! layers *and* runs:
+//! layer — degrees, placements, per-PE loads, bypass plans, traffic
+//! estimates. This module keeps all of it alive across tiles, layers
+//! *and* runs:
 //!
 //! * [`WorkerArena`] — one per pool worker thread (thread-local),
 //!   holding the buffers a single tile's pure precompute needs. Fan-out
@@ -20,23 +20,17 @@
 //! per-tile slabs for high-degree ids and planned bypass segments.
 //! Scalar per-tile outputs land in a [`TileOut`] row. Tile views borrow
 //! straight into the slabs — the steady state never materialises an
-//! owned `VertexMapping` or `NocConfig`.
+//! owned `VertexMapping`. A tile's bypass plan stays a pair of segment
+//! slices here; the engine's per-run route-table cache turns it into
+//! the tile's `NocConfig`.
 
 use crate::engine::ProfileKey;
 use crate::noc_model::OnChipEstimate;
 use aurora_mapping::plan::{PlanScratch, SegmentPlan};
 use aurora_mapping::{MapScratch, MapView, MappingPolicy};
 use aurora_model::{LayerShape, ModelId, Workload};
-use aurora_noc::{BypassSegment, NocConfig};
 use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::Arc;
-
-/// Interned-config cap: per-tile bypass plans repeat heavily across
-/// layers (same tiling, same mapping), so the table is tiny in
-/// practice; past the cap it flushes wholesale like the route-table
-/// cache.
-const MAX_INTERNED_CONFIGS: usize = 128;
 
 /// Per-worker-thread scratch for one tile's pure precompute.
 #[derive(Debug, Default)]
@@ -146,13 +140,6 @@ pub(crate) struct TileSlabs {
     pub col_segs: Vec<SegmentPlan>,
     /// One scalar row per tile.
     pub outs: Vec<TileOut>,
-    /// Per-tile resolved NoC configs (interned; Arc clones, no deep
-    /// copies — one config per *distinct plan* per layer, not per tile).
-    pub noc_cfgs: Vec<Arc<NocConfig>>,
-    /// Content-interned bypass configs, persisted across layers/runs.
-    interned: Vec<Arc<NocConfig>>,
-    /// The plain-mesh config for the current radix.
-    mesh: Option<Arc<NocConfig>>,
     /// N-Queen S_PE positions for the current radix (degree-aware maps
     /// share them across every tile of a run).
     pub s_pes: Vec<usize>,
@@ -179,19 +166,16 @@ impl TileSlabs {
         self.col_segs.resize(num_tiles * k, SegmentPlan::default());
         self.outs.clear();
         self.outs.resize(num_tiles, TileOut::default());
-        self.noc_cfgs.clear();
         self.high_cap = high_cap;
     }
 
-    /// Re-enters a layer whose slabs already hold the previous session
-    /// apply's artifacts: the per-tile geometry (`pe_of`, `high`,
-    /// `row_segs`/`col_segs`, `outs`) is preserved so clean tiles skip
-    /// recompute entirely; only the resolved-config list resets, because
-    /// `resolve_noc_cfg` re-runs for every tile in order (clean tiles
-    /// re-intern the same plan, so the result is bit-identical to a
-    /// from-scratch layer).
-    pub fn begin_layer_incremental(&mut self) {
-        self.noc_cfgs.clear();
+    /// Tile `ti`'s planned row and column bypass segments (stride `k`).
+    pub fn plan(&self, ti: usize, k: usize) -> (&[SegmentPlan], &[SegmentPlan]) {
+        let out = &self.outs[ti];
+        (
+            &self.row_segs[ti * k..][..out.n_rows],
+            &self.col_segs[ti * k..][..out.n_cols],
+        )
     }
 
     /// Tile `ti`'s mapping, borrowed straight out of the slabs.
@@ -217,80 +201,6 @@ impl TileSlabs {
             self.s_pes = aurora_mapping::nqueen::s_pe_positions(k);
             self.s_pes_k = k;
         }
-    }
-
-    /// The plain-mesh config for radix `k` (cached).
-    pub fn mesh_cfg(&mut self, k: usize) -> Arc<NocConfig> {
-        match &self.mesh {
-            Some(m) if m.k == k => m.clone(),
-            _ => {
-                let m = Arc::new(NocConfig::mesh(k));
-                self.mesh = Some(m.clone());
-                m
-            }
-        }
-    }
-
-    /// The interned bypass config for a planned segment set, built on
-    /// first sight. A plan the NoC layer rejects (a planner bug) falls
-    /// back to the plain mesh.
-    pub fn intern_bypass(
-        interned: &mut Vec<Arc<NocConfig>>,
-        mesh: &Arc<NocConfig>,
-        k: usize,
-        rows: &[SegmentPlan],
-        cols: &[SegmentPlan],
-    ) -> Arc<NocConfig> {
-        let seg_eq = |b: &BypassSegment, s: &SegmentPlan| {
-            b.index == s.index && b.from == s.from && b.to == s.to
-        };
-        let hit = interned.iter().find(|c| {
-            c.k == k
-                && c.row_bypass.len() == rows.len()
-                && c.col_bypass.len() == cols.len()
-                && c.row_bypass.iter().zip(rows).all(|(b, s)| seg_eq(b, s))
-                && c.col_bypass.iter().zip(cols).all(|(b, s)| seg_eq(b, s))
-        });
-        if let Some(cfg) = hit {
-            return cfg.clone();
-        }
-        let to_seg = |s: &SegmentPlan| BypassSegment {
-            index: s.index,
-            from: s.from,
-            to: s.to,
-        };
-        let cfg = NocConfig::with_bypass(
-            k,
-            rows.iter().map(to_seg).collect(),
-            cols.iter().map(to_seg).collect(),
-        );
-        if cfg.validate().is_err() {
-            return mesh.clone();
-        }
-        if interned.len() >= MAX_INTERNED_CONFIGS {
-            interned.clear();
-        }
-        let cfg = Arc::new(cfg);
-        interned.push(cfg.clone());
-        cfg
-    }
-
-    /// Resolves tile `ti`'s planned segments into an interned config and
-    /// records it; `mesh` comes from [`Self::mesh_cfg`].
-    pub fn resolve_noc_cfg(&mut self, ti: usize, k: usize, flexible: bool, mesh: &Arc<NocConfig>) {
-        let out = self.outs[ti];
-        let chosen = if !flexible || (out.n_rows == 0 && out.n_cols == 0) {
-            mesh.clone()
-        } else {
-            Self::intern_bypass(
-                &mut self.interned,
-                mesh,
-                k,
-                &self.row_segs[ti * k..][..out.n_rows],
-                &self.col_segs[ti * k..][..out.n_cols],
-            )
-        };
-        self.noc_cfgs.push(chosen);
     }
 }
 
@@ -370,22 +280,5 @@ mod tests {
         assert_eq!(w.halo_count(0..4, 10, edges.iter().copied()), 3);
         // reuse with a different range: {6, 9} remain out of range
         assert_eq!(w.halo_count(0..6, 10, edges.iter().copied()), 2);
-    }
-
-    #[test]
-    fn intern_returns_same_arc_for_same_plan() {
-        let mut slabs = TileSlabs::default();
-        let mesh = slabs.mesh_cfg(4);
-        let rows = [SegmentPlan {
-            index: 1,
-            from: 0,
-            to: 3,
-        }];
-        let a = TileSlabs::intern_bypass(&mut slabs.interned, &mesh, 4, &rows, &[]);
-        let b = TileSlabs::intern_bypass(&mut slabs.interned, &mesh, 4, &rows, &[]);
-        assert!(Arc::ptr_eq(&a, &b), "identical plans share one config");
-        assert_eq!(a.row_bypass.len(), 1);
-        let m2 = slabs.mesh_cfg(4);
-        assert!(Arc::ptr_eq(&mesh, &m2), "mesh cached per radix");
     }
 }

@@ -29,7 +29,7 @@ use aurora_mapping::plan::{plan_bypass_into, SegmentPlan};
 use aurora_mapping::{degree_aware, hashing, MapView, MappingPolicy};
 use aurora_mem::MemoryController;
 use aurora_model::{LayerShape, ModelId, Phase, PhaseOpCounts, Workload};
-use aurora_noc::{NocConfig, RouteTable};
+use aurora_noc::{BypassSegment, NocConfig, RouteTable, TopologyMode};
 use aurora_partition::{partition, PartitionStrategy, TileIndex};
 use aurora_telemetry::span::{self, Stage};
 use aurora_telemetry::{names, tracks, Scope, Telemetry};
@@ -44,24 +44,27 @@ use std::time::Instant;
 /// layer's `f_in`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct ProfileKey {
+    /// The tile's [`TrafficCache`] slot: its NoC config and route table.
     table_id: usize,
     start: u32,
     end: u32,
     c_pe: usize,
 }
 
-/// Cross-layer cache of [`RouteTable`]s (keyed by NoC configuration) and
-/// per-tile unit-flit [`TrafficProfile`]s, held for the duration of one
-/// run. Later layers over the same tiling rescale a cached profile by
-/// their own `flits_per_msg` instead of re-binning edges.
+/// The run's one owner of every tile's NoC configuration: an interner
+/// from a tile's planned bypass segments to a slot holding the tile's
+/// [`NocConfig`], its signature and its lazily built [`RouteTable`],
+/// plus the per-tile unit-flit [`TrafficProfile`]s binned under them.
+/// Later layers over the same tiling rescale a cached profile by their
+/// own `flits_per_msg` instead of re-binning edges.
 ///
 /// All lookups and insertions happen on the sequential path of the
-/// engine, so hit/miss resolution — and therefore every telemetry
-/// counter — is identical at every `AURORA_THREADS` value.
+/// engine, so slot ids, hit/miss resolution — and therefore every
+/// telemetry counter — are identical at every `AURORA_THREADS` value.
 #[derive(Default)]
 struct TrafficCache {
+    k: usize,
     tables: Vec<TableSlot>,
-    table_ids: HashMap<NocConfig, usize>,
     profiles: HashMap<ProfileKey, TrafficProfile>,
     /// Insertion order of `profiles`, for FIFO eviction.
     profile_order: VecDeque<ProfileKey>,
@@ -70,18 +73,20 @@ struct TrafficCache {
     misses: u64,
 }
 
-/// One interned NoC configuration and its lazily-built route table.
-/// Interning is the countable "build" for reports and telemetry; the
-/// dimension-factored leg table itself (2k³ leg summaries plus a k²
-/// bypass-peer index) is only materialised for tiles that actually bin
-/// edges — a session apply with one dirty tile routes one table, not one
-/// per tile.
+/// One interned NoC configuration. Interning is the countable "build"
+/// for reports and telemetry; the dimension-factored leg table itself
+/// (2k³ leg summaries plus a k² bypass-peer index) is only materialised
+/// for tiles that actually bin edges — a session apply with one dirty
+/// tile routes one table, not one per tile.
 struct TableSlot {
+    /// Built and validated once, at interning.
     cfg: NocConfig,
+    /// `cfg.signature()`: the stamp on session-stored profiles.
+    sig: u64,
     table: Option<RouteTable>,
 }
 
-/// Table cap: per-tile bypass plans give each tile its own config, so a
+/// Slot cap: per-tile bypass plans give each tile its own config, so a
 /// deep multi-layer run can see many distinct tables; past the cap the
 /// cache flushes wholesale (ids index `tables`, so selective eviction
 /// would dangle the profile keys).
@@ -91,33 +96,101 @@ const MAX_ROUTE_TABLES: usize = 64;
 const MAX_TILE_PROFILES: usize = 1024;
 
 impl TrafficCache {
-    /// Interns `cfg`, allocating a table id on first sight. The build
-    /// counter fires here, but the table itself stays unbuilt until
-    /// [`Self::ensure_built`].
-    fn intern(&mut self, cfg: &NocConfig, tel: &Telemetry, scope: &Scope) -> usize {
-        if let Some(&id) = self.table_ids.get(cfg) {
-            return id;
+    /// Interns every tile's bypass plan, in tile order, into `keys` —
+    /// the one place a tile's NoC config is decided. A new slot counts
+    /// one build; its table waits for [`Self::ensure_built`]. A new slot
+    /// past [`MAX_ROUTE_TABLES`] flushes tables and profiles, at most
+    /// once per layer, and the layer interns again from its first tile,
+    /// so every id in `keys` names a live slot (a layer with more plans
+    /// than the cap grows past it).
+    fn intern_layer(
+        &mut self,
+        slabs: &TileSlabs,
+        c_pe: usize,
+        keys: &mut Vec<ProfileKey>,
+        tel: &Telemetry,
+        scope: &Scope,
+    ) {
+        let mut may_flush = true;
+        keys.clear();
+        while keys.len() < slabs.outs.len() {
+            let ti = keys.len();
+            let (rows, cols) = slabs.plan(ti, self.k);
+            let table_id = match self.find(rows, cols) {
+                Some(id) => id,
+                None => {
+                    let cfg = self.config_of(rows, cols);
+                    // a rejected plan takes the mesh, whose slot may exist
+                    let mesh = cfg.mode == TopologyMode::Mesh;
+                    match self.find(&[], &[]).filter(|_| mesh) {
+                        Some(id) => id,
+                        None if self.tables.len() >= MAX_ROUTE_TABLES && may_flush => {
+                            self.tables.clear();
+                            self.profiles.clear();
+                            self.profile_order.clear();
+                            may_flush = false;
+                            keys.clear();
+                            continue;
+                        }
+                        None => {
+                            self.builds += 1;
+                            tel.counter_add(names::NOC_ROUTE_TABLE_BUILDS, scope, 1);
+                            self.tables.push(TableSlot {
+                                sig: cfg.signature(),
+                                cfg,
+                                table: None,
+                            });
+                            self.tables.len() - 1
+                        }
+                    }
+                }
+            };
+            let out = &slabs.outs[ti];
+            keys.push(ProfileKey {
+                table_id,
+                start: out.start,
+                end: out.end,
+                c_pe,
+            });
         }
-        if self.tables.len() >= MAX_ROUTE_TABLES {
-            self.tables.clear();
-            self.table_ids.clear();
-            self.profiles.clear();
-            self.profile_order.clear();
-        }
-        self.builds += 1;
-        tel.counter_add(names::NOC_ROUTE_TABLE_BUILDS, scope, 1);
-        let id = self.tables.len();
-        self.tables.push(TableSlot {
-            cfg: cfg.clone(),
-            table: None,
-        });
-        self.table_ids.insert(cfg.clone(), id);
-        id
     }
 
-    /// Materialises the route table for an interned id. A configuration
-    /// the NoC layer rejects surfaces as [`SimError::Noc`] instead of
-    /// aborting the run.
+    /// The slot whose config carries exactly these bypass segments (the
+    /// mesh slot for an empty plan).
+    fn find(&self, rows: &[SegmentPlan], cols: &[SegmentPlan]) -> Option<usize> {
+        let same = |segs: &[BypassSegment], plan: &[SegmentPlan]| {
+            let segs = segs.iter().map(|b| (b.index, b.from, b.to));
+            segs.eq(plan.iter().map(|s| (s.index, s.from, s.to)))
+        };
+        self.tables
+            .iter()
+            .position(|t| same(&t.cfg.row_bypass, rows) && same(&t.cfg.col_bypass, cols))
+    }
+
+    /// The config a plan runs on: its bypass segments over the mesh, or
+    /// the plain mesh for an empty plan (every tile's on a non-flexible
+    /// fabric, which plans nothing) or one [`NocConfig::validate`]
+    /// rejects (a planner bug). No slot is ever a bypass config without
+    /// segments.
+    fn config_of(&self, rows: &[SegmentPlan], cols: &[SegmentPlan]) -> NocConfig {
+        let segs = |plan: &[SegmentPlan]| {
+            let seg = |s: &SegmentPlan| BypassSegment {
+                index: s.index,
+                from: s.from,
+                to: s.to,
+            };
+            plan.iter().map(seg).collect()
+        };
+        let cfg = NocConfig::with_bypass(self.k, segs(rows), segs(cols));
+        if (rows.is_empty() && cols.is_empty()) || cfg.validate().is_err() {
+            NocConfig::mesh(self.k)
+        } else {
+            cfg
+        }
+    }
+
+    /// Materialises the route table for an interned id. A build error
+    /// surfaces as [`SimError::Noc`] instead of aborting the run.
     fn ensure_built(&mut self, id: usize) -> Result<(), SimError> {
         let slot = &mut self.tables[id];
         if slot.table.is_none() {
@@ -165,8 +238,8 @@ pub(crate) enum DirtyScope {
 /// One layer's warm artifacts between session applies: the SoA slabs the
 /// tile precompute wrote (mapping, bypass plans, `TileOut` rows) plus
 /// each tile's unit-flit traffic profile stamped with the signature of
-/// the route table it was binned under ([`RouteTable::signature`], the
-/// noc invalidation hook).
+/// the NoC configuration it was binned under ([`NocConfig::signature`],
+/// the noc invalidation hook).
 #[derive(Debug, Default)]
 pub(crate) struct SessionLayerState {
     pub(crate) slabs: TileSlabs,
@@ -244,9 +317,7 @@ impl LayerSession<'_> {
             }
             _ => None,
         };
-        if self.dirty.is_some() {
-            slabs.begin_layer_incremental();
-        } else {
+        if self.dirty.is_none() {
             slabs.begin_layer(ctx.g.num_vertices(), num_tiles, k, high_cap);
             state.tiling = Some(ctx.tiling.clone());
             state.split = Some((ctx.strategy.a, ctx.strategy.b));
@@ -486,7 +557,10 @@ impl AuroraSimulator {
             mem,
             activity: ActivityCounts::default(),
             instructions: Vec::new(),
-            cache: TrafficCache::default(),
+            cache: TrafficCache {
+                k: cfg.k,
+                ..TrafficCache::default()
+            },
             arena: take_engine_scratch(),
             tiles: Vec::new(),
         };
@@ -765,8 +839,7 @@ impl AuroraSimulator {
     /// own pre-split slab slices, so the walk sees exactly the sequential
     /// schedule and cycle results are bit-identical at every thread
     /// count. A session apply swaps in the layer's warm slabs and fans
-    /// out only its dirty tiles. Each tile's plan then resolves into an
-    /// interned NoC config, sequentially in tile order.
+    /// out only its dirty tiles.
     fn tile_precompute(
         &self,
         ctx: &LayerCtx,
@@ -905,8 +978,8 @@ impl AuroraSimulator {
                 let (rho_a, rho_b) = (rho(&w.load_a), rho(&w.load_b));
 
                 // Bypass planning emits straight into the tile's slab
-                // slices; config construction is deferred to the
-                // sequential intern step below.
+                // slices; the route-table stage turns the plan into the
+                // tile's NoC config.
                 let (n_rows, n_cols) = if cfg.flexible_noc {
                     let view = MapView {
                         policy: cfg.mapping_policy,
@@ -985,15 +1058,11 @@ impl AuroraSimulator {
                 };
             });
         });
-
-        let mesh = slabs.mesh_cfg(k);
-        for ti in 0..num_tiles {
-            slabs.resolve_noc_cfg(ti, k, cfg.flexible_noc, &mesh);
-        }
     }
 
-    /// Stage 3, route tables: interns each tile's NoC configuration and
-    /// looks its unit-flit traffic profile up in the cross-layer cache.
+    /// Stage 3, route tables: interns each tile's bypass plan into its
+    /// NoC configuration's slot and looks its unit-flit traffic profile
+    /// up in the cross-layer cache.
     /// Hits are estimated here, before this layer's misses insert (and
     /// possibly evict) anything. Every miss that will bin — all but the
     /// clean session tiles that replay a stored profile — gets its route
@@ -1010,24 +1079,17 @@ impl AuroraSimulator {
         let TileArena { slabs, seq, .. } = &mut *run.arena;
         let cache = &mut run.cache;
         seq.begin_layer();
-        for ti in 0..ctx.tiling.num_tiles() {
-            let (out, noc_cfg) = (&slabs.outs[ti], &*slabs.noc_cfgs[ti]);
-            let table_id = cache.intern(noc_cfg, &self.telemetry, &ctx.scope);
-            let key = ProfileKey {
-                table_id,
-                start: out.start,
-                end: out.end,
-                c_pe: ctx.c_pe,
-            };
-            seq.keys.push(key);
-            let est_a = match cache.profiles.get(&key) {
+        cache.intern_layer(slabs, ctx.c_pe, &mut seq.keys, &self.telemetry, &ctx.scope);
+        for (ti, key) in seq.keys.iter().enumerate() {
+            let slot = &cache.tables[key.table_id];
+            let est_a = match cache.profiles.get(key) {
                 Some(p) => {
                     // the cache's profile is exactly what a fresh bin
                     // would produce — refresh the session store with it
                     if let Some(s) = session.as_deref_mut() {
-                        s.state.profiles[ti] = Some((noc_cfg.signature(), p.clone()));
+                        s.state.profiles[ti] = Some((slot.sig, p.clone()));
                     }
-                    p.estimate(noc_cfg, ctx.msg_words, cfg.link_utilisation)
+                    p.estimate(&slot.cfg, ctx.msg_words, cfg.link_utilisation)
                 }
                 None => {
                     seq.miss_tiles.push(ti);
@@ -1037,11 +1099,12 @@ impl AuroraSimulator {
             seq.est_a.push(est_a);
         }
         for &ti in &seq.miss_tiles {
+            let id = seq.keys[ti].table_id;
             let replays = session
                 .as_deref()
-                .is_some_and(|s| s.replays(ti, slabs.noc_cfgs[ti].signature()));
+                .is_some_and(|s| s.replays(ti, cache.tables[id].sig));
             if !replays {
-                cache.ensure_built(seq.keys[ti].table_id)?;
+                cache.ensure_built(id)?;
             }
             seq.replay.push(replays);
         }
@@ -1095,10 +1158,10 @@ impl AuroraSimulator {
         tel.counter_add(names::NOC_TILE_PROFILE_MISSES, &ctx.scope, misses);
         for (&ti, profile) in seq.miss_tiles.iter().zip(binned) {
             let profile = profile?;
-            let noc_cfg = &slabs.noc_cfgs[ti];
-            seq.est_a[ti] = profile.estimate(noc_cfg, ctx.msg_words, cfg.link_utilisation);
+            let slot = &cache.tables[seq.keys[ti].table_id];
+            seq.est_a[ti] = profile.estimate(&slot.cfg, ctx.msg_words, cfg.link_utilisation);
             if let Some(s) = session.as_deref_mut() {
-                s.state.profiles[ti] = Some((noc_cfg.signature(), profile.clone()));
+                s.state.profiles[ti] = Some((slot.sig, profile.clone()));
             }
             cache.insert_profile(seq.keys[ti], profile);
         }
@@ -1124,9 +1187,9 @@ impl AuroraSimulator {
             mem,
             activity,
             instructions,
+            cache,
             arena,
             tiles,
-            ..
         } = run;
         let TileArena { slabs, seq } = &mut **arena;
         let num_tiles = ctx.tiling.num_tiles();
@@ -1169,7 +1232,7 @@ impl AuroraSimulator {
         }
 
         for ti in 0..num_tiles {
-            let (pre, noc_cfg) = (&slabs.outs[ti], &slabs.noc_cfgs[ti]);
+            let (pre, noc_cfg) = (&slabs.outs[ti], &cache.tables[seq.keys[ti].table_id].cfg);
             let map = slabs.map_view(ti, cfg.mapping_policy, k);
             if tel.is_enabled() {
                 // scope strings only matter to an attached recorder, and
@@ -1806,6 +1869,160 @@ mod tests {
                 .unwrap_err(),
             SimError::EmptyBatch
         );
+    }
+
+    fn seg(index: usize, from: usize, to: usize) -> SegmentPlan {
+        SegmentPlan { index, from, to }
+    }
+
+    /// Plan `j` of a family of distinct valid one-segment plans at k=8.
+    fn distinct_plan(j: usize) -> (Vec<SegmentPlan>, Vec<SegmentPlan>) {
+        let s = seg(j % 8, 0, 1 + (j / 8) % 7);
+        if j < 56 {
+            (vec![s], vec![])
+        } else {
+            (vec![], vec![s])
+        }
+    }
+
+    /// Slabs with one single-vertex tile per `(rows, cols)` plan.
+    fn plan_slabs(k: usize, plans: &[(Vec<SegmentPlan>, Vec<SegmentPlan>)]) -> TileSlabs {
+        let mut slabs = TileSlabs::default();
+        slabs.begin_layer(plans.len(), plans.len(), k, 0);
+        for (ti, (rows, cols)) in plans.iter().enumerate() {
+            slabs.row_segs[ti * k..][..rows.len()].copy_from_slice(rows);
+            slabs.col_segs[ti * k..][..cols.len()].copy_from_slice(cols);
+            slabs.outs[ti] = TileOut {
+                start: ti as u32,
+                end: ti as u32 + 1,
+                n_rows: rows.len(),
+                n_cols: cols.len(),
+                ..TileOut::default()
+            };
+        }
+        slabs
+    }
+
+    fn new_cache(k: usize) -> TrafficCache {
+        TrafficCache {
+            k,
+            ..TrafficCache::default()
+        }
+    }
+
+    /// Interns one layer of `slabs`; each tile's slot id.
+    fn intern(cache: &mut TrafficCache, slabs: &TileSlabs) -> Vec<usize> {
+        let mut keys = Vec::new();
+        cache.intern_layer(slabs, 1, &mut keys, &Telemetry::disabled(), &Scope::ROOT);
+        keys.iter().map(|key| key.table_id).collect()
+    }
+
+    /// Whether slot `id` holds exactly `plan` (the mesh for an empty one).
+    fn holds(cache: &TrafficCache, id: usize, plan: &(Vec<SegmentPlan>, Vec<SegmentPlan>)) -> bool {
+        cache.find(&plan.0, &plan.1) == Some(id)
+    }
+
+    #[test]
+    fn interner_gives_each_plan_one_slot() {
+        let k = 4;
+        let a = (vec![seg(1, 0, 3)], vec![]);
+        let b = (vec![], vec![seg(2, 0, 2)]);
+        let empty = (vec![], vec![]);
+        let mut cache = new_cache(k);
+        let layer = plan_slabs(k, &[a.clone(), empty.clone(), a.clone(), b.clone()]);
+        // the same plan gives the same id with one build; an empty plan
+        // maps to the mesh
+        assert_eq!(intern(&mut cache, &layer), [0, 1, 0, 2]);
+        assert_eq!(cache.builds, 3);
+        assert_eq!(cache.tables[0].cfg.row_bypass.len(), 1);
+        assert_eq!(cache.tables[1].cfg, NocConfig::mesh(k));
+        assert_eq!(cache.tables[2].sig, cache.tables[2].cfg.signature());
+        assert_eq!(intern(&mut cache, &layer), [0, 1, 0, 2], "a second layer");
+        assert_eq!(cache.builds, 3);
+        // a plan the NoC layer rejects maps to the mesh slot
+        let backwards = (vec![seg(1, 3, 1)], vec![]);
+        assert_eq!(intern(&mut cache, &plan_slabs(k, &[backwards])), [1]);
+        assert_eq!(cache.builds, 3);
+        // a non-flexible fabric plans nothing, so every tile of every
+        // layer maps to the one mesh slot
+        let g = toy_graph();
+        let shapes = [LayerShape::new(32, 16), LayerShape::new(16, 8)];
+        let builds = |flexible_noc| {
+            let mut cfg = AcceleratorConfig::small(4);
+            (cfg.flexible_noc, cfg.pe.buffer_bytes) = (flexible_noc, 1024);
+            let r = run_one(
+                &AuroraSimulator::new(cfg),
+                &g,
+                ModelId::Gcn,
+                &shapes,
+                "mesh",
+            );
+            assert!(r.layers.iter().all(|l| l.tiles > 1));
+            r.profile.route_table_builds
+        };
+        assert_eq!(builds(false), 1);
+        assert!(builds(true) > 1);
+    }
+
+    #[test]
+    fn interner_flush_recounts_builds_and_keeps_ids_live() {
+        let k = 8;
+        let plans: Vec<_> = (0..MAX_ROUTE_TABLES + 6).map(distinct_plan).collect();
+        let mut cache = new_cache(k);
+        let full = plan_slabs(k, &plans[..MAX_ROUTE_TABLES]);
+        assert_eq!(intern(&mut cache, &full).len(), MAX_ROUTE_TABLES);
+        assert_eq!(cache.builds, MAX_ROUTE_TABLES as u64);
+        cache.ensure_built(0).unwrap();
+        let view = full.map_view(0, MappingPolicy::Hashing, k);
+        let profile = TrafficProfile::bin(cache.table(0), &view, std::iter::empty()).unwrap();
+        let key = ProfileKey {
+            table_id: 0,
+            start: 0,
+            end: 1,
+            c_pe: 1,
+        };
+        cache.insert_profile(key, profile);
+        // a known plan, then one past the cap: the flush drops tables and
+        // profiles, and the layer interns again from its first tile, so
+        // the known plan's build counts again
+        let layer = [plans[0].clone(), plans[MAX_ROUTE_TABLES].clone()];
+        let ids = intern(&mut cache, &plan_slabs(k, &layer));
+        assert_eq!(ids, [0, 1]);
+        assert_eq!(cache.builds, MAX_ROUTE_TABLES as u64 + 2);
+        assert!(cache.profiles.is_empty() && cache.profile_order.is_empty());
+        // a layer with more distinct plans than the cap flushes once and
+        // then grows past the cap; every tile keeps its own slot
+        let ids = intern(&mut cache, &plan_slabs(k, &plans));
+        assert_eq!(cache.tables.len(), plans.len());
+        for (id, plan) in ids.iter().zip(&plans) {
+            assert!(holds(&cache, *id, plan), "slot {id} lost its plan");
+        }
+    }
+
+    #[test]
+    fn mid_layer_flush_leaves_layer_estimates_unchanged() {
+        // 1 KiB buffers give 117 tiles over 64 distinct plans in layers 0
+        // and 1; layer 2's new f_in brings new plans, and the first new
+        // one (after a tile that reuses a slot) overflows the cache
+        let sim = AuroraSimulator::new(AcceleratorConfig {
+            pe: aurora_pe::PeConfig {
+                buffer_bytes: 1024,
+                ..Default::default()
+            },
+            ..AcceleratorConfig::small(8)
+        });
+        let g = generate::rmat(14_864, 148_640, Default::default(), 9);
+        let shapes = [
+            LayerShape::new(32, 32),
+            LayerShape::new(32, 16),
+            LayerShape::new(16, 8),
+        ];
+        let all = run_one(&sim, &g, ModelId::Gcn, &shapes, "flush");
+        assert!(all.profile.route_table_builds > MAX_ROUTE_TABLES as u64);
+        // layer 2 alone: the same tiles, estimated without any flush
+        let alone = run_one(&sim, &g, ModelId::Gcn, &shapes[2..], "flush");
+        assert_eq!(all.layers[2].noc, alone.layers[0].noc);
+        assert_eq!(all.layers[2].phase_cycles, alone.layers[0].phase_cycles);
     }
 
     #[test]

@@ -388,15 +388,6 @@ impl RouteTable {
         &self.cfg
     }
 
-    /// The content fingerprint of the configuration this table was built
-    /// from ([`NocConfig::signature`]). The table is a pure function of
-    /// its config, so two tables with equal signatures route identically
-    /// — cached per-tile traffic profiles carry this stamp and are
-    /// invalidated when it stops matching.
-    pub fn signature(&self) -> u64 {
-        self.cfg.signature()
-    }
-
     /// Legs per axis (k³); leg indices run over `0..num_legs()`.
     pub fn num_legs(&self) -> usize {
         self.row.len()
