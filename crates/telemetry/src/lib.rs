@@ -22,12 +22,11 @@
 //! `SimReport.host_profile`.
 //!
 //! Probes go through the cheap-to-clone [`Telemetry`] handle. A
-//! disabled handle (the default) carries no sink: every probe is a
-//! single `Option` check that branches over an empty body, so
-//! instrumented code runs at full speed when observability is off.
-//! All probe events funnel through the [`Sink`] trait; [`NullSink`] is
-//! the no-op implementation and [`Recorder`] the standard
-//! registry-plus-trace implementation used by the simulator binaries.
+//! disabled handle (the default) carries no [`Recorder`]: every probe is
+//! a single `Option` check that branches over an empty body, so
+//! instrumented code runs at full speed when observability is off. An
+//! enabled handle's probes write straight into its recorder's registry
+//! and trace buffer.
 
 pub mod alloc;
 pub mod expo;
@@ -48,72 +47,10 @@ pub use trace::{tracks, ArgValue, TraceBuffer};
 #[global_allocator]
 static GLOBAL_ALLOC: alloc::CountingAllocator = alloc::CountingAllocator;
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// One probe event, borrowed from the call site. Everything the
-/// simulator reports flows through [`Sink::record`] as one of these.
-#[derive(Debug)]
-pub enum Event<'a> {
-    /// Add `delta` to the counter `name` at `scope`.
-    CounterAdd {
-        name: &'a str,
-        scope: &'a Scope,
-        delta: u64,
-    },
-    /// Set the gauge `name` at `scope` to `value`.
-    GaugeSet {
-        name: &'a str,
-        scope: &'a Scope,
-        value: f64,
-    },
-    /// Record `value` into the histogram `name` at `scope`.
-    Observe {
-        name: &'a str,
-        scope: &'a Scope,
-        value: u64,
-    },
-    /// A complete span on a timeline track, in simulated cycles.
-    Span {
-        track: &'a str,
-        name: &'a str,
-        ts: u64,
-        dur: u64,
-        args: Vec<(String, ArgValue)>,
-    },
-    /// An instant marker on a timeline track.
-    Instant {
-        track: &'a str,
-        name: &'a str,
-        ts: u64,
-    },
-    /// A counter-series sample on a timeline track.
-    CounterSample {
-        track: &'a str,
-        name: &'a str,
-        ts: u64,
-        value: f64,
-    },
-}
-
-/// Destination for probe events. Sinks are shared across simulation
-/// threads, so recording takes `&self` and implementations must be
-/// `Send + Sync` (interior mutability where state is kept).
-pub trait Sink: Send + Sync {
-    fn record(&self, event: Event<'_>);
-}
-
-/// The default sink: drops everything. `record` is an empty inlined
-/// body, so probes against it compile to nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    #[inline(always)]
-    fn record(&self, _event: Event<'_>) {}
-}
-
-/// The standard sink: a [`ConcurrentRegistry`] plus a locked
-/// [`TraceBuffer`]. Safe to share across threads; metric merges are
+/// The recorder behind an enabled handle: a [`ConcurrentRegistry`] plus
+/// a locked [`TraceBuffer`]. Safe to share across threads; metric merges are
 /// commutative and snapshots/trace renders use one deterministic order
 /// (see the field types' docs), so a parallel run reports exactly what
 /// the sequential run would.
@@ -144,53 +81,16 @@ impl Recorder {
 
     /// Chrome trace-event JSON of the recorded timeline.
     pub fn trace_json(&self) -> String {
-        self.trace
-            .lock()
-            .expect("trace buffer poisoned")
-            .to_chrome_json()
+        self.trace().to_chrome_json()
     }
 
     /// Number of timeline events recorded so far.
     pub fn trace_len(&self) -> usize {
-        self.trace.lock().expect("trace buffer poisoned").len()
+        self.trace().len()
     }
-}
 
-impl Sink for Recorder {
-    fn record(&self, event: Event<'_>) {
-        match event {
-            Event::CounterAdd { name, scope, delta } => {
-                self.registry.counter_add(name, scope, delta)
-            }
-            Event::GaugeSet { name, scope, value } => self.registry.gauge_set(name, scope, value),
-            Event::Observe { name, scope, value } => self.registry.observe(name, scope, value),
-            Event::Span {
-                track,
-                name,
-                ts,
-                dur,
-                args,
-            } => self
-                .trace
-                .lock()
-                .expect("trace buffer poisoned")
-                .span(track, name, ts, dur, args),
-            Event::Instant { track, name, ts } => self
-                .trace
-                .lock()
-                .expect("trace buffer poisoned")
-                .instant(track, name, ts),
-            Event::CounterSample {
-                track,
-                name,
-                ts,
-                value,
-            } => self
-                .trace
-                .lock()
-                .expect("trace buffer poisoned")
-                .counter(track, name, ts, value),
-        }
+    fn trace(&self) -> MutexGuard<'_, TraceBuffer> {
+        self.trace.lock().expect("trace buffer poisoned")
     }
 }
 
@@ -223,70 +123,51 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// Routes an event to the shared recorder, if any.
-    #[inline]
-    pub fn record(&self, event: Event<'_>) {
-        if let Some(inner) = &self.inner {
-            inner.record(event);
-        }
-    }
-
     /// Adds `delta` to counter `name` at `scope`.
     #[inline]
     pub fn counter_add(&self, name: &str, scope: &Scope, delta: u64) {
-        if self.inner.is_some() {
-            self.record(Event::CounterAdd { name, scope, delta });
+        if let Some(r) = &self.inner {
+            r.registry.counter_add(name, scope, delta);
         }
     }
 
     /// Sets gauge `name` at `scope`.
     #[inline]
     pub fn gauge_set(&self, name: &str, scope: &Scope, value: f64) {
-        if self.inner.is_some() {
-            self.record(Event::GaugeSet { name, scope, value });
+        if let Some(r) = &self.inner {
+            r.registry.gauge_set(name, scope, value);
         }
     }
 
     /// Records a histogram sample for `name` at `scope`.
     #[inline]
     pub fn observe(&self, name: &str, scope: &Scope, value: u64) {
-        if self.inner.is_some() {
-            self.record(Event::Observe { name, scope, value });
+        if let Some(r) = &self.inner {
+            r.registry.observe(name, scope, value);
         }
     }
 
     /// Records a complete span on a timeline track (cycles).
     #[inline]
     pub fn span(&self, track: &str, name: &str, ts: u64, dur: u64, args: Vec<(String, ArgValue)>) {
-        if self.inner.is_some() {
-            self.record(Event::Span {
-                track,
-                name,
-                ts,
-                dur,
-                args,
-            });
+        if let Some(r) = &self.inner {
+            r.trace().span(track, name, ts, dur, args);
         }
     }
 
     /// Records an instant marker on a timeline track (cycles).
     #[inline]
     pub fn instant(&self, track: &str, name: &str, ts: u64) {
-        if self.inner.is_some() {
-            self.record(Event::Instant { track, name, ts });
+        if let Some(r) = &self.inner {
+            r.trace().instant(track, name, ts);
         }
     }
 
     /// Records a counter-series sample on a timeline track (cycles).
     #[inline]
     pub fn counter_sample(&self, track: &str, name: &str, ts: u64, value: f64) {
-        if self.inner.is_some() {
-            self.record(Event::CounterSample {
-                track,
-                name,
-                ts,
-                value,
-            });
+        if let Some(r) = &self.inner {
+            r.trace().counter(track, name, ts, value);
         }
     }
 
@@ -364,23 +245,10 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_drops_events() {
-        let sink = NullSink;
-        sink.record(Event::CounterAdd {
-            name: "x",
-            scope: &Scope::ROOT,
-            delta: 1,
-        });
-        // Nothing to assert — the point is it compiles to nothing and
-        // satisfies the Sink contract.
-    }
-
-    #[test]
     fn telemetry_handle_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Telemetry>();
         assert_send_sync::<Recorder>();
-        assert_send_sync::<NullSink>();
     }
 
     #[test]
