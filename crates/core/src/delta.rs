@@ -33,7 +33,7 @@
 use crate::engine::{AuroraSimulator, DirtyScope, SessionState};
 use crate::graph_cache::{resolve_with, GraphCache};
 use crate::report::SimReport;
-use crate::request::{SimError, SimRequest};
+use crate::request::{fnv1a64, SimError, SimRequest};
 use aurora_graph::{Csr, GraphBuilder};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -332,17 +332,7 @@ fn edge_surgery(
 /// the hex digest or JSON, so the chaining is unambiguous.
 pub fn chain_digest(prev: &str, delta: &GraphDelta) -> String {
     let canonical = serde_json::to_string(delta).expect("delta serializes");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    eat(prev.as_bytes());
-    eat(&[0xff]);
-    eat(canonical.as_bytes());
-    format!("{h:016x}")
+    format!("{:016x}", fnv1a64(&[prev.as_bytes(), canonical.as_bytes()]))
 }
 
 /// The outcome of one [`SimSession::apply`]: where the digest chain now

@@ -63,8 +63,8 @@ pub use instr::Instruction;
 pub use profile::{Bound, BoundMix, LayerProfile, ProfileReport, TileAttribution};
 pub use report::{LayerReport, NocReport, SimReport};
 pub use request::{
-    GraphSpec, SimError, SimOptions, SimRequest, SimRequestBuilder, SimResponse, WireError,
-    WIRE_VERSION,
+    fnv1a64, GraphSpec, SimError, SimOptions, SimRequest, SimRequestBuilder, SimResponse,
+    WireError, WIRE_VERSION,
 };
 pub use workflow::Workflow;
 

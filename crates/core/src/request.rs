@@ -23,6 +23,21 @@ use aurora_noc::NocError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Largest vertex count of a synthesized (`Rmat` or `Ring`) graph. The
+/// largest in-repo spec has 16,384 vertices; at this limit a ring's CSR
+/// is about 200 MB, where `u32::MAX` vertices would need about 32 GB.
+pub const MAX_SYNTH_VERTICES: usize = 1 << 24;
+
+/// Largest R-MAT edge target: above the largest paper dataset (Reddit,
+/// 114.6M directed edges) and far above the largest in-repo spec
+/// (160,000). It also keeps the R-MAT draw count from overflowing.
+pub const MAX_SYNTH_EDGES: usize = 1 << 27;
+
+/// Largest PE-array radix. A route table holds 2k³ legs of 12 bytes,
+/// about 6 MiB at this limit; k=1000 would need about 24 GB. The largest
+/// in-repo radix is 48 (`sweep_radix`).
+pub const MAX_K: usize = 64;
+
 /// Where a request's graph comes from. Every variant is serializable so
 /// requests can travel over the `aurora-serve` wire; the spec variants
 /// synthesize deterministically (same spec ⇒ same [`Csr`]), which keeps
@@ -77,15 +92,15 @@ impl GraphSpec {
                 Err(SimError::EmptyGraph)
             }
             GraphSpec::Rmat { vertices, .. } | GraphSpec::Ring { vertices }
-                if u32::try_from(*vertices).is_err() =>
+                if *vertices > MAX_SYNTH_VERTICES =>
             {
                 Err(SimError::InvalidRequest(format!(
-                    "{vertices} vertices exceed the u32 vertex id range"
+                    "{vertices} vertices exceed the synthetic-graph limit of {MAX_SYNTH_VERTICES}"
                 )))
             }
-            GraphSpec::Rmat { edges, .. } if generate::rmat_draw_count(*edges).is_none() => {
+            GraphSpec::Rmat { edges, .. } if *edges > MAX_SYNTH_EDGES => {
                 Err(SimError::InvalidRequest(format!(
-                    "R-MAT edge target {edges} overflows the draw count"
+                    "{edges} R-MAT edges exceed the limit of {MAX_SYNTH_EDGES}"
                 )))
             }
             GraphSpec::Inline(g) => {
@@ -134,6 +149,22 @@ impl Default for SimOptions {
             trace_instructions: false,
         }
     }
+}
+
+/// FNV-1a/64 over `parts` joined by a `0xff` byte, the hash behind
+/// every content digest: [`SimRequest::digest`] (one part),
+/// [`chain_digest`](crate::chain_digest) and the router's rendezvous
+/// scores (two parts). `0xff` never occurs in UTF-8, so the framing is
+/// unambiguous for string parts.
+pub fn fnv1a64(parts: &[&[u8]]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (i, part) in parts.iter().enumerate() {
+        let sep: &[u8] = if i > 0 { &[0xff] } else { &[] };
+        for &b in sep.iter().chain(*part) {
+            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    h
 }
 
 /// Highest request/envelope `version` this build understands. Version 0
@@ -195,8 +226,11 @@ impl SimRequest {
                 density: self.options.input_density,
             });
         }
-        if self.config.k == 0 {
-            return Err(SimError::InvalidRequest("config.k must be >= 1".into()));
+        if !(1..=MAX_K).contains(&self.config.k) {
+            return Err(SimError::InvalidRequest(format!(
+                "config.k must be in 1..={MAX_K}, got {}",
+                self.config.k
+            )));
         }
         Ok(())
     }
@@ -209,12 +243,7 @@ impl SimRequest {
     /// serve cache relies on.
     pub fn digest(&self) -> String {
         let canonical = serde_json::to_string(self).expect("request serializes");
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in canonical.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        format!("{h:016x}")
+        format!("{:016x}", fnv1a64(&[canonical.as_bytes()]))
     }
 
     /// The workload label, falling back to the graph's label.
@@ -602,6 +631,22 @@ mod tests {
                 seed: 1,
             },
             GraphSpec::Ring { vertices: too_wide },
+            GraphSpec::Ring {
+                vertices: u32::MAX as usize,
+            },
+            GraphSpec::Ring {
+                vertices: MAX_SYNTH_VERTICES + 1,
+            },
+            GraphSpec::Rmat {
+                vertices: MAX_SYNTH_VERTICES + 1,
+                edges: 10,
+                seed: 1,
+            },
+            GraphSpec::Rmat {
+                vertices: 128,
+                edges: MAX_SYNTH_EDGES + 1,
+                seed: 1,
+            },
             GraphSpec::Rmat {
                 vertices: 128,
                 edges: usize::MAX,
@@ -624,12 +669,31 @@ mod tests {
             );
             assert_eq!(graph.resolve().unwrap_err(), err);
         }
-        // the largest vertex count ids can name is still accepted
+        // a radix past the limit asks for a route table of 2k³ legs
+        for k in [MAX_K + 1, 1000] {
+            let mut req = toy_request();
+            req.config.k = k;
+            assert!(
+                matches!(req.validate(), Err(SimError::InvalidRequest(_))),
+                "k={k} accepted"
+            );
+        }
+        // the limits themselves are still accepted
         assert!(GraphSpec::Ring {
-            vertices: u32::MAX as usize
+            vertices: MAX_SYNTH_VERTICES
         }
         .validate()
         .is_ok());
+        assert!(GraphSpec::Rmat {
+            vertices: MAX_SYNTH_VERTICES,
+            edges: MAX_SYNTH_EDGES,
+            seed: 1,
+        }
+        .validate()
+        .is_ok());
+        let mut req = toy_request();
+        req.config.k = MAX_K;
+        assert!(req.validate().is_ok());
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::error::ServeError;
 use crate::observe::{EventLog, NullLog};
 use crate::server::{parse_reply, Client, ClientOptions, LineHandler};
 use crate::wire::{self, Line};
-use aurora_core::SimResponse;
+use aurora_core::{fnv1a64, SimResponse};
 use serde::Serialize;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -78,25 +78,6 @@ impl Default for RouterConfig {
             backoff_cap: Duration::from_secs(5),
         }
     }
-}
-
-/// FNV-1a/64 — the same hash family as `SimRequest::digest`, applied to
-/// `shard-name ∥ 0xff ∥ digest` for rendezvous scoring.
-fn fnv1a64(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    for (i, p) in parts.iter().enumerate() {
-        if i > 0 {
-            eat(&[0xff]); // unambiguous separator: 0xff never occurs in hex/utf8 names used here
-        }
-        eat(p);
-    }
-    h
 }
 
 /// Murmur3's 64-bit avalanche finalizer. Raw FNV is too linear for
