@@ -55,6 +55,11 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> shipped lines per crate (informational)"
+# Lines above each source file's first #[cfg(test)], per crate; the
+# count is reported for the change description and never gates.
+./scripts/shipped_lines.sh || echo "note: shipped_lines.sh failed (informational)"
+
 echo "==> perf_regress --check (vs BENCH_seed.json) + ledger record + wall gate"
 # --record exercises the history ledger against a scratch file; the
 # wall gate (exit 3) is informational in this gate — host wall time
