@@ -50,10 +50,10 @@ static GLOBAL_ALLOC: alloc::CountingAllocator = alloc::CountingAllocator;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The recorder behind an enabled handle: a [`ConcurrentRegistry`] plus
-/// a locked [`TraceBuffer`]. Safe to share across threads; metric merges are
-/// commutative and snapshots/trace renders use one deterministic order
-/// (see the field types' docs), so a parallel run reports exactly what
-/// the sequential run would.
+/// a locked [`TraceBuffer`]. Safe to share across threads; metric
+/// merges are commutative and snapshots/trace renders use one
+/// deterministic order (see the field types' docs), so a parallel run
+/// reports exactly what the sequential run would.
 #[derive(Debug)]
 pub struct Recorder {
     registry: ConcurrentRegistry,
