@@ -169,6 +169,15 @@ impl TileSlabs {
         self.high_cap = high_cap;
     }
 
+    /// Heap bytes the slabs hold (their capacities).
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.pe_of.capacity() + self.high.capacity()) * size_of::<u32>()
+            + (self.row_segs.capacity() + self.col_segs.capacity()) * size_of::<SegmentPlan>()
+            + self.outs.capacity() * size_of::<TileOut>()
+            + self.s_pes.capacity() * size_of::<usize>()
+    }
+
     /// Tile `ti`'s planned row and column bypass segments (stride `k`).
     pub fn plan(&self, ti: usize, k: usize) -> (&[SegmentPlan], &[SegmentPlan]) {
         let out = &self.outs[ti];

@@ -1,5 +1,6 @@
 //! Accelerator configuration (§VI-A "Accelerator Modeling").
 
+use crate::request::{SimError, MAX_K};
 use aurora_mapping::MappingPolicy;
 use aurora_pe::PeConfig;
 use serde::{Deserialize, Serialize};
@@ -83,6 +84,37 @@ impl AcceleratorConfig {
         (seconds * self.clock_mhz as f64 * 1e6).ceil() as u64
     }
 
+    /// Rejects a configuration the engine cannot run, as one typed
+    /// [`SimError::InvalidRequest`]: a radix outside `1..=MAX_K`, a zero
+    /// clock, MAC-lane or DRAM-channel count (each a library assert),
+    /// and a `feature_fraction` or `link_utilisation` outside `(0, 1]`
+    /// (each silently yields a meaningless report).
+    pub fn validate(&self) -> Result<(), SimError> {
+        let invalid = |msg: String| Err(SimError::InvalidRequest(msg));
+        if !(1..=MAX_K).contains(&self.k) {
+            return invalid(format!("config.k must be in 1..={MAX_K}, got {}", self.k));
+        }
+        for (name, value) in [
+            ("clock_mhz", self.clock_mhz),
+            ("pe.lanes", self.pe.lanes as u64),
+            ("dram_channels", self.dram_channels as u64),
+        ] {
+            if value == 0 {
+                return invalid(format!("config.{name} must be >= 1, got 0"));
+            }
+        }
+        for (name, value) in [
+            ("feature_fraction", self.feature_fraction),
+            ("link_utilisation", self.link_utilisation),
+        ] {
+            // written so that NaN fails too
+            if !(value > 0.0 && value <= 1.0) {
+                return invalid(format!("config.{name} must be in (0, 1], got {value}"));
+            }
+        }
+        Ok(())
+    }
+
     /// A small configuration for unit tests and detailed-NoC validation.
     pub fn small(k: usize) -> Self {
         Self {
@@ -119,6 +151,41 @@ mod tests {
             crate::noc_model::DEFAULT_LINK_UTILISATION
         );
         assert_eq!(c.link_utilisation, 0.6);
+    }
+
+    #[test]
+    fn validate_rejects_what_the_engine_cannot_run() {
+        assert!(AcceleratorConfig::default().validate().is_ok());
+        assert!(AcceleratorConfig::small(MAX_K).validate().is_ok());
+        type Break = fn(&mut AcceleratorConfig);
+        let bad: [(&str, Break); 12] = [
+            ("k", |c| c.k = 0),
+            ("k", |c| c.k = MAX_K + 1),
+            ("clock_mhz", |c| c.clock_mhz = 0),
+            ("pe.lanes", |c| c.pe.lanes = 0),
+            ("dram_channels", |c| c.dram_channels = 0),
+            ("feature_fraction", |c| c.feature_fraction = 0.0),
+            ("feature_fraction", |c| c.feature_fraction = -1.0),
+            ("feature_fraction", |c| c.feature_fraction = 2.0),
+            ("feature_fraction", |c| c.feature_fraction = f64::NAN),
+            ("link_utilisation", |c| c.link_utilisation = 0.0),
+            ("link_utilisation", |c| c.link_utilisation = -1.0),
+            ("link_utilisation", |c| c.link_utilisation = 1.5),
+        ];
+        for (field, break_it) in bad {
+            let mut c = AcceleratorConfig::default();
+            break_it(&mut c);
+            match c.validate() {
+                Err(SimError::InvalidRequest(msg)) => {
+                    assert!(msg.contains(field), "{field}: {msg}")
+                }
+                other => panic!("{field}: {other:?}"),
+            }
+        }
+        // the upper ends of both fractions are usable
+        let mut c = AcceleratorConfig::default();
+        (c.feature_fraction, c.link_utilisation) = (1.0, 1.0);
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::arena::{
     put_engine_scratch, take_engine_scratch, with_worker, TileArena, TileOut, TileSlabs,
 };
 use crate::config::AcceleratorConfig;
-use crate::graph_cache::{resolve_with, GraphCache};
+use crate::graph_cache::{GraphCache, PlanKey};
 use crate::instr::Instruction;
 use crate::noc_model::{self, OnChipEstimate, TrafficProfile};
 use crate::profile::{BoundMix, LayerProfile, ProfileReport, SideAttribution, TileAttribution};
@@ -89,8 +89,13 @@ struct TableSlot {
 /// Slot cap: per-tile bypass plans give each tile its own config, so a
 /// deep multi-layer run can see many distinct tables; past the cap the
 /// cache flushes wholesale (ids index `tables`, so selective eviction
-/// would dangle the profile keys).
+/// would dangle the profile keys). A layer with more plans than the cap
+/// keeps every slot but materialises at most this many tables at once
+/// ([`TrafficCache::bin_in_chunks`]).
 const MAX_ROUTE_TABLES: usize = 64;
+
+/// One tile's binned unit-flit profile, or the NoC error binning hit.
+type Binned = Result<TrafficProfile, aurora_noc::NocError>;
 
 /// Profile cap (FIFO eviction). Profiles are ~2 k² words each.
 const MAX_TILE_PROFILES: usize = 1024;
@@ -199,6 +204,56 @@ impl TrafficCache {
         Ok(())
     }
 
+    /// True once a layer has interned more slots than
+    /// [`MAX_ROUTE_TABLES`]: its tables are then built chunk by chunk
+    /// during binning instead of all at once.
+    fn chunked(&self) -> bool {
+        self.tables.len() > MAX_ROUTE_TABLES
+    }
+
+    /// Bins a chunked layer's misses (`ids[i]` is miss `i`'s slot;
+    /// replaying misses build nothing) in tile order, in chunks that
+    /// name at most [`MAX_ROUTE_TABLES`] slots: each chunk materialises
+    /// its tables, bins through `bin`, then drops the tables again. The
+    /// slots themselves stay, so ids, build counts and the flush rule
+    /// are those of an unchunked layer, and route-table memory is
+    /// bounded by the cap rather than by the layer's tile count. A
+    /// chunk whose binning errs ends the layer; the caller meets that
+    /// error first, in tile order.
+    fn bin_in_chunks(
+        &mut self,
+        ids: &[usize],
+        replay: &[bool],
+        mut bin: impl FnMut(&TrafficCache, std::ops::Range<usize>) -> Vec<Binned>,
+    ) -> Result<Vec<Binned>, SimError> {
+        let mut binned = Vec::with_capacity(ids.len());
+        let mut named: Vec<usize> = Vec::with_capacity(MAX_ROUTE_TABLES);
+        let mut start = 0;
+        while start < ids.len() && binned.iter().all(Result::is_ok) {
+            named.clear();
+            let mut end = start;
+            while end < ids.len() {
+                let id = ids[end];
+                if !replay[end] && !named.contains(&id) {
+                    if named.len() == MAX_ROUTE_TABLES {
+                        break;
+                    }
+                    named.push(id);
+                }
+                end += 1;
+            }
+            for &id in &named {
+                self.ensure_built(id)?;
+            }
+            binned.extend(bin(self, start..end));
+            for &id in &named {
+                self.tables[id].table = None;
+            }
+            start = end;
+        }
+        Ok(binned)
+    }
+
     fn table(&self, id: usize) -> &RouteTable {
         self.tables[id]
             .table
@@ -263,6 +318,20 @@ pub(crate) struct SessionState {
 }
 
 impl SessionState {
+    /// Heap bytes held: every layer's slabs, stored profiles and tiling.
+    pub(crate) fn bytes(&self) -> usize {
+        let layer = |l: &SessionLayerState| {
+            let profiles: usize = l.profiles.iter().flatten().map(|(_, p)| p.bytes()).sum();
+            l.slabs.bytes()
+                + profiles
+                + l.profiles.capacity() * std::mem::size_of::<Option<(u64, TrafficProfile)>>()
+                + l.tiling.as_ref().map_or(0, |t| {
+                    t.num_tiles() * std::mem::size_of::<std::ops::Range<u32>>()
+                })
+        };
+        self.layers.iter().map(layer).sum()
+    }
+
     /// Marks every layer stale; the next apply recomputes all tiles.
     /// Called when an apply errors mid-run and may have left the slabs
     /// half-written.
@@ -461,9 +530,10 @@ impl AuroraSimulator {
     }
 
     /// [`Self::run`], resolving a spec graph through `graphs` when given:
-    /// a resident graph skips synthesis, and the report is identical
-    /// either way. `aurora-serve` workers pass their process-wide
-    /// [`GraphCache`].
+    /// a resident graph skips synthesis, a resident warm state for the
+    /// request's plan replays every tile instead of mapping and binning
+    /// it, and the report is identical either way. `aurora-serve`
+    /// workers pass their process-wide [`GraphCache`].
     pub fn run_with(
         &self,
         req: &SimRequest,
@@ -478,22 +548,26 @@ impl AuroraSimulator {
         };
         let workload = req.workload_label();
         let density = req.options.input_density;
+        let run = |g: &Csr, session: Option<(&mut SessionState, &DirtyScope)>| {
+            sim.run_core(g, req.model, &req.layers, &workload, density, session)
+        };
         // Host profiling wraps graph resolution too, so GraphLoad time
         // lands inside the profiled window.
         span::host_init();
         let start = Instant::now();
         let profile_mark = span::span_profiling_enabled().then(span::mark);
-        let mut report = match &req.graph {
+        let mut report = match (&req.graph, graphs) {
             // borrow inline graphs; only spec variants synthesize
-            GraphSpec::Inline(g) => {
-                sim.run_core(g, req.model, &req.layers, &workload, density, None)?
+            (GraphSpec::Inline(g), _) => run(g, None)?,
+            (spec, Some(cache)) => {
+                cache.run_planned(spec, PlanKey::new(config, req.model, &req.layers), run)?
             }
-            spec => {
+            (spec, None) => {
                 let g = {
                     let _span = span::enter(Stage::GraphLoad);
-                    resolve_with(spec, graphs)?
+                    spec.resolve()?
                 };
-                sim.run_core(&g, req.model, &req.layers, &workload, density, None)?
+                run(&g, None)?
             }
         };
         if let Some(m) = &profile_mark {
@@ -1067,7 +1141,9 @@ impl AuroraSimulator {
     /// possibly evict) anything. Every miss that will bin — all but the
     /// clean session tiles that replay a stored profile — gets its route
     /// table materialised, sequentially in tile order, so a rejected
-    /// configuration errors at the same tile at every thread count.
+    /// configuration errors at the same tile at every thread count. A
+    /// layer past the slot cap leaves its tables to the traffic-kernel
+    /// stage, which builds them chunk by chunk.
     fn route_tables(
         &self,
         ctx: &LayerCtx,
@@ -1098,12 +1174,13 @@ impl AuroraSimulator {
             };
             seq.est_a.push(est_a);
         }
+        let chunked = cache.chunked();
         for &ti in &seq.miss_tiles {
             let id = seq.keys[ti].table_id;
             let replays = session
                 .as_deref()
                 .is_some_and(|s| s.replays(ti, cache.tables[id].sig));
-            if !replays {
+            if !replays && !chunked {
                 cache.ensure_built(id)?;
             }
             seq.replay.push(replays);
@@ -1113,10 +1190,11 @@ impl AuroraSimulator {
 
     /// Stage 4, traffic kernels: bins each missing tile's edges into a
     /// unit-flit profile over the pool (a replaying session tile clones
-    /// its stored profile instead), then — sequentially, in tile order,
-    /// so the first erroring tile decides the returned error at every
-    /// thread count — estimates each miss and inserts its profile into
-    /// the cache and the session store.
+    /// its stored profile instead; a layer past the slot cap builds and
+    /// bins in chunks of at most [`MAX_ROUTE_TABLES`] tables), then —
+    /// sequentially, in tile order, so the first erroring tile decides
+    /// the returned error at every thread count — estimates each miss
+    /// and inserts its profile into the cache and the session store.
     fn traffic_kernels(
         &self,
         ctx: &LayerCtx,
@@ -1127,27 +1205,39 @@ impl AuroraSimulator {
         let cfg = &self.config;
         let TileArena { slabs, seq, .. } = &mut *run.arena;
         let cache = &mut run.cache;
-        let binned: Vec<Result<TrafficProfile, aurora_noc::NocError>> = {
-            let (cache, slabs, seq) = (&*cache, &*slabs, &*seq);
+        let binned: Vec<Binned> = {
+            let (slabs, seq) = (&*slabs, &*seq);
             let store = session.as_deref().map(|s| &s.state.profiles);
-            (0..seq.miss_tiles.len())
-                .into_par_iter()
-                .map(|i| {
-                    let _tag = span::stage_scope(Stage::TrafficKernels);
-                    let ti = seq.miss_tiles[i];
-                    if seq.replay[i] {
-                        let (_, p) = store.expect("replay implies a session")[ti]
-                            .as_ref()
-                            .expect("replay implies a stored profile");
-                        return Ok(p.clone());
-                    }
-                    TrafficProfile::bin(
-                        cache.table(seq.keys[ti].table_id),
-                        &slabs.map_view(ti, cfg.mapping_policy, cfg.k),
-                        ctx.tiling.subgraph(ctx.g, ti).edges(),
-                    )
-                })
-                .collect()
+            let bin = |cache: &TrafficCache, misses: std::ops::Range<usize>| -> Vec<Binned> {
+                misses
+                    .into_par_iter()
+                    .map(|i| {
+                        let _tag = span::stage_scope(Stage::TrafficKernels);
+                        let ti = seq.miss_tiles[i];
+                        if seq.replay[i] {
+                            let (_, p) = store.expect("replay implies a session")[ti]
+                                .as_ref()
+                                .expect("replay implies a stored profile");
+                            return Ok(p.clone());
+                        }
+                        TrafficProfile::bin(
+                            cache.table(seq.keys[ti].table_id),
+                            &slabs.map_view(ti, cfg.mapping_policy, cfg.k),
+                            ctx.tiling.subgraph(ctx.g, ti).edges(),
+                        )
+                    })
+                    .collect()
+            };
+            if cache.chunked() {
+                let ids: Vec<usize> = seq
+                    .miss_tiles
+                    .iter()
+                    .map(|&ti| seq.keys[ti].table_id)
+                    .collect();
+                cache.bin_in_chunks(&ids, &seq.replay, bin)?
+            } else {
+                bin(cache, 0..seq.miss_tiles.len())
+            }
         };
         let misses = seq.miss_tiles.len() as u64;
         let hits = ctx.tiling.num_tiles() as u64 - misses;
@@ -1992,11 +2082,50 @@ mod tests {
         assert!(cache.profiles.is_empty() && cache.profile_order.is_empty());
         // a layer with more distinct plans than the cap flushes once and
         // then grows past the cap; every tile keeps its own slot
-        let ids = intern(&mut cache, &plan_slabs(k, &plans));
+        let wide = plan_slabs(k, &plans);
+        let ids = intern(&mut cache, &wide);
         assert_eq!(cache.tables.len(), plans.len());
         for (id, plan) in ids.iter().zip(&plans) {
             assert!(holds(&cache, *id, plan), "slot {id} lost its plan");
         }
+        // such a layer bins in chunks: never more than the cap's tables
+        // materialised at once, every slot kept, none left built
+        assert!(cache.chunked());
+        let builds = cache.builds;
+        let live = |cache: &TrafficCache| cache.tables.iter().filter(|t| t.table.is_some()).count();
+        let mut chunks = Vec::new();
+        let binned = cache
+            .bin_in_chunks(&ids, &vec![false; ids.len()], |cache, misses| {
+                assert!(
+                    live(cache) <= MAX_ROUTE_TABLES,
+                    "{} tables built",
+                    live(cache)
+                );
+                chunks.push(misses.len());
+                misses
+                    .map(|i| {
+                        let view = wide.map_view(i, MappingPolicy::Hashing, k);
+                        TrafficProfile::bin(cache.table(ids[i]), &view, std::iter::empty())
+                    })
+                    .collect()
+            })
+            .unwrap();
+        assert_eq!(chunks, [MAX_ROUTE_TABLES, plans.len() - MAX_ROUTE_TABLES]);
+        assert!(binned.iter().all(Result::is_ok) && binned.len() == plans.len());
+        assert_eq!((live(&cache), cache.builds), (0, builds));
+        assert_eq!(cache.tables.len(), plans.len());
+        // replaying misses name no slot, so they ride along in one chunk
+        let mut replay = vec![true; ids.len()];
+        replay[0] = false;
+        let mut chunks = 0;
+        cache
+            .bin_in_chunks(&ids, &replay, |cache, misses| {
+                assert_eq!(live(cache), 1);
+                chunks += 1;
+                misses.map(|i| binned[i].clone()).collect()
+            })
+            .unwrap();
+        assert_eq!(chunks, 1);
     }
 
     #[test]

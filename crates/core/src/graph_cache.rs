@@ -1,4 +1,5 @@
-//! A one-graph cache of synthesized graphs keyed by [`GraphSpec`].
+//! A one-graph cache of synthesized graphs keyed by [`GraphSpec`], and
+//! the one owner of a worker's warm engine state.
 //!
 //! The paper's evaluation sweeps one dataset many times — input density
 //! (§VI-D), array size, mapping and NoC ablations — so a long-running
@@ -20,15 +21,47 @@
 //!   insert only, so concurrent misses synthesize in parallel (two
 //!   misses of one spec may both synthesize; the graphs are identical).
 //!
+//! **Warm state.** Beside the resident graph the slot holds at most one
+//! plan's warm engine state: the per-layer slabs (mapping, bypass plans,
+//! per-tile outputs), tiling, A/B split and signature-stamped traffic
+//! profiles a session keeps (§III-E: the controller fixes mapping,
+//! partitioning and NoC configuration before a subgraph executes). None
+//! of it depends on the input density, which reaches the engine only
+//! through layer 0's message width. So a request on the resident graph
+//! whose *plan key* matches — everything in the request except the
+//! graph spec (the slot key), `options.input_density` and the workload
+//! label, with `trace_instructions` folded into the config as
+//! [`AuroraSimulator::run_with`](crate::AuroraSimulator::run_with) folds
+//! it — replays every tile as a clean session tile: no mapping, no
+//! route-table build, no binning, only its stored profile re-priced at
+//! the current message width. Keys compare by equality, never by hash,
+//! so no collision can serve a wrong report.
+//!
+//! * **Checkout.** A hit takes the state out under the lock and runs
+//!   without it; the state goes back only after a successful run. A
+//!   same-key request that finds it checked out runs cold. A run that
+//!   errors or panics drops the state and clears the slot, as a
+//!   session's `invalidate` would.
+//! * **Admission.** The graph's doorkeeper rule: a plan is admitted on
+//!   its second consecutive miss on one graph spec, by a run that fills
+//!   a fresh state. Its bytes count with the graph's under
+//!   [`GRAPH_CACHE_MAX_BYTES`]; a new resident graph drops the state.
+//!
 //! `Inline` graphs are never cached: the engine borrows them.
 
+use crate::config::AcceleratorConfig;
+use crate::engine::{DirtyScope, SessionState};
+use crate::report::SimReport;
 use crate::request::{GraphSpec, SimError};
 use aurora_graph::{Csr, Dataset};
+use aurora_model::{LayerShape, ModelId};
+use aurora_telemetry::span::{self, Stage};
 use std::sync::{Arc, Mutex};
 
-/// The largest graph (CSR array bytes) the cache retains: room for every
-/// graph of the standard evaluation protocol (the largest, Reddit at
-/// scale 16, is 9.5 MiB; Pubmed is 0.5 MiB), not for full Reddit.
+/// The largest graph plus warm state (CSR array bytes plus
+/// [`SessionState`] bytes) the cache retains: room for every graph of
+/// the standard evaluation protocol (the largest, Reddit at scale 16, is
+/// 9.5 MiB; Pubmed is 0.5 MiB), not for full Reddit.
 pub const GRAPH_CACHE_MAX_BYTES: usize = 16 << 20;
 
 /// The cacheable spec variants, as a comparable key.
@@ -54,13 +87,78 @@ impl SpecKey {
     }
 }
 
+/// Everything a run's warm state depends on besides the graph: the
+/// config (with `trace_instructions` folded in), the model and the
+/// layer chain.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PlanKey {
+    config: AcceleratorConfig,
+    model: ModelId,
+    layers: Vec<LayerShape>,
+}
+
+impl PlanKey {
+    pub(crate) fn new(config: AcceleratorConfig, model: ModelId, layers: &[LayerShape]) -> Self {
+        Self {
+            config,
+            model,
+            layers: layers.to_vec(),
+        }
+    }
+}
+
+/// The resident graph's warm plan.
+struct WarmSlot {
+    plan: PlanKey,
+    /// `None` while a run has it checked out.
+    state: Option<SessionState>,
+    /// [`SessionState::bytes`] when it was last checked in.
+    bytes: usize,
+}
+
+/// How a run on a resolved graph uses the warm slot.
+enum Warm {
+    /// No warm state: the plain from-scratch run.
+    Cold,
+    /// A checked-out state: every tile replays.
+    Hit(SessionState),
+    /// An admitted plan: the run fills a fresh state.
+    Admit,
+}
+
 #[derive(Default)]
 struct State {
     resident: Option<(SpecKey, Arc<Csr>)>,
     /// The doorkeeper: the key of the last miss.
     last_miss: Option<SpecKey>,
+    warm: Option<WarmSlot>,
+    /// The plan doorkeeper: the graph and plan of the last plan miss.
+    last_plan_miss: Option<(SpecKey, PlanKey)>,
     hits: u64,
     misses: u64,
+    warm_hits: u64,
+    warm_misses: u64,
+}
+
+impl State {
+    /// A run of `plan` on `key`'s graph that finds no warm state:
+    /// admitted when the graph is resident and the previous plan miss
+    /// was the same graph and plan.
+    fn plan_miss(&mut self, key: SpecKey, plan: &PlanKey, resident: bool) -> Warm {
+        self.warm_misses += 1;
+        let repeat = self
+            .last_plan_miss
+            .as_ref()
+            .is_some_and(|(k, p)| *k == key && p == plan);
+        if !repeat {
+            self.last_plan_miss = Some((key, plan.clone()));
+        }
+        if repeat && resident {
+            Warm::Admit
+        } else {
+            Warm::Cold
+        }
+    }
 }
 
 /// The `GraphSpec → Arc<Csr>` cache. One per worker process; share it
@@ -103,12 +201,28 @@ impl GraphCache {
         self.lock().misses
     }
 
-    /// CSR bytes of the resident graph (0 when empty; always ≤ the cap).
+    /// CSR bytes of the resident graph (0 when empty).
     pub fn bytes(&self) -> usize {
         self.lock()
             .resident
             .as_ref()
             .map_or(0, |(_, g)| csr_bytes(g))
+    }
+
+    /// Spec-graph runs that replayed the resident warm state.
+    pub fn warm_hits(&self) -> u64 {
+        self.lock().warm_hits
+    }
+
+    /// Spec-graph runs without warm state (cold, or admitting one).
+    pub fn warm_misses(&self) -> u64 {
+        self.lock().warm_misses
+    }
+
+    /// Bytes of the resident warm state, counted while checked out too
+    /// (0 when none). With [`Self::bytes`] always ≤ the cap.
+    pub fn warm_bytes(&self) -> usize {
+        self.lock().warm.as_ref().map_or(0, |w| w.bytes)
     }
 
     /// Resolves `spec`: validates it exactly as [`GraphSpec::resolve`]
@@ -117,9 +231,21 @@ impl GraphCache {
     /// previous miss had the same spec. `Inline` graphs are cloned,
     /// never cached.
     pub fn resolve(&self, spec: &GraphSpec) -> Result<Arc<Csr>, SimError> {
-        let Some(key) = SpecKey::of(spec) else {
-            return spec.resolve().map(Arc::new);
-        };
+        match SpecKey::of(spec) {
+            Some(key) => self.lookup(spec, key, None).map(|(g, _)| g),
+            None => spec.resolve().map(Arc::new),
+        }
+    }
+
+    /// The one lookup behind [`Self::resolve`] and [`Self::run_planned`]:
+    /// the graph, plus — when `plan` is given — how its run uses the
+    /// warm slot.
+    fn lookup(
+        &self,
+        spec: &GraphSpec,
+        key: SpecKey,
+        plan: Option<&PlanKey>,
+    ) -> Result<(Arc<Csr>, Warm), SimError> {
         spec.validate()?;
         let admit = {
             let mut state = self.lock();
@@ -127,17 +253,128 @@ impl GraphCache {
                 if *resident == key {
                     let graph = Arc::clone(graph);
                     state.hits += 1;
-                    return Ok(graph);
+                    let Some(plan) = plan else {
+                        return Ok((graph, Warm::Cold));
+                    };
+                    let warm = match &mut state.warm {
+                        Some(slot) if slot.plan == *plan => match slot.state.take() {
+                            Some(warm) => {
+                                state.warm_hits += 1;
+                                Warm::Hit(warm)
+                            }
+                            None => {
+                                state.warm_misses += 1;
+                                Warm::Cold
+                            }
+                        },
+                        _ => state.plan_miss(key, plan, true),
+                    };
+                    return Ok((graph, warm));
                 }
             }
             state.misses += 1;
             state.last_miss.replace(key) == Some(key)
         };
         let graph = Arc::new(spec.resolve()?);
-        if admit && csr_bytes(&graph) <= self.max_bytes {
-            self.lock().resident = Some((key, Arc::clone(&graph)));
+        let mut state = self.lock();
+        let resident = admit && csr_bytes(&graph) <= self.max_bytes;
+        if resident {
+            state.resident = Some((key, Arc::clone(&graph)));
+            state.warm = None;
         }
-        Ok(graph)
+        let warm = match plan {
+            Some(plan) => state.plan_miss(key, plan, resident),
+            None => Warm::Cold,
+        };
+        Ok((graph, warm))
+    }
+
+    /// Runs `run` on `spec`'s graph with whatever warm state the cache
+    /// holds for `plan` (see the module doc): a checked-out state with
+    /// an empty dirty scope, a fresh state to fill, or none. A filled or
+    /// replayed state is checked back in only after a successful run.
+    pub(crate) fn run_planned(
+        &self,
+        spec: &GraphSpec,
+        plan: PlanKey,
+        run: impl FnOnce(&Csr, Option<(&mut SessionState, &DirtyScope)>) -> Result<SimReport, SimError>,
+    ) -> Result<SimReport, SimError> {
+        let Some(key) = SpecKey::of(spec) else {
+            return run(&spec.resolve()?, None);
+        };
+        let (graph, warm) = {
+            let _span = span::enter(Stage::GraphLoad);
+            self.lookup(spec, key, Some(&plan))?
+        };
+        let (mut state, scope, admitting) = match warm {
+            Warm::Cold => return run(&graph, None),
+            Warm::Hit(state) => (state, DirtyScope::Vertices(Vec::new()), false),
+            Warm::Admit => (SessionState::default(), DirtyScope::All, true),
+        };
+        let mut out = Checkout {
+            cache: self,
+            graph: &graph,
+            plan,
+            admitting,
+            state: None,
+        };
+        let report = run(&graph, Some((&mut state, &scope)))?;
+        out.state = Some(state);
+        Ok(report)
+    }
+}
+
+/// A warm state out of the cache for one run. Dropping it checks the
+/// state back in when the run succeeded (`state` is set); otherwise —
+/// an error, or a panic unwinding through the run — the state is gone
+/// and a replay's slot is cleared, so the plan is admitted afresh.
+struct Checkout<'a> {
+    cache: &'a GraphCache,
+    graph: &'a Arc<Csr>,
+    plan: PlanKey,
+    /// True when the run filled a fresh state rather than replaying the
+    /// slot's.
+    admitting: bool,
+    state: Option<SessionState>,
+}
+
+impl Drop for Checkout<'_> {
+    fn drop(&mut self) {
+        let Ok(mut cache) = self.cache.state.lock() else {
+            return;
+        };
+        let cache = &mut *cache;
+        // a replaced graph took its warm slot with it
+        if !matches!(&cache.resident, Some((_, g)) if Arc::ptr_eq(g, self.graph)) {
+            return;
+        }
+        let ours = cache
+            .warm
+            .as_ref()
+            .is_some_and(|w| w.plan == self.plan && w.state.is_none());
+        let Some(state) = self.state.take() else {
+            // a failed replay takes its slot with it
+            if ours && !self.admitting {
+                cache.warm = None;
+            }
+            return;
+        };
+        let bytes = state.bytes();
+        let fits = csr_bytes(self.graph) + bytes <= self.cache.max_bytes;
+        if fits && self.admitting {
+            cache.warm = Some(WarmSlot {
+                plan: self.plan.clone(),
+                state: Some(state),
+                bytes,
+            });
+        } else if ours {
+            // the replay's slot: back in, or out when it outgrew the cap
+            match (fits, cache.warm.as_mut()) {
+                (true, Some(slot)) => (slot.state, slot.bytes) = (Some(state), bytes),
+                _ => cache.warm = None,
+            }
+        }
+        // else the slot moved on to another plan while this run was out
     }
 }
 
@@ -147,7 +384,7 @@ fn csr_bytes(g: &Csr) -> usize {
 }
 
 /// Resolves a spec through `graphs` when given, else synthesizes it
-/// fresh — the one resolution step of a run and of a session open.
+/// fresh — the graph resolution step of a session open.
 pub(crate) fn resolve_with(
     spec: &GraphSpec,
     graphs: Option<&GraphCache>,
@@ -217,7 +454,139 @@ mod tests {
             }
             assert_eq!((cache.misses(), cache.hits()), (2, 2), "{spec:?}");
             assert!(cache.bytes() > 0);
+            // the second run admits the plan, the third and fourth replay
+            assert_eq!((cache.warm_misses(), cache.warm_hits()), (2, 2), "{spec:?}");
+            assert!(cache.warm_bytes() > 0);
+            assert!(cache.bytes() + cache.warm_bytes() <= GRAPH_CACHE_MAX_BYTES);
         }
+    }
+
+    /// `request` on `graph` with `f_out` as its last layer's width: one
+    /// plan per `f_out`.
+    fn plan_request(graph: GraphSpec, f_out: usize, density: f64) -> SimRequest {
+        let mut req = request(graph, density);
+        req.layers[1] = LayerShape::new(16, f_out);
+        req
+    }
+
+    #[test]
+    fn distinct_plans_on_a_resident_graph_retain_no_state() {
+        let cache = GraphCache::new();
+        let spec = rmat(3);
+        cache.resolve(&spec).unwrap();
+        cache.resolve(&spec).unwrap();
+        assert!(cache.bytes() > 0, "the graph is resident");
+        for f_out in 2..12 {
+            let req = plan_request(spec.clone(), f_out, 0.3);
+            assert_eq!(report_json(&req, Some(&cache)), report_json(&req, None));
+        }
+        assert_eq!((cache.warm_misses(), cache.warm_hits()), (10, 0));
+        assert_eq!(cache.warm_bytes(), 0);
+        // alternating plans are never admitted either
+        for f_out in [2, 3, 2, 3] {
+            report_json(&plan_request(spec.clone(), f_out, 0.3), Some(&cache));
+        }
+        assert_eq!((cache.warm_hits(), cache.warm_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn distinct_graphs_of_one_plan_never_run_warm() {
+        let cache = GraphCache::new();
+        for seed in 0..6 {
+            let req = request(rmat(seed), 0.3);
+            assert_eq!(report_json(&req, Some(&cache)), report_json(&req, None));
+        }
+        assert_eq!((cache.warm_misses(), cache.warm_hits()), (6, 0));
+        assert_eq!((cache.bytes(), cache.warm_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn a_new_plan_or_graph_replaces_the_warm_state() {
+        let cache = GraphCache::new();
+        let warm = |req: &SimRequest| {
+            let hits = cache.warm_hits();
+            report_json(req, Some(&cache));
+            cache.warm_hits() > hits
+        };
+        let (a, b) = (plan_request(rmat(1), 4, 0.3), plan_request(rmat(1), 6, 0.3));
+        assert_eq!([warm(&a), warm(&a), warm(&a)], [false, false, true]);
+        // b is admitted on its second miss and replaces a
+        assert_eq!(
+            [warm(&b), warm(&b), warm(&b), warm(&a)],
+            [false, false, true, false]
+        );
+        // admitting another graph drops the warm state with the graph
+        let other = request(rmat(2), 0.3);
+        warm(&other);
+        warm(&other);
+        assert!(!warm(&b), "rmat(1)'s warm state went with rmat(1)");
+    }
+
+    #[test]
+    fn a_failed_or_panicking_replay_drops_its_state() {
+        let cache = GraphCache::new();
+        let req = request(rmat(1), 0.3);
+        let plan = || PlanKey::new(req.config, req.model, &req.layers);
+        let admit = |cache: &GraphCache| {
+            for _ in 0..3 {
+                report_json(&req, Some(cache));
+            }
+            assert_eq!(cache.warm_hits(), 1);
+            assert!(cache.warm_bytes() > 0);
+        };
+        admit(&cache);
+        let failed = cache.run_planned(&req.graph, plan(), |_, session| {
+            assert!(session.is_some(), "the replay checks the state out");
+            Err(SimError::Internal("injected".into()))
+        });
+        assert_eq!(failed.unwrap_err(), SimError::Internal("injected".into()));
+        assert_eq!(cache.warm_bytes(), 0, "the failed replay cleared its slot");
+
+        let cache = GraphCache::new();
+        admit(&cache);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.run_planned(&req.graph, plan(), |_, _| panic!("injected"))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(
+            cache.warm_bytes(),
+            0,
+            "the panicking replay cleared its slot"
+        );
+        // the doorkeeper still holds the plan: the next miss admits it
+        // afresh and the run after replays again (the panicking run
+        // counted as the second hit)
+        report_json(&req, Some(&cache));
+        report_json(&req, Some(&cache));
+        assert_eq!(cache.warm_hits(), 3);
+    }
+
+    #[test]
+    fn concurrent_runs_of_one_plan_match_cold_runs() {
+        let cache = GraphCache::new();
+        let spec = rmat(5);
+        for density in [1.0, 0.5] {
+            report_json(&request(spec.clone(), density), Some(&cache));
+        }
+        let densities = [0.45, 0.4, 0.35, 0.3, 0.25, 0.2];
+        let cold: Vec<String> = densities
+            .iter()
+            .map(|&d| report_json(&request(spec.clone(), d), None))
+            .collect();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for (d, cold) in densities.iter().zip(&cold) {
+                        let req = request(spec.clone(), *d);
+                        assert_eq!(&report_json(&req, Some(&cache)), cold, "density {d}");
+                    }
+                });
+            }
+        });
+        // a run that found the state checked out ran cold
+        assert_eq!(cache.warm_hits() + cache.warm_misses(), 2 + 12);
+        assert!(cache.warm_hits() >= 6);
+        assert!(cache.warm_bytes() > 0, "the state went back in");
     }
 
     #[test]

@@ -150,6 +150,11 @@ pub struct TrafficProfile {
 }
 
 impl TrafficProfile {
+    /// Heap bytes of the per-router histograms.
+    pub(crate) fn bytes(&self) -> usize {
+        (self.load.capacity() + self.eject.capacity()) * std::mem::size_of::<u64>()
+    }
+
     /// O(E) counting pass + one application of the route table's 2k³
     /// legs: for each edge `(u, v)` sourced in the tile a message flows
     /// from `PE(u)` towards `PE(v)` (in-tile destination) or down to the

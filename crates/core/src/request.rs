@@ -38,6 +38,12 @@ pub const MAX_SYNTH_EDGES: usize = 1 << 27;
 /// in-repo radix is 48 (`sweep_radix`).
 pub const MAX_K: usize = 64;
 
+/// Widest layer `f_in`/`f_out`: twelve times every in-repo dataset's
+/// `feature_dim` (the widest is Nell's 5,414), and far below where
+/// `feature_dim * 8` byte counts wrap (a width of 2⁶² divides by zero
+/// in `PeConfig::vertex_capacity`).
+pub const MAX_LAYER_WIDTH: usize = 1 << 16;
+
 /// Where a request's graph comes from. Every variant is serializable so
 /// requests can travel over the `aurora-serve` wire; the spec variants
 /// synthesize deterministically (same spec ⇒ same [`Csr`]), which keeps
@@ -208,8 +214,10 @@ impl SimRequest {
 
     /// Validates the request without running it: the version is
     /// supported, a graph is present and non-empty (spec-level), layers
-    /// are non-empty, the density is in range, and the configuration is
-    /// usable.
+    /// are non-empty, the density is in range, the configuration is
+    /// usable ([`AcceleratorConfig::validate`]), and the layers form a
+    /// chain of widths in `1..=MAX_LAYER_WIDTH`, each `f_in` the previous
+    /// layer's `f_out`.
     pub fn validate(&self) -> Result<(), SimError> {
         if self.version > WIRE_VERSION {
             return Err(SimError::UnsupportedVersion {
@@ -226,11 +234,24 @@ impl SimRequest {
                 density: self.options.input_density,
             });
         }
-        if !(1..=MAX_K).contains(&self.config.k) {
-            return Err(SimError::InvalidRequest(format!(
-                "config.k must be in 1..={MAX_K}, got {}",
-                self.config.k
-            )));
+        self.config.validate()?;
+        let mut prev_out: Option<usize> = None;
+        for (i, l) in self.layers.iter().enumerate() {
+            for (name, width) in [("f_in", l.f_in), ("f_out", l.f_out)] {
+                if !(1..=MAX_LAYER_WIDTH).contains(&width) {
+                    return Err(SimError::InvalidRequest(format!(
+                        "layers[{i}].{name} must be in 1..={MAX_LAYER_WIDTH}, got {width}"
+                    )));
+                }
+            }
+            if let Some(prev) = prev_out.filter(|&p| p != l.f_in) {
+                return Err(SimError::InvalidRequest(format!(
+                    "layers[{i}].f_in {} does not match layers[{}].f_out {prev}",
+                    l.f_in,
+                    i - 1
+                )));
+            }
+            prev_out = Some(l.f_out);
         }
         Ok(())
     }
@@ -694,6 +715,44 @@ mod tests {
         let mut req = toy_request();
         req.config.k = MAX_K;
         assert!(req.validate().is_ok());
+    }
+
+    #[test]
+    fn unrunnable_configs_and_layer_chains_are_typed_errors() {
+        let with = |f: fn(&mut SimRequest)| {
+            let mut req = toy_request();
+            f(&mut req);
+            req.validate()
+        };
+        type Break = fn(&mut SimRequest);
+        let broken: [(&str, Break); 9] = [
+            ("clock_mhz", |r| r.config.clock_mhz = 0),
+            ("pe.lanes", |r| r.config.pe.lanes = 0),
+            ("dram_channels", |r| r.config.dram_channels = 0),
+            ("feature_fraction", |r| r.config.feature_fraction = -1.0),
+            ("link_utilisation", |r| r.config.link_utilisation = 0.0),
+            ("layers[0].f_in", |r| r.layers[0].f_in = 0),
+            ("layers[0].f_out", |r| r.layers[0].f_out = 0),
+            ("layers[0].f_in", |r| {
+                r.layers[0] = LayerShape {
+                    f_in: 1 << 62,
+                    f_out: 1 << 62,
+                }
+            }),
+            ("layers[1].f_in 8 does not match layers[0].f_out 16", |r| {
+                r.layers.push(LayerShape::new(8, 4))
+            }),
+        ];
+        for (what, break_it) in broken {
+            match with(break_it) {
+                Err(SimError::InvalidRequest(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+        // the widest allowed layer and a connected chain are accepted
+        assert!(with(|r| r.layers = vec![LayerShape::new(MAX_LAYER_WIDTH, 1)]).is_ok());
+        assert!(with(|r| r.layers.push(LayerShape::new(16, 4))).is_ok());
+        assert!(with(|r| r.layers[0].f_in = MAX_LAYER_WIDTH + 1).is_err());
     }
 
     #[test]

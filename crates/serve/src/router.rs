@@ -157,6 +157,9 @@ pub struct ClusterStats {
     pub graph_cache_hits: u64,
     pub graph_cache_misses: u64,
     pub graph_cache_bytes: u64,
+    pub warm_hits: u64,
+    pub warm_misses: u64,
+    pub warm_bytes: u64,
     pub latency_us: QuantileBound,
     pub queue_wait_us: QuantileBound,
 }
@@ -604,6 +607,9 @@ impl Router {
                 agg.graph_cache_hits += at("graph_cache_hits");
                 agg.graph_cache_misses += at("graph_cache_misses");
                 agg.graph_cache_bytes += at("graph_cache_bytes");
+                agg.warm_hits += at("warm_hits");
+                agg.warm_misses += at("warm_misses");
+                agg.warm_bytes += at("warm_bytes");
                 agg.latency_us.absorb(stats, "latency_us");
                 agg.queue_wait_us.absorb(stats, "queue_wait_us");
             }

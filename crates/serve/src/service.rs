@@ -14,8 +14,10 @@
 //! 3. **Execution** — worker threads pop jobs in FIFO order and run the
 //!    engine through the canonical [`AuroraSimulator::run_with`], which
 //!    resolves spec graphs through the service's one bounded
-//!    [`GraphCache`] (a repeated spec is synthesized once); panics are
-//!    caught and surfaced as internal errors. The leader (and any
+//!    [`GraphCache`] (a repeated spec is synthesized once, and a
+//!    repeated plan on it replays the cache's warm tile state); panics
+//!    are caught and surfaced as internal errors, and a panicking run's
+//!    warm state is dropped rather than returned. The leader (and any
 //!    followers) wait on the flight with the per-request timeout. A
 //!    timed-out waiter abandons the wait, but the job still completes
 //!    and warms the cache.
@@ -172,14 +174,20 @@ impl Inner {
         self.cache.complete(&job.digest, result, timing);
     }
 
-    /// Publishes the graph cache's totals as `serve.graph_cache.*`
-    /// gauges.
+    /// Publishes the graph cache's totals, warm state included, as
+    /// `serve.graph_cache.*` gauges.
     fn export_graph_cache(&self) {
         let graphs = &self.graphs;
         for (name, value) in [
             (names::SERVE_GRAPH_CACHE_HITS, graphs.hits()),
             (names::SERVE_GRAPH_CACHE_MISSES, graphs.misses()),
             (names::SERVE_GRAPH_CACHE_BYTES, graphs.bytes() as u64),
+            (names::SERVE_GRAPH_CACHE_WARM_HITS, graphs.warm_hits()),
+            (names::SERVE_GRAPH_CACHE_WARM_MISSES, graphs.warm_misses()),
+            (
+                names::SERVE_GRAPH_CACHE_WARM_BYTES,
+                graphs.warm_bytes() as u64,
+            ),
         ] {
             self.telemetry.gauge_set(name, &Scope::ROOT, value as f64);
         }
@@ -607,6 +615,9 @@ impl SimService {
             graph_cache_hits: self.inner.graphs.hits(),
             graph_cache_misses: self.inner.graphs.misses(),
             graph_cache_bytes: self.inner.graphs.bytes() as u64,
+            warm_hits: self.inner.graphs.warm_hits(),
+            warm_misses: self.inner.graphs.warm_misses(),
+            warm_bytes: self.inner.graphs.warm_bytes() as u64,
             pool: PoolSummary::current(),
         }
     }
@@ -696,6 +707,12 @@ pub struct ServiceStats {
     pub graph_cache_misses: u64,
     /// CSR bytes resident in the graph cache.
     pub graph_cache_bytes: u64,
+    /// Spec-graph runs that replayed the graph cache's warm state.
+    pub warm_hits: u64,
+    /// Spec-graph runs without warm state (cold, or admitting a plan).
+    pub warm_misses: u64,
+    /// Bytes of warm state resident beside the cached graph.
+    pub warm_bytes: u64,
     /// Engine worker-pool counters (cumulative since process start).
     pub pool: PoolSummary,
 }

@@ -149,6 +149,10 @@ fn repeat_requests_stay_on_warm_shards() {
         agg.get("graph_cache_hits").and_then(|v| v.as_u64()),
         Some(0)
     );
+    // no graph was resident, so every run was a warm miss
+    for (key, value) in [("warm_misses", 6), ("warm_hits", 0), ("warm_bytes", 0)] {
+        assert_eq!(agg.get(key).and_then(|v| v.as_u64()), Some(value), "{key}");
+    }
     assert_eq!(
         stats
             .get("router")
@@ -269,6 +273,19 @@ fn crashed_worker_fails_over_with_zero_client_errors() {
     drop(client);
     shutdown.store(true, Ordering::SeqCst);
     server.join().unwrap().expect("router exits cleanly");
+    // stop the surviving workers too, and wait until every worker has
+    // unlinked its socket, so no run leaves one behind
+    for kill in &kills {
+        kill.store(true, Ordering::SeqCst);
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for i in 0..kills.len() {
+        let sock = scratch_sock(&format!("crash-{i}"));
+        while sock.exists() {
+            assert!(Instant::now() < deadline, "worker {i} kept its socket");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
 }
 
 #[test]

@@ -754,7 +754,8 @@ fn overlong_line_is_refused_and_the_connection_keeps_serving() {
 
 /// One dataset spec at three input densities: three result-cache
 /// misses, but the graph is synthesized twice (the repeated miss
-/// admits it) and the third run resolves it from the graph cache.
+/// admits it) and the third run resolves it from the graph cache and
+/// replays the warm state the second run left.
 #[test]
 fn repeated_graph_spec_resolves_from_the_graph_cache() {
     let (svc, tel) = service(ServeConfig {
@@ -783,9 +784,19 @@ fn repeated_graph_spec_resolves_from_the_graph_cache() {
     assert_eq!(stats.graph_cache_misses, 2);
     assert_eq!(stats.graph_cache_hits, 1);
     assert!(stats.graph_cache_bytes > 0);
+    // the second run admits the plan's warm state, the third replays it
+    assert_eq!((stats.warm_misses, stats.warm_hits), (2, 1));
+    assert!(stats.warm_bytes > 0);
     let snap = tel.snapshot();
-    assert_eq!(
-        snap.gauge_at(names::SERVE_GRAPH_CACHE_HITS, &aurora_core::Scope::ROOT),
-        Some(1.0)
-    );
+    for (name, value) in [
+        (names::SERVE_GRAPH_CACHE_HITS, 1.0),
+        (names::SERVE_GRAPH_CACHE_WARM_HITS, 1.0),
+        (names::SERVE_GRAPH_CACHE_WARM_BYTES, stats.warm_bytes as f64),
+    ] {
+        assert_eq!(
+            snap.gauge_at(name, &aurora_core::Scope::ROOT),
+            Some(value),
+            "{name}"
+        );
+    }
 }

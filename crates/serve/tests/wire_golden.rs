@@ -103,7 +103,7 @@ fn corpus() -> Vec<Case> {
             ..GraphDelta::default()
         }),
     };
-    vec![
+    let mut cases = vec![
         case("sim/v1", sim_line(1, WIRE_VERSION, small_request(1)), true),
         case("sim/v0", format!(r#"{{"id":2,"sim":{}}}"#, sim(2)), true),
         case(
@@ -162,7 +162,39 @@ fn corpus() -> Vec<Case> {
             format!(r#"{{"id":13,"admin":"nope","sim":{}}}"#, sim(1)),
             true,
         ),
-    ]
+    ];
+    // requests that once panicked in the engine or ran to a meaningless
+    // report: each is one typed invalid_request now
+    type Break = fn(&mut SimRequest);
+    let broken: [(&'static str, Break); 8] = [
+        ("sim/invalid/clock-zero", |r| r.config.clock_mhz = 0),
+        ("sim/invalid/lanes-zero", |r| r.config.pe.lanes = 0),
+        ("sim/invalid/dram-channels-zero", |r| {
+            r.config.dram_channels = 0
+        }),
+        ("sim/invalid/feature-fraction", |r| {
+            r.config.feature_fraction = 2.0
+        }),
+        ("sim/invalid/link-utilisation", |r| {
+            r.config.link_utilisation = 0.0
+        }),
+        ("sim/invalid/layer-zero", |r| r.layers[0].f_in = 0),
+        ("sim/invalid/layer-wide", |r| {
+            r.layers = vec![LayerShape {
+                f_in: 1 << 62,
+                f_out: 1 << 62,
+            }]
+        }),
+        ("sim/invalid/layer-chain", |r| {
+            r.layers.push(LayerShape::new(8, 4));
+        }),
+    ];
+    cases.extend(broken.into_iter().zip(20..).map(|((name, break_it), id)| {
+        let mut req = small_request(7);
+        break_it(&mut req);
+        case(name, sim_line(id, WIRE_VERSION, req), true)
+    }));
+    cases
 }
 
 fn fnv1a64(bytes: &[u8]) -> String {

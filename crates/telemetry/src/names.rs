@@ -66,6 +66,19 @@ pub const SERVE_GRAPH_CACHE_MISSES: &str = "serve.graph_cache.misses";
 /// CSR bytes resident in the worker's graph cache. Gauge.
 pub const SERVE_GRAPH_CACHE_BYTES: &str = "serve.graph_cache.bytes";
 
+/// Spec-graph runs that replayed the graph cache's warm engine state
+/// for their plan (no mapping, route tables or binning). Same gauge
+/// discipline as [`SERVE_GRAPH_CACHE_HITS`].
+pub const SERVE_GRAPH_CACHE_WARM_HITS: &str = "serve.graph_cache.warm_hits";
+
+/// Spec-graph runs without warm state: cold, or filling a newly
+/// admitted plan's state. Same gauge discipline.
+pub const SERVE_GRAPH_CACHE_WARM_MISSES: &str = "serve.graph_cache.warm_misses";
+
+/// Bytes of the warm engine state resident beside the cached graph.
+/// Gauge.
+pub const SERVE_GRAPH_CACHE_WARM_BYTES: &str = "serve.graph_cache.warm_bytes";
+
 /// Every `serve.*` metric the service emits, for completeness tests: a
 /// representative request mix must surface each of these in a snapshot,
 /// so a typo'd or silently dropped probe fails a test instead of
@@ -83,6 +96,9 @@ pub const SERVE_ALL: &[&str] = &[
     SERVE_GRAPH_CACHE_HITS,
     SERVE_GRAPH_CACHE_MISSES,
     SERVE_GRAPH_CACHE_BYTES,
+    SERVE_GRAPH_CACHE_WARM_HITS,
+    SERVE_GRAPH_CACHE_WARM_MISSES,
+    SERVE_GRAPH_CACHE_WARM_BYTES,
 ];
 
 /// Configured size of the work-stealing pool, counting the caller

@@ -181,8 +181,9 @@ echo "==> serve smoke (aurora_serve + 8 concurrent serve_bench connections)"
 # cap must each answer bad_request on the admin connection (leaving one
 # error record each) without costing the daemon or the connection, and
 # one dataset spec sent at three input densities must resolve its graph
-# from the worker's graph cache at least once (the repeated miss
-# admits it, the third hits).
+# from the worker's graph cache at least once and replay the plan's
+# warm tile state at least once (the repeated miss admits both, the
+# third hits).
 SERVE_SOCK="$(mktemp -u /tmp/aurora-serve-check-XXXXXX.sock)"
 SERVE_LOG="$(mktemp /tmp/aurora-serve-check-XXXXXX.log)"
 ./target/release/aurora_serve --socket "$SERVE_SOCK" --workers 2 \
@@ -251,6 +252,7 @@ assert health["status"] == "ok", f"health before drain: {health}"
 stats = admin("stats")["stats"]
 assert stats["requests"] >= 64, f"stats undercounts: {stats['requests']}"
 assert stats["graph_cache_hits"] >= 1, f"graph cache never hit: {stats}"
+assert stats["warm_hits"] >= 1, f"warm tile state never replayed: {stats}"
 assert stats["latency_us"]["p50_us"] <= stats["latency_us"]["p99_us"]
 metrics = admin("metrics")
 assert "aurora_serve_requests" in metrics["prometheus"], "exposition missing serve counters"
