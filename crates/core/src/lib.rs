@@ -17,7 +17,8 @@
 //! * [`engine`] — the per-subgraph execution pipeline (map → configure →
 //!   execute A ∥ B → write back, overlapped with the next tile's load);
 //! * [`graph_cache`] — the bounded `GraphSpec → Arc<Csr>` cache a
-//!   long-running worker resolves repeated graphs through;
+//!   long-running worker resolves repeated graphs through, and the
+//!   owner of the warm tile state a repeated plan replays;
 //! * [`functional`] — functional-mode execution: numeric results computed
 //!   on the mapped PE array, validated against the reference executors;
 //! * [`report`] — the simulation report (cycles, DRAM, NoC, energy).
