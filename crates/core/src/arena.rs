@@ -218,10 +218,9 @@ impl TileSlabs {
 pub(crate) struct SeqScratch {
     pub keys: Vec<ProfileKey>,
     pub miss_tiles: Vec<usize>,
-    /// Per-miss-tile flag: `true` when a clean session tile replays its
-    /// stored traffic profile instead of binning (decided sequentially,
-    /// consumed by the parallel bin fan-out).
-    pub replay: Vec<bool>,
+    /// The misses that bin, in tile order: all but the clean session
+    /// tiles, which replay their stored traffic profile.
+    pub bin_tiles: Vec<usize>,
     /// Per-tile aggregation-traffic estimate: cache hits fill theirs in
     /// the route-table stage, misses in the traffic-kernel stage.
     pub est_a: Vec<OnChipEstimate>,
@@ -231,7 +230,7 @@ impl SeqScratch {
     pub fn begin_layer(&mut self) {
         self.keys.clear();
         self.miss_tiles.clear();
-        self.replay.clear();
+        self.bin_tiles.clear();
         self.est_a.clear();
     }
 }

@@ -19,10 +19,12 @@
 //! matters only for feature-mutating scenarios; on R-MAT graphs a hub's
 //! fan-in would dirty nearly every tile and erase the incremental win,
 //! so the engine uses the minimal rule. Vertex insertions/removals shift
-//! vertex ids and tile boundaries — those deltas (and any apply whose
-//! fresh tiling or Algorithm-2 split no longer matches the cached state)
-//! fall back to a full recompute that repopulates the warm state, still
-//! through the session so subsequent edge deltas are incremental again.
+//! vertex ids and tile boundaries, so those deltas invalidate the warm
+//! state first. An invalidated state, like a fresh one, makes the run
+//! recompute every tile, and so does any layer whose fresh tiling or
+//! Algorithm-2 split no longer matches the one its state was computed
+//! under. A full recompute repopulates the warm state, still through
+//! the session, so subsequent edge deltas are incremental again.
 //!
 //! Identity is digest-chained: a session opens at the base request's
 //! digest `d₀` and each applied delta advances
@@ -30,7 +32,7 @@
 //! stays `d₀` — the serve router hashes it for shard affinity, so every
 //! line of one session lands on the worker holding the warm state.
 
-use crate::engine::{AuroraSimulator, DirtyScope, SessionState};
+use crate::engine::{AuroraSimulator, SessionState};
 use crate::graph_cache::{resolve_with, GraphCache};
 use crate::report::SimReport;
 use crate::request::{fnv1a64, SimError, SimRequest};
@@ -402,7 +404,7 @@ impl SimSession {
             &req.layers,
             &workload,
             req.options.input_density,
-            Some((&mut state, &DirtyScope::All)),
+            Some((&mut state, &[])),
         )?;
         let digest = req.digest();
         Ok(SimSession {
@@ -434,11 +436,11 @@ impl SimSession {
             });
         }
         let new_graph = delta.apply_with(&self.graph, &mut self.bufs)?;
-        let scope = if delta.is_structural() {
-            DirtyScope::All
-        } else {
-            DirtyScope::Vertices(delta.touched_sources())
-        };
+        // vertex edits shift ids and tile boundaries: recompute every tile
+        if delta.is_structural() {
+            self.state.invalidate();
+        }
+        let touched = delta.touched_sources();
         let workload = self.base.workload_label();
         match self.sim.run_core(
             &new_graph,
@@ -446,7 +448,7 @@ impl SimSession {
             &self.base.layers,
             &workload,
             self.base.options.input_density,
-            Some((&mut self.state, &scope)),
+            Some((&mut self.state, &touched)),
         ) {
             Ok(report) => {
                 // the retired graph's arrays become the next surgery's

@@ -11,6 +11,14 @@
 //! mapping a subgraph to the PE array, the next subgraph starts being
 //! loaded from DRAM to overlap the latency" (§IV); and `finalize_layer`
 //! rolls the layer up. Each stage is one host-profiling span.
+//!
+//! A run may carry warm state ([`SessionState`]: a streaming session's,
+//! or the graph cache's for a repeated plan) and the vertices whose
+//! out-edges changed since it was filled. That is the one replay rule:
+//! in a layer computed under the run's tiling and Algorithm-2 split,
+//! every tile owning no touched vertex is clean and replays its stored
+//! mapping, outputs and traffic profile. A fresh or invalidated state
+//! recomputes every tile and fills the state for the next run.
 
 use crate::arena::{
     put_engine_scratch, take_engine_scratch, with_worker, TileArena, TileOut, TileSlabs,
@@ -21,7 +29,7 @@ use crate::instr::Instruction;
 use crate::noc_model::{self, OnChipEstimate, TrafficProfile};
 use crate::profile::{BoundMix, LayerProfile, ProfileReport, SideAttribution, TileAttribution};
 use crate::report::{LayerReport, NocReport, PhaseCycles, SimReport};
-use crate::request::{GraphSpec, SimError, SimRequest};
+use crate::request::{validate_layers, GraphSpec, SimError, SimRequest};
 use crate::workflow::Workflow;
 use aurora_energy::{ActivityCounts, EnergyModel};
 use aurora_graph::{Csr, Tiling, TilingConfig};
@@ -53,8 +61,8 @@ pub(crate) struct ProfileKey {
 
 /// The run's one owner of every tile's NoC configuration: an interner
 /// from a tile's planned bypass segments to a slot holding the tile's
-/// [`NocConfig`], its signature and its lazily built [`RouteTable`],
-/// plus the per-tile unit-flit [`TrafficProfile`]s binned under them.
+/// [`NocConfig`] and its lazily built [`RouteTable`], plus the per-tile
+/// unit-flit [`TrafficProfile`]s binned under them.
 /// Later layers over the same tiling rescale a cached profile by their
 /// own `flits_per_msg` instead of re-binning edges.
 ///
@@ -76,13 +84,11 @@ struct TrafficCache {
 /// One interned NoC configuration. Interning is the countable "build"
 /// for reports and telemetry; the dimension-factored leg table itself
 /// (2k³ leg summaries plus a k² bypass-peer index) is only materialised
-/// for tiles that actually bin edges — a session apply with one dirty
+/// for tiles that actually bin edges — a session run with one dirty
 /// tile routes one table, not one per tile.
 struct TableSlot {
     /// Built and validated once, at interning.
     cfg: NocConfig,
-    /// `cfg.signature()`: the stamp on session-stored profiles.
-    sig: u64,
     table: Option<RouteTable>,
 }
 
@@ -140,11 +146,7 @@ impl TrafficCache {
                         None => {
                             self.builds += 1;
                             tel.counter_add(names::NOC_ROUTE_TABLE_BUILDS, scope, 1);
-                            self.tables.push(TableSlot {
-                                sig: cfg.signature(),
-                                cfg,
-                                table: None,
-                            });
+                            self.tables.push(TableSlot { cfg, table: None });
                             self.tables.len() - 1
                         }
                     }
@@ -211,10 +213,10 @@ impl TrafficCache {
         self.tables.len() > MAX_ROUTE_TABLES
     }
 
-    /// Bins a chunked layer's misses (`ids[i]` is miss `i`'s slot;
-    /// replaying misses build nothing) in tile order, in chunks that
-    /// name at most [`MAX_ROUTE_TABLES`] slots: each chunk materialises
-    /// its tables, bins through `bin`, then drops the tables again. The
+    /// Bins a chunked layer's binning tiles (`ids[i]` is tile `i`'s
+    /// slot) in tile order, in chunks that name at most
+    /// [`MAX_ROUTE_TABLES`] slots: each chunk materialises its tables,
+    /// bins through `bin`, then drops the tables again. The
     /// slots themselves stay, so ids, build counts and the flush rule
     /// are those of an unchunked layer, and route-table memory is
     /// bounded by the cap rather than by the layer's tile count. A
@@ -223,7 +225,6 @@ impl TrafficCache {
     fn bin_in_chunks(
         &mut self,
         ids: &[usize],
-        replay: &[bool],
         mut bin: impl FnMut(&TrafficCache, std::ops::Range<usize>) -> Vec<Binned>,
     ) -> Result<Vec<Binned>, SimError> {
         let mut binned = Vec::with_capacity(ids.len());
@@ -234,7 +235,7 @@ impl TrafficCache {
             let mut end = start;
             while end < ids.len() {
                 let id = ids[end];
-                if !replay[end] && !named.contains(&id) {
+                if !named.contains(&id) {
                     if named.len() == MAX_ROUTE_TABLES {
                         break;
                     }
@@ -276,68 +277,53 @@ impl TrafficCache {
     }
 }
 
-/// Which tiles a session apply must recompute.
-#[derive(Debug, Clone)]
-pub(crate) enum DirtyScope {
-    /// Everything: first run, structural (vertex) delta, or an
-    /// invalidated session. Still bit-identical — it repopulates the
-    /// per-tile store from scratch.
-    All,
-    /// Only tiles owning one of these vertices (edge-only delta). The
-    /// per-tile artifacts are functions of a tile's *own* out-edges —
-    /// a remote destination contributes one halo count regardless of
-    /// identity — so editing edge `(u, v)` dirties `tile_of(u)` alone.
-    Vertices(Vec<u32>),
-}
-
-/// One layer's warm artifacts between session applies: the SoA slabs the
-/// tile precompute wrote (mapping, bypass plans, `TileOut` rows) plus
-/// each tile's unit-flit traffic profile stamped with the signature of
-/// the NoC configuration it was binned under ([`NocConfig::signature`],
-/// the noc invalidation hook).
+/// One layer's warm artifacts between session runs: the SoA slabs the
+/// tile precompute wrote (mapping, bypass plans, `TileOut` rows), each
+/// tile's unit-flit traffic profile, and what they were computed under.
 #[derive(Debug, Default)]
-pub(crate) struct SessionLayerState {
-    pub(crate) slabs: TileSlabs,
-    pub(crate) profiles: Vec<Option<(u64, TrafficProfile)>>,
-    /// The tiling/PE-split the slabs were computed under. An apply whose
-    /// fresh tiling or Algorithm-2 split differs (vertex count moved a
-    /// tile boundary, edge churn moved the op totals enough to shift the
-    /// integer A/B split) falls back to a full recompute: the per-tile
-    /// `t_a`/`t_b` bake `(a, b)` in. Only the integer split matters —
-    /// the strategy's layer-level time estimates move with every edge
-    /// count change but are recomputed fresh each run.
-    pub(crate) tiling: Option<Tiling>,
-    pub(crate) split: Option<(usize, usize)>,
-    pub(crate) valid: bool,
+struct SessionLayerState {
+    slabs: TileSlabs,
+    profiles: Vec<Option<TrafficProfile>>,
+    /// The tiling and Algorithm-2 split `(a, b)` the slabs and profiles
+    /// were computed under; `None` for a fresh or invalidated layer. A
+    /// run whose fresh tiling or split differs (a vertex delta moved a
+    /// tile boundary, edge churn moved the op totals enough to shift
+    /// the integer split) recomputes every tile: the per-tile `t_a`/`t_b`
+    /// bake `(a, b)` in. Only the integer split matters — the strategy's
+    /// layer-level time estimates are recomputed fresh each run.
+    computed_under: Option<(Tiling, (usize, usize))>,
 }
 
-/// All layers' warm state for one [`SimSession`](crate::delta::SimSession).
+/// All layers' warm state for one [`SimSession`](crate::delta::SimSession)
+/// or one [`GraphCache`] plan. A fresh or invalidated state makes the
+/// next run recompute every tile; otherwise the run's touched vertices
+/// decide which tiles recompute, and every other tile replays.
 #[derive(Debug, Default)]
 pub(crate) struct SessionState {
-    pub(crate) layers: Vec<SessionLayerState>,
+    layers: Vec<SessionLayerState>,
 }
 
 impl SessionState {
     /// Heap bytes held: every layer's slabs, stored profiles and tiling.
     pub(crate) fn bytes(&self) -> usize {
         let layer = |l: &SessionLayerState| {
-            let profiles: usize = l.profiles.iter().flatten().map(|(_, p)| p.bytes()).sum();
+            let profiles: usize = l.profiles.iter().flatten().map(TrafficProfile::bytes).sum();
             l.slabs.bytes()
                 + profiles
-                + l.profiles.capacity() * std::mem::size_of::<Option<(u64, TrafficProfile)>>()
-                + l.tiling.as_ref().map_or(0, |t| {
+                + l.profiles.capacity() * std::mem::size_of::<Option<TrafficProfile>>()
+                + l.computed_under.as_ref().map_or(0, |(t, _)| {
                     t.num_tiles() * std::mem::size_of::<std::ops::Range<u32>>()
                 })
         };
         self.layers.iter().map(layer).sum()
     }
 
-    /// Marks every layer stale; the next apply recomputes all tiles.
-    /// Called when an apply errors mid-run and may have left the slabs
-    /// half-written.
+    /// Forgets what every layer was computed under, so the next run
+    /// recomputes every tile: a structural delta, or a run that erred
+    /// mid-layer and may have left the slabs half-written.
     pub(crate) fn invalidate(&mut self) {
         for layer in &mut self.layers {
-            layer.valid = false;
+            layer.computed_under = None;
         }
     }
 
@@ -350,49 +336,45 @@ impl SessionState {
     }
 }
 
-/// A session apply's hold on one layer: its warm state, the delta's
-/// dirty scope, and the dirty set tile precompute resolves it to.
+/// A session run's hold on one layer: its warm state, the run's touched
+/// vertices, and the dirty set tile precompute resolves them to.
 struct LayerSession<'a> {
     state: &'a mut SessionLayerState,
-    scope: &'a DirtyScope,
+    touched: &'a [u32],
     /// `Some(mask)` when only the flagged tiles recompute, `None` when
     /// every tile does.
     dirty: Option<Vec<bool>>,
 }
 
 impl LayerSession<'_> {
-    /// Swaps the layer's warm slabs in for this apply and decides its
-    /// dirty set. A valid layer whose fresh tiling, Algorithm-2 split and
-    /// slab stride still match recomputes only the tiles owning a
-    /// touched vertex; any mismatch (or a structural delta) recomputes
-    /// every tile, repopulating the store. Both paths are bit-identical
-    /// to a from-scratch run.
+    /// Swaps the layer's warm slabs in for this run and decides its
+    /// dirty set. A layer computed under this run's tiling and split
+    /// (with the slab stride that follows from them) recomputes only the
+    /// tiles owning a touched vertex — none, for a warm-state replay;
+    /// any other layer recomputes every tile, repopulating the store.
+    /// Both paths are bit-identical to a from-scratch run.
     fn enter(&mut self, ctx: &LayerCtx, slabs: &mut TileSlabs, k: usize, high_cap: usize) {
         let state = &mut *self.state;
         std::mem::swap(slabs, &mut state.slabs);
         let num_tiles = ctx.tiling.num_tiles();
-        let incremental = state.valid
-            && slabs.high_cap == high_cap
-            && state.profiles.len() == num_tiles
-            && state.split == Some((ctx.strategy.a, ctx.strategy.b))
-            && state.tiling.as_ref() == Some(&ctx.tiling);
-        self.dirty = match (incremental, self.scope) {
-            (true, DirtyScope::Vertices(touched)) => {
-                let mut bounds: Vec<u32> = (0..num_tiles)
-                    .map(|ti| ctx.tiling.range(ti).start)
-                    .collect();
-                bounds.push(ctx.g.num_vertices() as u32);
-                Some(TileIndex::from_boundaries(bounds).dirty_tiles(touched.iter().copied(), false))
-            }
-            _ => None,
-        };
-        if self.dirty.is_none() {
+        let split = (ctx.strategy.a, ctx.strategy.b);
+        let warm = slabs.high_cap == high_cap
+            && state
+                .computed_under
+                .as_ref()
+                .is_some_and(|(tiling, s)| *s == split && *tiling == ctx.tiling);
+        self.dirty = warm.then(|| {
+            let mut bounds: Vec<u32> = (0..num_tiles)
+                .map(|ti| ctx.tiling.range(ti).start)
+                .collect();
+            bounds.push(ctx.g.num_vertices() as u32);
+            TileIndex::from_boundaries(bounds).dirty_tiles(self.touched.iter().copied(), false)
+        });
+        if !warm {
             slabs.begin_layer(ctx.g.num_vertices(), num_tiles, k, high_cap);
-            state.tiling = Some(ctx.tiling.clone());
-            state.split = Some((ctx.strategy.a, ctx.strategy.b));
+            state.computed_under = Some((ctx.tiling.clone(), split));
             state.profiles.clear();
             state.profiles.resize(num_tiles, None);
-            state.valid = true;
         }
     }
 
@@ -403,15 +385,13 @@ impl LayerSession<'_> {
         std::mem::swap(slabs, &mut self.state.slabs);
     }
 
-    /// True when tile `ti` is clean and its stored profile was binned
-    /// under the route table with signature `sig`: it replays that
-    /// profile instead of binning (same mapping, same edges, same table
-    /// ⇒ the same result without the O(E) pass or the table build).
-    fn replays(&self, ti: usize, sig: u64) -> bool {
+    /// True when tile `ti` is clean: it replays its stored profile
+    /// instead of binning. A clean tile keeps the slab rows its profile
+    /// was binned under, and interning is a pure function of those rows,
+    /// so the same mapping, edges and NoC config give the same profile
+    /// without the O(E) pass or the table build.
+    fn replays(&self, ti: usize) -> bool {
         self.dirty.as_ref().is_some_and(|m| !m[ti])
-            && self.state.profiles[ti]
-                .as_ref()
-                .is_some_and(|(s, _)| *s == sig)
     }
 }
 
@@ -548,7 +528,8 @@ impl AuroraSimulator {
         };
         let workload = req.workload_label();
         let density = req.options.input_density;
-        let run = |g: &Csr, session: Option<(&mut SessionState, &DirtyScope)>| {
+        let run = |g: &Csr, warm: Option<&mut SessionState>| {
+            let session = warm.map(|state| (state, &[][..]));
             sim.run_core(g, req.model, &req.layers, &workload, density, session)
         };
         // Host profiling wraps graph resolution too, so GraphLoad time
@@ -577,12 +558,14 @@ impl AuroraSimulator {
     }
 
     /// The engine proper: the per-layer loop over the six stages plus
-    /// run-level finalisation. `session` carries a
-    /// [`SimSession`](crate::delta::SimSession)'s warm state and the
-    /// apply's dirty scope: clean tiles replay their cached artifacts,
-    /// dirty tiles recompute, and the state is refreshed for the next
-    /// apply. On error the caller must invalidate that state (the slabs
-    /// may be half-written). `None` is a plain from-scratch run.
+    /// run-level finalisation. `session` carries a warm state and the
+    /// vertices whose out-edges changed since it was filled: in a layer
+    /// computed under this run's tiling and split, the tiles owning a
+    /// touched vertex recompute and every other tile replays its stored
+    /// artifacts; a fresh or invalidated state recomputes every tile.
+    /// The state is refreshed for the next run. On error the caller must
+    /// invalidate or drop that state (the slabs may be half-written).
+    /// `None` is a plain from-scratch run.
     pub(crate) fn run_core(
         &self,
         g: &Csr,
@@ -590,7 +573,7 @@ impl AuroraSimulator {
         shapes: &[LayerShape],
         workload: &str,
         input_density: f64,
-        mut session: Option<(&mut SessionState, &DirtyScope)>,
+        mut session: Option<(&mut SessionState, &[u32])>,
     ) -> Result<SimReport, SimError> {
         if g.num_vertices() == 0 {
             return Err(SimError::EmptyGraph);
@@ -654,9 +637,9 @@ impl AuroraSimulator {
         let mut run_layers = || -> Result<(), SimError> {
             for (li, &shape) in shapes.iter().enumerate() {
                 let density = if li == 0 { input_density } else { 1.0 };
-                let mut layer_session = session.as_mut().map(|(state, scope)| LayerSession {
+                let mut layer_session = session.as_mut().map(|(state, touched)| LayerSession {
                     state: state.layer(li),
-                    scope,
+                    touched,
                     dirty: None,
                 });
                 let (ctx, w) = self.partition(g, &wf, shape, li, density, &mut run);
@@ -759,8 +742,10 @@ impl AuroraSimulator {
     /// overlap, as with subgraph tiles).
     ///
     /// Returns the merged report; `layers` holds each graph's layers
-    /// back-to-back. An empty batch is [`SimError::EmptyBatch`], and
-    /// per-graph failures propagate.
+    /// back-to-back. An empty batch is [`SimError::EmptyBatch`]; a
+    /// configuration or layer chain a request would be refused for is
+    /// the same typed [`SimError::InvalidRequest`], before any graph
+    /// runs; per-graph failures propagate.
     pub fn try_simulate_batch(
         &self,
         graphs: &[&Csr],
@@ -771,6 +756,8 @@ impl AuroraSimulator {
         if graphs.is_empty() {
             return Err(SimError::EmptyBatch);
         }
+        self.config.validate()?;
+        validate_layers(&self.config, shapes)?;
         // One host-profiling window spans the whole batch: the merged
         // report's host_profile covers every graph.
         span::host_init();
@@ -912,7 +899,7 @@ impl AuroraSimulator {
     /// fan out over the worker pool (`AURORA_THREADS`), each writing its
     /// own pre-split slab slices, so the walk sees exactly the sequential
     /// schedule and cycle results are bit-identical at every thread
-    /// count. A session apply swaps in the layer's warm slabs and fans
+    /// count. A session run swaps in the layer's warm slabs and fans
     /// out only its dirty tiles.
     fn tile_precompute(
         &self,
@@ -981,7 +968,7 @@ impl AuroraSimulator {
                     .expect("one TileOut row per tile");
                 out_rest = r;
                 // Clean session tiles keep their slab contents from the
-                // previous apply; only dirty tiles enter the parallel
+                // previous run; only dirty tiles enter the parallel
                 // fan-out.
                 if dirty.is_none_or(|m| m[ti]) {
                     tasks.push(TileTask {
@@ -1139,11 +1126,11 @@ impl AuroraSimulator {
     /// up in the cross-layer cache.
     /// Hits are estimated here, before this layer's misses insert (and
     /// possibly evict) anything. Every miss that will bin — all but the
-    /// clean session tiles that replay a stored profile — gets its route
-    /// table materialised, sequentially in tile order, so a rejected
-    /// configuration errors at the same tile at every thread count. A
-    /// layer past the slot cap leaves its tables to the traffic-kernel
-    /// stage, which builds them chunk by chunk.
+    /// clean session tiles, which replay their stored profile — gets its
+    /// route table materialised, sequentially in tile order, so a
+    /// rejected configuration errors at the same tile at every thread
+    /// count. A layer past the slot cap leaves its tables to the
+    /// traffic-kernel stage, which builds them chunk by chunk.
     fn route_tables(
         &self,
         ctx: &LayerCtx,
@@ -1157,44 +1144,43 @@ impl AuroraSimulator {
         seq.begin_layer();
         cache.intern_layer(slabs, ctx.c_pe, &mut seq.keys, &self.telemetry, &ctx.scope);
         for (ti, key) in seq.keys.iter().enumerate() {
-            let slot = &cache.tables[key.table_id];
+            let replays = session.as_deref().is_some_and(|s| s.replays(ti));
             let est_a = match cache.profiles.get(key) {
                 Some(p) => {
                     // the cache's profile is exactly what a fresh bin
-                    // would produce — refresh the session store with it
-                    if let Some(s) = session.as_deref_mut() {
-                        s.state.profiles[ti] = Some((slot.sig, p.clone()));
+                    // would produce: a recomputed tile stores it
+                    if let Some(s) = session.as_deref_mut().filter(|_| !replays) {
+                        s.state.profiles[ti] = Some(p.clone());
                     }
-                    p.estimate(&slot.cfg, ctx.msg_words, cfg.link_utilisation)
+                    let noc = &cache.tables[key.table_id].cfg;
+                    p.estimate(noc, ctx.msg_words, cfg.link_utilisation)
                 }
                 None => {
                     seq.miss_tiles.push(ti);
+                    if !replays {
+                        seq.bin_tiles.push(ti);
+                    }
                     OnChipEstimate::default()
                 }
             };
             seq.est_a.push(est_a);
         }
-        let chunked = cache.chunked();
-        for &ti in &seq.miss_tiles {
-            let id = seq.keys[ti].table_id;
-            let replays = session
-                .as_deref()
-                .is_some_and(|s| s.replays(ti, cache.tables[id].sig));
-            if !replays && !chunked {
-                cache.ensure_built(id)?;
+        if !cache.chunked() {
+            for &ti in &seq.bin_tiles {
+                cache.ensure_built(seq.keys[ti].table_id)?;
             }
-            seq.replay.push(replays);
         }
         Ok(())
     }
 
-    /// Stage 4, traffic kernels: bins each missing tile's edges into a
-    /// unit-flit profile over the pool (a replaying session tile clones
-    /// its stored profile instead; a layer past the slot cap builds and
-    /// bins in chunks of at most [`MAX_ROUTE_TABLES`] tables), then —
-    /// sequentially, in tile order, so the first erroring tile decides
-    /// the returned error at every thread count — estimates each miss
-    /// and inserts its profile into the cache and the session store.
+    /// Stage 4, traffic kernels: bins each binning tile's edges into a
+    /// unit-flit profile over the pool (a layer past the slot cap builds
+    /// and bins in chunks of at most [`MAX_ROUTE_TABLES`] tables), then —
+    /// sequentially, in tile order, so the first erring tile decides the
+    /// returned error at every thread count — estimates each miss and
+    /// inserts its profile into the cache. A binned profile is also
+    /// stored in the session; a clean session tile's stored profile is
+    /// estimated where it is stored and cloned into the cache.
     fn traffic_kernels(
         &self,
         ctx: &LayerCtx,
@@ -1207,19 +1193,11 @@ impl AuroraSimulator {
         let cache = &mut run.cache;
         let binned: Vec<Binned> = {
             let (slabs, seq) = (&*slabs, &*seq);
-            let store = session.as_deref().map(|s| &s.state.profiles);
-            let bin = |cache: &TrafficCache, misses: std::ops::Range<usize>| -> Vec<Binned> {
-                misses
-                    .into_par_iter()
+            let bin = |cache: &TrafficCache, bins: std::ops::Range<usize>| -> Vec<Binned> {
+                bins.into_par_iter()
                     .map(|i| {
                         let _tag = span::stage_scope(Stage::TrafficKernels);
-                        let ti = seq.miss_tiles[i];
-                        if seq.replay[i] {
-                            let (_, p) = store.expect("replay implies a session")[ti]
-                                .as_ref()
-                                .expect("replay implies a stored profile");
-                            return Ok(p.clone());
-                        }
+                        let ti = seq.bin_tiles[i];
                         TrafficProfile::bin(
                             cache.table(seq.keys[ti].table_id),
                             &slabs.map_view(ti, cfg.mapping_policy, cfg.k),
@@ -1230,13 +1208,13 @@ impl AuroraSimulator {
             };
             if cache.chunked() {
                 let ids: Vec<usize> = seq
-                    .miss_tiles
+                    .bin_tiles
                     .iter()
                     .map(|&ti| seq.keys[ti].table_id)
                     .collect();
-                cache.bin_in_chunks(&ids, &seq.replay, bin)?
+                cache.bin_in_chunks(&ids, bin)?
             } else {
-                bin(cache, 0..seq.miss_tiles.len())
+                bin(cache, 0..seq.bin_tiles.len())
             }
         };
         let misses = seq.miss_tiles.len() as u64;
@@ -1246,14 +1224,29 @@ impl AuroraSimulator {
         let tel = &self.telemetry;
         tel.counter_add(names::NOC_TILE_PROFILE_HITS, &ctx.scope, hits);
         tel.counter_add(names::NOC_TILE_PROFILE_MISSES, &ctx.scope, misses);
-        for (&ti, profile) in seq.miss_tiles.iter().zip(binned) {
-            let profile = profile?;
-            let slot = &cache.tables[seq.keys[ti].table_id];
-            seq.est_a[ti] = profile.estimate(&slot.cfg, ctx.msg_words, cfg.link_utilisation);
-            if let Some(s) = session.as_deref_mut() {
-                s.state.profiles[ti] = Some((slot.sig, profile.clone()));
-            }
-            cache.insert_profile(seq.keys[ti], profile);
+        let mut binned = binned.into_iter();
+        for &ti in &seq.miss_tiles {
+            let key = seq.keys[ti];
+            let noc = &cache.tables[key.table_id].cfg;
+            let estimate =
+                |p: &TrafficProfile| p.estimate(noc, ctx.msg_words, cfg.link_utilisation);
+            let profile = match session.as_deref_mut() {
+                Some(s) if s.replays(ti) => {
+                    let stored = s.state.profiles[ti].as_ref();
+                    let p = stored.expect("a clean tile holds its binned profile");
+                    seq.est_a[ti] = estimate(p);
+                    p.clone()
+                }
+                session => {
+                    let p = binned.next().expect("one result per binning tile")?;
+                    seq.est_a[ti] = estimate(&p);
+                    if let Some(s) = session {
+                        s.state.profiles[ti] = Some(p.clone());
+                    }
+                    p
+                }
+            };
+            cache.insert_profile(key, profile);
         }
         Ok(())
     }
@@ -1961,6 +1954,37 @@ mod tests {
         );
     }
 
+    #[test]
+    fn batch_rejects_a_bad_config_or_layer_chain_before_any_graph() {
+        let g = toy_graph();
+        let good = [LayerShape::new(32, 16), LayerShape::new(16, 8)];
+        let batch = |cfg: AcceleratorConfig, shapes: &[LayerShape]| {
+            AuroraSimulator::new(cfg).try_simulate_batch(&[&g, &g], ModelId::Gcn, shapes, "b")
+        };
+        let invalid =
+            |r: Result<SimReport, SimError>| matches!(r, Err(SimError::InvalidRequest(_)));
+        // zero DRAM channels used to reach the memory controller's assert
+        let no_dram = AcceleratorConfig {
+            dram_channels: 0,
+            ..AcceleratorConfig::small(4)
+        };
+        assert!(invalid(batch(no_dram, &good)));
+        let tiny_buffer = AcceleratorConfig {
+            pe: aurora_pe::PeConfig {
+                buffer_bytes: 64,
+                ..Default::default()
+            },
+            ..AcceleratorConfig::small(4)
+        };
+        assert!(invalid(batch(tiny_buffer, &good)));
+        let cfg = AcceleratorConfig::small(4);
+        let broken_chain = [LayerShape::new(32, 16), LayerShape::new(8, 4)];
+        assert!(invalid(batch(cfg, &broken_chain)));
+        let zero_width = [LayerShape { f_in: 0, f_out: 16 }];
+        assert!(invalid(batch(cfg, &zero_width)));
+        assert!(batch(cfg, &good).is_ok());
+    }
+
     fn seg(index: usize, from: usize, to: usize) -> SegmentPlan {
         SegmentPlan { index, from, to }
     }
@@ -2026,7 +2050,6 @@ mod tests {
         assert_eq!(cache.builds, 3);
         assert_eq!(cache.tables[0].cfg.row_bypass.len(), 1);
         assert_eq!(cache.tables[1].cfg, NocConfig::mesh(k));
-        assert_eq!(cache.tables[2].sig, cache.tables[2].cfg.signature());
         assert_eq!(intern(&mut cache, &layer), [0, 1, 0, 2], "a second layer");
         assert_eq!(cache.builds, 3);
         // a plan the NoC layer rejects maps to the mesh slot
@@ -2095,7 +2118,7 @@ mod tests {
         let live = |cache: &TrafficCache| cache.tables.iter().filter(|t| t.table.is_some()).count();
         let mut chunks = Vec::new();
         let binned = cache
-            .bin_in_chunks(&ids, &vec![false; ids.len()], |cache, misses| {
+            .bin_in_chunks(&ids, |cache, misses| {
                 assert!(
                     live(cache) <= MAX_ROUTE_TABLES,
                     "{} tables built",
@@ -2114,18 +2137,6 @@ mod tests {
         assert!(binned.iter().all(Result::is_ok) && binned.len() == plans.len());
         assert_eq!((live(&cache), cache.builds), (0, builds));
         assert_eq!(cache.tables.len(), plans.len());
-        // replaying misses name no slot, so they ride along in one chunk
-        let mut replay = vec![true; ids.len()];
-        replay[0] = false;
-        let mut chunks = 0;
-        cache
-            .bin_in_chunks(&ids, &replay, |cache, misses| {
-                assert_eq!(live(cache), 1);
-                chunks += 1;
-                misses.map(|i| binned[i].clone()).collect()
-            })
-            .unwrap();
-        assert_eq!(chunks, 1);
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //!   misses of one spec may both synthesize; the graphs are identical).
 //!
 //! **Warm state.** Beside the resident graph the slot holds at most one
-//! plan's warm engine state: the per-layer slabs (mapping, bypass plans,
-//! per-tile outputs), tiling, A/B split and signature-stamped traffic
-//! profiles a session keeps (§III-E: the controller fixes mapping,
-//! partitioning and NoC configuration before a subgraph executes). None
+//! plan's warm engine state, as a session keeps it: the per-layer slabs
+//! (mapping, bypass plans, per-tile outputs), traffic profiles, and the
+//! tiling and A/B split they were computed under (§III-E: the
+//! controller fixes mapping, partitioning and NoC configuration before
+//! a subgraph executes). None
 //! of it depends on the input density, which reaches the engine only
 //! through layer 0's message width. So a request on the resident graph
 //! whose *plan key* matches — everything in the request except the
@@ -43,14 +44,16 @@
 //!   errors or panics drops the state and clears the slot, as a
 //!   session's `invalidate` would.
 //! * **Admission.** The graph's doorkeeper rule: a plan is admitted on
-//!   its second consecutive miss on one graph spec, by a run that fills
-//!   a fresh state. Its bytes count with the graph's under
+//!   its second consecutive miss on one graph spec. Admission is a
+//!   checkout of a fresh state, which the run fills as a full recompute:
+//!   the plan takes the slot at once, checked out, and the checkout
+//!   rules above apply unchanged. Its bytes count with the graph's under
 //!   [`GRAPH_CACHE_MAX_BYTES`]; a new resident graph drops the state.
 //!
 //! `Inline` graphs are never cached: the engine borrows them.
 
 use crate::config::AcceleratorConfig;
-use crate::engine::{DirtyScope, SessionState};
+use crate::engine::SessionState;
 use crate::report::SimReport;
 use crate::request::{GraphSpec, SimError};
 use aurora_graph::{Csr, Dataset};
@@ -116,16 +119,6 @@ struct WarmSlot {
     bytes: usize,
 }
 
-/// How a run on a resolved graph uses the warm slot.
-enum Warm {
-    /// No warm state: the plain from-scratch run.
-    Cold,
-    /// A checked-out state: every tile replays.
-    Hit(SessionState),
-    /// An admitted plan: the run fills a fresh state.
-    Admit,
-}
-
 #[derive(Default)]
 struct State {
     resident: Option<(SpecKey, Arc<Csr>)>,
@@ -143,8 +136,9 @@ struct State {
 impl State {
     /// A run of `plan` on `key`'s graph that finds no warm state:
     /// admitted when the graph is resident and the previous plan miss
-    /// was the same graph and plan.
-    fn plan_miss(&mut self, key: SpecKey, plan: &PlanKey, resident: bool) -> Warm {
+    /// was the same graph and plan. Admission checks a fresh state out
+    /// under a placeholder slot for the plan.
+    fn plan_miss(&mut self, key: SpecKey, plan: &PlanKey, resident: bool) -> Option<SessionState> {
         self.warm_misses += 1;
         let repeat = self
             .last_plan_miss
@@ -153,11 +147,15 @@ impl State {
         if !repeat {
             self.last_plan_miss = Some((key, plan.clone()));
         }
-        if repeat && resident {
-            Warm::Admit
-        } else {
-            Warm::Cold
+        if !(repeat && resident) {
+            return None;
         }
+        self.warm = Some(WarmSlot {
+            plan: plan.clone(),
+            state: None,
+            bytes: 0,
+        });
+        Some(SessionState::default())
     }
 }
 
@@ -238,14 +236,14 @@ impl GraphCache {
     }
 
     /// The one lookup behind [`Self::resolve`] and [`Self::run_planned`]:
-    /// the graph, plus — when `plan` is given — how its run uses the
-    /// warm slot.
+    /// the graph, plus — when `plan` is given — the warm state its run
+    /// checks out, if any.
     fn lookup(
         &self,
         spec: &GraphSpec,
         key: SpecKey,
         plan: Option<&PlanKey>,
-    ) -> Result<(Arc<Csr>, Warm), SimError> {
+    ) -> Result<(Arc<Csr>, Option<SessionState>), SimError> {
         spec.validate()?;
         let admit = {
             let mut state = self.lock();
@@ -254,19 +252,17 @@ impl GraphCache {
                     let graph = Arc::clone(graph);
                     state.hits += 1;
                     let Some(plan) = plan else {
-                        return Ok((graph, Warm::Cold));
+                        return Ok((graph, None));
                     };
                     let warm = match &mut state.warm {
-                        Some(slot) if slot.plan == *plan => match slot.state.take() {
-                            Some(warm) => {
-                                state.warm_hits += 1;
-                                Warm::Hit(warm)
+                        Some(slot) if slot.plan == *plan => {
+                            let warm = slot.state.take();
+                            match warm {
+                                Some(_) => state.warm_hits += 1,
+                                None => state.warm_misses += 1,
                             }
-                            None => {
-                                state.warm_misses += 1;
-                                Warm::Cold
-                            }
-                        },
+                            warm
+                        }
                         _ => state.plan_miss(key, plan, true),
                     };
                     return Ok((graph, warm));
@@ -282,22 +278,19 @@ impl GraphCache {
             state.resident = Some((key, Arc::clone(&graph)));
             state.warm = None;
         }
-        let warm = match plan {
-            Some(plan) => state.plan_miss(key, plan, resident),
-            None => Warm::Cold,
-        };
+        let warm = plan.and_then(|plan| state.plan_miss(key, plan, resident));
         Ok((graph, warm))
     }
 
     /// Runs `run` on `spec`'s graph with whatever warm state the cache
-    /// holds for `plan` (see the module doc): a checked-out state with
-    /// an empty dirty scope, a fresh state to fill, or none. A filled or
-    /// replayed state is checked back in only after a successful run.
+    /// checks out for `plan` (see the module doc): the slot's state to
+    /// replay, a fresh state to fill, or none. The state is checked back
+    /// in only after a successful run.
     pub(crate) fn run_planned(
         &self,
         spec: &GraphSpec,
         plan: PlanKey,
-        run: impl FnOnce(&Csr, Option<(&mut SessionState, &DirtyScope)>) -> Result<SimReport, SimError>,
+        run: impl FnOnce(&Csr, Option<&mut SessionState>) -> Result<SimReport, SimError>,
     ) -> Result<SimReport, SimError> {
         let Some(key) = SpecKey::of(spec) else {
             return run(&spec.resolve()?, None);
@@ -306,35 +299,30 @@ impl GraphCache {
             let _span = span::enter(Stage::GraphLoad);
             self.lookup(spec, key, Some(&plan))?
         };
-        let (mut state, scope, admitting) = match warm {
-            Warm::Cold => return run(&graph, None),
-            Warm::Hit(state) => (state, DirtyScope::Vertices(Vec::new()), false),
-            Warm::Admit => (SessionState::default(), DirtyScope::All, true),
+        let Some(mut state) = warm else {
+            return run(&graph, None);
         };
         let mut out = Checkout {
             cache: self,
             graph: &graph,
             plan,
-            admitting,
             state: None,
         };
-        let report = run(&graph, Some((&mut state, &scope)))?;
+        let report = run(&graph, Some(&mut state))?;
         out.state = Some(state);
         Ok(report)
     }
 }
 
-/// A warm state out of the cache for one run. Dropping it checks the
-/// state back in when the run succeeded (`state` is set); otherwise —
-/// an error, or a panic unwinding through the run — the state is gone
-/// and a replay's slot is cleared, so the plan is admitted afresh.
+/// A warm state out of the cache for one run, replayed or being filled.
+/// Dropping it checks the state back in when the run succeeded (`state`
+/// is set); otherwise — an error, or a panic unwinding through the run
+/// — the state is gone and its slot is cleared, so the plan is admitted
+/// afresh.
 struct Checkout<'a> {
     cache: &'a GraphCache,
     graph: &'a Arc<Csr>,
     plan: PlanKey,
-    /// True when the run filled a fresh state rather than replaying the
-    /// slot's.
-    admitting: bool,
     state: Option<SessionState>,
 }
 
@@ -348,33 +336,19 @@ impl Drop for Checkout<'_> {
         if !matches!(&cache.resident, Some((_, g)) if Arc::ptr_eq(g, self.graph)) {
             return;
         }
-        let ours = cache
-            .warm
-            .as_ref()
-            .is_some_and(|w| w.plan == self.plan && w.state.is_none());
-        let Some(state) = self.state.take() else {
-            // a failed replay takes its slot with it
-            if ours && !self.admitting {
-                cache.warm = None;
-            }
+        let Some(slot) = (cache.warm.as_mut()).filter(|w| w.plan == self.plan && w.state.is_none())
+        else {
+            // the slot moved on to another plan while this run was out
             return;
         };
-        let bytes = state.bytes();
-        let fits = csr_bytes(self.graph) + bytes <= self.cache.max_bytes;
-        if fits && self.admitting {
-            cache.warm = Some(WarmSlot {
-                plan: self.plan.clone(),
-                state: Some(state),
-                bytes,
-            });
-        } else if ours {
-            // the replay's slot: back in, or out when it outgrew the cap
-            match (fits, cache.warm.as_mut()) {
-                (true, Some(slot)) => (slot.state, slot.bytes) = (Some(state), bytes),
-                _ => cache.warm = None,
-            }
+        let state = self.state.take();
+        let bytes = state.as_ref().map_or(0, SessionState::bytes);
+        if state.is_some() && csr_bytes(self.graph) + bytes <= self.cache.max_bytes {
+            (slot.state, slot.bytes) = (state, bytes);
+        } else {
+            // a failed run, or a state over the cap, takes its slot with it
+            cache.warm = None;
         }
-        // else the slot moved on to another plan while this run was out
     }
 }
 
@@ -559,6 +533,52 @@ mod tests {
         report_json(&req, Some(&cache));
         report_json(&req, Some(&cache));
         assert_eq!(cache.warm_hits(), 3);
+    }
+
+    #[test]
+    fn a_failed_or_panicking_admission_leaves_the_slot_empty() {
+        let spec = rmat(1);
+        let (a, b) = (
+            plan_request(spec.clone(), 4, 0.3),
+            plan_request(spec, 6, 0.3),
+        );
+        for panics in [false, true] {
+            let cache = GraphCache::new();
+            for _ in 0..3 {
+                report_json(&a, Some(&cache));
+            }
+            assert_eq!(cache.warm_hits(), 1);
+            assert!(cache.warm_bytes() > 0, "a is warm");
+            // b's first miss runs cold; its second is the admission
+            report_json(&b, Some(&cache));
+            let admission = |_: &Csr, session: Option<&mut SessionState>| {
+                assert!(session.is_some(), "the admission checks a fresh state out");
+                assert_eq!(cache.warm_bytes(), 0, "b's placeholder replaced a's state");
+                if panics {
+                    panic!("injected");
+                }
+                Err(SimError::Internal("injected".into()))
+            };
+            let plan = PlanKey::new(b.config, b.model, &b.layers);
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cache.run_planned(&b.graph, plan, admission)
+            }));
+            match out {
+                Ok(failed) => {
+                    assert!(!panics);
+                    assert_eq!(failed.unwrap_err(), SimError::Internal("injected".into()));
+                }
+                Err(_) => assert!(panics, "only the injected panic unwinds"),
+            }
+            assert_eq!(cache.warm_bytes(), 0, "the failed admission left no state");
+            // the next miss of b admits it again, and the run after replays
+            let hits = cache.warm_hits();
+            report_json(&b, Some(&cache));
+            assert_eq!(cache.warm_hits(), hits, "panics: {panics}");
+            assert!(cache.warm_bytes() > 0, "b was admitted again");
+            report_json(&b, Some(&cache));
+            assert_eq!(cache.warm_hits(), hits + 1, "panics: {panics}");
+        }
     }
 
     #[test]

@@ -215,9 +215,8 @@ impl SimRequest {
     /// Validates the request without running it: the version is
     /// supported, a graph is present and non-empty (spec-level), layers
     /// are non-empty, the density is in range, the configuration is
-    /// usable ([`AcceleratorConfig::validate`]), and the layers form a
-    /// chain of widths in `1..=MAX_LAYER_WIDTH`, each `f_in` the previous
-    /// layer's `f_out`.
+    /// usable ([`AcceleratorConfig::validate`]) and the layers fit it
+    /// ([`validate_layers`]).
     pub fn validate(&self) -> Result<(), SimError> {
         if self.version > WIRE_VERSION {
             return Err(SimError::UnsupportedVersion {
@@ -235,25 +234,7 @@ impl SimRequest {
             });
         }
         self.config.validate()?;
-        let mut prev_out: Option<usize> = None;
-        for (i, l) in self.layers.iter().enumerate() {
-            for (name, width) in [("f_in", l.f_in), ("f_out", l.f_out)] {
-                if !(1..=MAX_LAYER_WIDTH).contains(&width) {
-                    return Err(SimError::InvalidRequest(format!(
-                        "layers[{i}].{name} must be in 1..={MAX_LAYER_WIDTH}, got {width}"
-                    )));
-                }
-            }
-            if let Some(prev) = prev_out.filter(|&p| p != l.f_in) {
-                return Err(SimError::InvalidRequest(format!(
-                    "layers[{i}].f_in {} does not match layers[{}].f_out {prev}",
-                    l.f_in,
-                    i - 1
-                )));
-            }
-            prev_out = Some(l.f_out);
-        }
-        Ok(())
+        validate_layers(&self.config, &self.layers)
     }
 
     /// Content-addressed identity: an FNV-1a 64-bit hash of the
@@ -275,6 +256,46 @@ impl SimRequest {
             self.options.workload.clone()
         }
     }
+}
+
+/// Rejects a layer chain `config` cannot run, as one typed
+/// [`SimError::InvalidRequest`]: a width outside `1..=MAX_LAYER_WIDTH`,
+/// an `f_in` that is not the previous layer's `f_out`, or a PE buffer
+/// that cannot hold one vertex of the widest layer input
+/// (`pe.buffer_bytes < 8 × f_in`). An empty chain passes; callers
+/// reject it first.
+pub(crate) fn validate_layers(
+    config: &AcceleratorConfig,
+    layers: &[LayerShape],
+) -> Result<(), SimError> {
+    let mut prev_out: Option<usize> = None;
+    for (i, l) in layers.iter().enumerate() {
+        for (name, width) in [("f_in", l.f_in), ("f_out", l.f_out)] {
+            if !(1..=MAX_LAYER_WIDTH).contains(&width) {
+                return Err(SimError::InvalidRequest(format!(
+                    "layers[{i}].{name} must be in 1..={MAX_LAYER_WIDTH}, got {width}"
+                )));
+            }
+        }
+        if let Some(prev) = prev_out.filter(|&p| p != l.f_in) {
+            return Err(SimError::InvalidRequest(format!(
+                "layers[{i}].f_in {} does not match layers[{}].f_out {prev}",
+                l.f_in,
+                i - 1
+            )));
+        }
+        prev_out = Some(l.f_out);
+    }
+    let widest = layers.iter().map(|l| l.f_in).max().unwrap_or(0);
+    if config.pe.buffer_bytes < 8 * widest {
+        return Err(SimError::InvalidRequest(format!(
+            "config.pe.buffer_bytes {} cannot hold one vertex of layer input width {widest} \
+             (needs >= {})",
+            config.pe.buffer_bytes,
+            8 * widest
+        )));
+    }
+    Ok(())
 }
 
 /// Builder for [`SimRequest`] (the ergonomic construction path; wire
@@ -725,7 +746,7 @@ mod tests {
             req.validate()
         };
         type Break = fn(&mut SimRequest);
-        let broken: [(&str, Break); 9] = [
+        let broken: [(&str, Break); 11] = [
             ("clock_mhz", |r| r.config.clock_mhz = 0),
             ("pe.lanes", |r| r.config.pe.lanes = 0),
             ("dram_channels", |r| r.config.dram_channels = 0),
@@ -742,6 +763,9 @@ mod tests {
             ("layers[1].f_in 8 does not match layers[0].f_out 16", |r| {
                 r.layers.push(LayerShape::new(8, 4))
             }),
+            // one vertex of the 32-wide input needs 256 bytes
+            ("pe.buffer_bytes 255", |r| r.config.pe.buffer_bytes = 255),
+            ("pe.buffer_bytes 0", |r| r.config.pe.buffer_bytes = 0),
         ];
         for (what, break_it) in broken {
             match with(break_it) {
@@ -749,8 +773,15 @@ mod tests {
                 other => panic!("{what}: {other:?}"),
             }
         }
-        // the widest allowed layer and a connected chain are accepted
-        assert!(with(|r| r.layers = vec![LayerShape::new(MAX_LAYER_WIDTH, 1)]).is_ok());
+        // the widest allowed layer on a buffer that holds one of its
+        // vertices, a buffer of exactly one vertex, and a connected chain
+        // are accepted
+        assert!(with(|r| {
+            r.layers = vec![LayerShape::new(MAX_LAYER_WIDTH, 1)];
+            r.config.pe.buffer_bytes = 8 * MAX_LAYER_WIDTH;
+        })
+        .is_ok());
+        assert!(with(|r| r.config.pe.buffer_bytes = 256).is_ok());
         assert!(with(|r| r.layers.push(LayerShape::new(16, 4))).is_ok());
         assert!(with(|r| r.layers[0].f_in = MAX_LAYER_WIDTH + 1).is_err());
     }

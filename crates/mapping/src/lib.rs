@@ -208,13 +208,6 @@ impl MapScratch {
         Self::default()
     }
 
-    /// The N-Queen S_PE positions for radix `k`, recomputed only when
-    /// the radix changes.
-    pub fn s_pes_for(&mut self, k: usize) -> &[usize] {
-        self.prepare_s_pes(k);
-        &self.s_pes
-    }
-
     pub(crate) fn prepare_s_pes(&mut self, k: usize) {
         if self.s_pes_k != k {
             self.s_pes = nqueen::s_pe_positions(k);

@@ -131,14 +131,6 @@ impl MemoryController {
         self.stream_cycles(bytes, false)
     }
 
-    /// Records scattered writes.
-    pub fn random_write(&mut self, bytes: u64) -> u64 {
-        self.counters.write_bytes += bytes;
-        self.counters.random_bytes += bytes;
-        self.probe("dram.write_bytes", bytes, false);
-        self.stream_cycles(bytes, false)
-    }
-
     /// Memory cycles to move `bytes` with the given locality.
     pub fn stream_cycles(&self, bytes: u64, sequential: bool) -> u64 {
         if bytes == 0 {

@@ -38,15 +38,6 @@ impl DramStats {
         self.reads + self.writes
     }
 
-    /// Mean request latency.
-    pub fn avg_latency(&self) -> f64 {
-        if self.requests() == 0 {
-            0.0
-        } else {
-            self.total_latency as f64 / self.requests() as f64
-        }
-    }
-
     /// Row-buffer hit rate.
     pub fn hit_rate(&self) -> f64 {
         if self.requests() == 0 {

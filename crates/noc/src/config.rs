@@ -33,10 +33,13 @@ pub struct BypassSegment {
 
 /// Full NoC configuration.
 ///
-/// `Eq`/`Hash` make a configuration usable as a cache key (the
-/// dimension-factored route tables of `aurora_noc::routing::RouteTable`
-/// — 2k³ row/column legs — are pure functions of the configuration, so
-/// the engine memoizes them per distinct config).
+/// The dimension-factored route table of `aurora_noc::routing::RouteTable`
+/// (2k³ row/column legs) is a pure function of the configuration, and a
+/// tile's configuration is a pure function of its planned bypass
+/// segments, so the engine interns one configuration per distinct plan
+/// and builds its table at most once. A configuration carries no
+/// fingerprint: warm engine state replays a tile's traffic profile
+/// because the tile's plan, and so its configuration, has not changed.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct NocConfig {
     /// Mesh radix: the network is `k × k`.
@@ -86,39 +89,6 @@ impl NocConfig {
             mode: TopologyMode::Rings,
             ..Self::mesh(k)
         }
-    }
-
-    /// A stable 64-bit content fingerprint of the configuration (FNV-1a
-    /// over radix, router provisioning, mode and every bypass segment).
-    /// Route tables and traffic profiles are pure functions of the
-    /// config, so a cached artifact stamped with this signature is valid
-    /// exactly while the signature matches — the invalidation hook the
-    /// incremental session engine checks before replaying a clean tile's
-    /// profile.
-    pub fn signature(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(self.k as u64);
-        mix(self.vcs as u64);
-        mix(self.vc_depth as u64);
-        mix(self.words_per_flit as u64);
-        mix(match self.mode {
-            TopologyMode::Mesh => 0,
-            TopologyMode::MeshWithBypass => 1,
-            TopologyMode::Rings => 2,
-        });
-        for seg in self.row_bypass.iter().chain(self.col_bypass.iter()) {
-            mix(seg.index as u64);
-            mix(seg.from as u64);
-            mix(seg.to as u64);
-        }
-        mix(self.row_bypass.len() as u64);
-        h
     }
 
     /// Validates structural invariants: positive radix/VCs/buffer

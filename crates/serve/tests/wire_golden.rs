@@ -166,7 +166,7 @@ fn corpus() -> Vec<Case> {
     // requests that once panicked in the engine or ran to a meaningless
     // report: each is one typed invalid_request now
     type Break = fn(&mut SimRequest);
-    let broken: [(&'static str, Break); 8] = [
+    let broken: [(&'static str, Break); 11] = [
         ("sim/invalid/clock-zero", |r| r.config.clock_mhz = 0),
         ("sim/invalid/lanes-zero", |r| r.config.pe.lanes = 0),
         ("sim/invalid/dram-channels-zero", |r| {
@@ -188,6 +188,10 @@ fn corpus() -> Vec<Case> {
         ("sim/invalid/layer-chain", |r| {
             r.layers.push(LayerShape::new(8, 4));
         }),
+        // a PE buffer must hold one vertex of the widest layer input
+        ("sim/invalid/buffer-zero", |r| r.config.pe.buffer_bytes = 0),
+        ("sim/invalid/buffer-one", |r| r.config.pe.buffer_bytes = 1),
+        ("sim/invalid/buffer-64", |r| r.config.pe.buffer_bytes = 64),
     ];
     cases.extend(broken.into_iter().zip(20..).map(|((name, break_it), id)| {
         let mut req = small_request(7);

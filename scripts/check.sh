@@ -109,31 +109,40 @@ if coverage < 0.9:
     sys.exit(1)
 EOF
 python3 - <<'EOF'
-import os, subprocess, sys, time
+import os, statistics, subprocess, sys, time
 
-# Spans-disabled vs spans-enabled wall clock of one pinned workload,
-# best of 3 each to shave scheduler noise. The profiler is a handful of
-# atomics per stage, so 5% is generous — a failure means a hot-path
-# regression (e.g. spans created inside a per-edge loop).
+# Spans-disabled vs spans-enabled wall clock of one pinned workload, as
+# the median over 5 pairs of one disabled and one enabled run. The two
+# runs of a pair follow each other, and the pairs alternate which goes
+# first, so drift in the host's speed hits both sides alike. The
+# profiler is a handful of atomics per stage, so 5% is generous — a
+# failure means a hot-path regression (e.g. spans created inside a
+# per-edge loop).
 CMD = ["./target/release/aurora_sim", "--dataset", "pubmed", "--model", "gcn"]
+PAIRS = 5
 
-def best(extra_env):
+def wall(enabled):
     env = dict(os.environ)
     env.pop("AURORA_HOST_PROFILE", None)
-    env.update(extra_env)
-    times = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        subprocess.run(CMD, env=env, stdout=subprocess.DEVNULL,
-                       stderr=subprocess.DEVNULL, check=True)
-        times.append(time.perf_counter() - t0)
-    return min(times)
+    if enabled:
+        env["AURORA_HOST_PROFILE"] = "1"
+    t0 = time.perf_counter()
+    subprocess.run(CMD, env=env, stdout=subprocess.DEVNULL,
+                   stderr=subprocess.DEVNULL, check=True)
+    return time.perf_counter() - t0
 
-off = best({})
-on = best({"AURORA_HOST_PROFILE": "1"})
-ratio = on / off
-print(f"span overhead: disabled {off*1e3:.0f} ms, enabled {on*1e3:.0f} ms "
-      f"({ratio:.3f}x)")
+ratios = []
+for i in range(PAIRS):
+    if i % 2 == 0:
+        off = wall(False)
+        on = wall(True)
+    else:
+        on = wall(True)
+        off = wall(False)
+    ratios.append(on / off)
+ratio = statistics.median(ratios)
+print(f"span overhead: median enabled/disabled {ratio:.3f}x over {PAIRS} "
+      f"pairs ({', '.join(f'{r:.3f}' for r in ratios)})")
 if ratio > 1.05:
     print(f"overhead gate FAILED: enabled spans cost {ratio:.3f}x, "
           "budget is 1.05x", file=sys.stderr)
