@@ -7,6 +7,7 @@
 //! Times the seed's O(E·hops) per-edge route walker (inlined below —
 //! the library keeps it only as a `#[cfg(test)]` oracle) against the
 //! shipped route-table kernel, and prints the speedup per workload. The
+//! walker's peer lookups are O(1), through a [`PeerIndex`]. The
 //! kernel is split into its two steps: the dimension-factored
 //! [`RouteTable`] build (2k³ row/column legs, O(k³)) and the O(E + k³)
 //! leg-binning pass that turns a tile's edges into a traffic estimate.
@@ -27,12 +28,13 @@ use aurora_graph::{generate, Csr};
 use aurora_mapping::plan::{plan_bypass_into, PlanScratch, SegmentPlan};
 use aurora_mapping::{degree_aware, VertexMapping};
 use aurora_noc::routing::{compute_route, next_node};
-use aurora_noc::{BypassSegment, NocConfig, NocError, Port, RouteTable, TopologyMode};
+use aurora_noc::{BypassSegment, NocConfig, NocError, PeerIndex, Port, RouteTable, TopologyMode};
 use std::time::Instant;
 
 /// The seed's estimator: walk every edge's route hop by hop. Kept here
-/// verbatim (plus the `finalize` folding it shares with the kernel) so
-/// the bench measures the real replaced code path, not a strawman.
+/// (plus the `finalize` folding it shares with the kernel) so the bench
+/// measures the replaced code path, not a strawman. Its ejection widths
+/// come straight from the segment lists, not from a [`PeerIndex`].
 fn legacy_aggregation_traffic(
     cfg: &NocConfig,
     mapping: &VertexMapping,
@@ -41,6 +43,7 @@ fn legacy_aggregation_traffic(
     link_utilisation: f64,
 ) -> Result<OnChipEstimate, NocError> {
     let k = cfg.k;
+    let peers = PeerIndex::build(cfg);
     let flits_per_msg = msg_words.div_ceil(cfg.words_per_flit).max(1) as u64;
     let mut load = vec![0u64; k * k];
     let mut eject = vec![0u64; k * k];
@@ -63,14 +66,15 @@ fn legacy_aggregation_traffic(
         let mut cur = src;
         let mut guard = 0;
         while cur != dst {
-            let port = compute_route(cfg, cur, dst)?;
+            let port = compute_route(cfg, &peers, cur, dst)?;
             load[cur] += flits_per_msg;
             flit_hops += flits_per_msg;
             total_hops += 1;
             if matches!(port, Port::BypassH | Port::BypassV) {
                 bypass_hops += flits_per_msg;
             }
-            cur = next_node(cfg, cur, port)?.ok_or(NocError::RoutingLivelock { src, dst })?;
+            cur =
+                next_node(cfg, &peers, cur, port)?.ok_or(NocError::RoutingLivelock { src, dst })?;
             guard += 1;
             if guard > 4 * k * k {
                 return Err(NocError::RoutingLivelock { src, dst });
@@ -79,10 +83,14 @@ fn legacy_aggregation_traffic(
         eject[cur] += flits_per_msg;
     }
 
+    let taps = |segs: &[BypassSegment], index: usize, pos: usize| {
+        segs.iter()
+            .any(|s| s.index == index && (s.from == pos || s.to == pos))
+    };
     for (node, e) in eject.iter().enumerate() {
-        let width =
-            1 + (cfg.h_bypass_peer(node).is_some() || cfg.v_bypass_peer(node).is_some()) as u64;
-        load[node] += e.div_ceil(width.max(1));
+        let (x, y) = (node % k, node / k);
+        let width = 1 + (taps(&cfg.row_bypass, y, x) || taps(&cfg.col_bypass, x, y)) as u64;
+        load[node] += e.div_ceil(width);
     }
 
     if messages == 0 {
@@ -222,7 +230,7 @@ fn main() {
         let (bin_ms, kernel) = time_ms(reps, || {
             TrafficProfile::bin(&table, &mapping.view(), g.edges())
                 .expect("validated configs route every pair")
-                .estimate(&cfg, msg_words, DEFAULT_LINK_UTILISATION)
+                .estimate(msg_words, DEFAULT_LINK_UTILISATION)
         });
         assert_eq!(kernel, walker, "{name}: kernel must match the walker");
 

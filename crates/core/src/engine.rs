@@ -1152,8 +1152,7 @@ impl AuroraSimulator {
                     if let Some(s) = session.as_deref_mut().filter(|_| !replays) {
                         s.state.profiles[ti] = Some(p.clone());
                     }
-                    let noc = &cache.tables[key.table_id].cfg;
-                    p.estimate(noc, ctx.msg_words, cfg.link_utilisation)
+                    p.estimate(ctx.msg_words, cfg.link_utilisation)
                 }
                 None => {
                     seq.miss_tiles.push(ti);
@@ -1227,9 +1226,7 @@ impl AuroraSimulator {
         let mut binned = binned.into_iter();
         for &ti in &seq.miss_tiles {
             let key = seq.keys[ti];
-            let noc = &cache.tables[key.table_id].cfg;
-            let estimate =
-                |p: &TrafficProfile| p.estimate(noc, ctx.msg_words, cfg.link_utilisation);
+            let estimate = |p: &TrafficProfile| p.estimate(ctx.msg_words, cfg.link_utilisation);
             let profile = match session.as_deref_mut() {
                 Some(s) if s.replays(ti) => {
                     let stored = s.state.profiles[ti].as_ref();

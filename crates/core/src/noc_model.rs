@@ -28,7 +28,7 @@
 
 use aurora_mapping::{MapView, VertexMapping};
 use aurora_noc::routing::{Axis, RouteSummary, RouteTable};
-use aurora_noc::{NocConfig, NocError, TopologyMode};
+use aurora_noc::{NocConfig, NocError, Packet, TopologyMode};
 use aurora_telemetry::{Scope, Telemetry};
 use serde::{Deserialize, Serialize};
 
@@ -132,27 +132,38 @@ fn link_count(cfg: &NocConfig) -> u64 {
 /// [`TrafficProfile::estimate`] rescales and applies the only non-linear
 /// step — the eject-port `div_ceil` — *after* scaling, which is exactly
 /// what charging the full-size messages directly would compute. The
-/// engine caches these across layers (`noc.tile_profile.{hits,misses}`).
+/// profile also records the three things pricing reads from the fabric
+/// (each router's ejection-port width, the flit payload and the link
+/// count), so it prices itself without its [`NocConfig`]. The engine
+/// caches these across layers (`noc.tile_profile.{hits,misses}`).
 #[derive(Debug, Clone)]
 pub struct TrafficProfile {
-    /// Mesh radix the profile was binned for (sanity-checked on use).
-    k: usize,
     /// Per-router forwarded messages (1 flit/message scale).
     load: Vec<u64>,
     /// Per-router ejected messages.
     eject: Vec<u64>,
+    /// Per-router ejection ports: the local port, plus the bypass mux
+    /// when a segment taps the router — the "additional
+    /// injection/ejection bandwidth" the flexible NoC provides to S_PEs.
+    eject_width: Vec<u8>,
     /// Messages routed (edges sourced in the tile).
     messages: u64,
     /// Total router-to-router hops across all messages.
     total_hops: u64,
     /// Hops that rode bypass segments.
     bypass_hops: u64,
+    /// Payload words per flit of the fabric.
+    words_per_flit: usize,
+    /// Directed link count of the fabric.
+    links: u64,
 }
 
 impl TrafficProfile {
-    /// Heap bytes of the per-router histograms.
+    /// Heap bytes of the per-router arrays. The scalar fields live
+    /// inline, in whatever holds the profile.
     pub(crate) fn bytes(&self) -> usize {
         (self.load.capacity() + self.eject.capacity()) * std::mem::size_of::<u64>()
+            + self.eject_width.capacity()
     }
 
     /// O(E) counting pass + one application of the route table's 2k³
@@ -166,7 +177,8 @@ impl TrafficProfile {
     /// multiplicity. A route's row-leg nodes end before its turn and its
     /// column-leg nodes start there, so the two together charge exactly
     /// the routers a per-edge walk does; the column legs' counts also
-    /// give the per-destination eject counts.
+    /// give the per-destination eject counts. The ejection-port widths
+    /// come from the table's [`PeerIndex`](aurora_noc::PeerIndex).
     ///
     /// Unroutable pairs surface as the same [`NocError`] (first erroring
     /// edge in iteration order) the per-edge walk would produce.
@@ -237,12 +249,16 @@ impl TrafficProfile {
             }
         }
         Ok(TrafficProfile {
-            k,
             load,
             eject,
+            eject_width: (0..n)
+                .map(|node| 1 + table.peers().tapped(node) as u8)
+                .collect(),
             messages,
             total_hops,
             bypass_hops,
+            words_per_flit: table.config().words_per_flit,
+            links: link_count(table.config()),
         })
     }
 
@@ -252,31 +268,20 @@ impl TrafficProfile {
     }
 
     /// Converts the unit-flit profile to an estimate for `msg_words`-word
-    /// messages. Exact: every profiled quantity is linear in
+    /// messages, in O(k²). Exact: every profiled quantity is linear in
     /// `flits_per_msg`, and the eject-port `div_ceil` is applied after
     /// scaling — precisely the value the per-edge accounting produces.
-    pub fn estimate(
-        &self,
-        cfg: &NocConfig,
-        msg_words: usize,
-        link_utilisation: f64,
-    ) -> OnChipEstimate {
-        assert_eq!(cfg.k, self.k, "profile binned for a different radix");
+    pub fn estimate(&self, msg_words: usize, link_utilisation: f64) -> OnChipEstimate {
         if self.messages == 0 {
             return OnChipEstimate::default();
         }
-        let f = cfg.flits_per_message(msg_words);
-        let mut load: Vec<u64> = self.load.iter().map(|l| l * f).collect();
-        // Ejection drains through the local port, plus the bypass mux when
-        // the router has a configured attachment — the "additional
-        // injection/ejection bandwidth" the flexible NoC provides to S_PEs.
-        for (node, e) in self.eject.iter().enumerate() {
-            let width =
-                1 + (cfg.h_bypass_peer(node).is_some() || cfg.v_bypass_peer(node).is_some()) as u64;
-            load[node] += (e * f).div_ceil(width.max(1));
-        }
+        let f = Packet::flits_for(msg_words, self.words_per_flit) as u64;
+        // ejected flits drain through the router's ejection ports
+        let load: Vec<u64> = (self.load.iter().zip(&self.eject).zip(&self.eject_width))
+            .map(|((l, e), &width)| l * f + (e * f).div_ceil(width as u64))
+            .collect();
         finalize(
-            cfg,
+            self.links,
             load,
             self.total_hops * f,
             self.bypass_hops * f,
@@ -312,7 +317,7 @@ pub fn aggregation_traffic(
 ) -> Result<OnChipEstimate, NocError> {
     let table = RouteTable::build(cfg)?;
     let profile = TrafficProfile::bin(&table, &mapping.view(), edges)?;
-    Ok(profile.estimate(cfg, msg_words, link_utilisation))
+    Ok(profile.estimate(msg_words, link_utilisation))
 }
 
 /// Estimates the weight-stationary vertex-update traffic: each of the
@@ -325,7 +330,7 @@ pub fn ring_traffic(
     link_utilisation: f64,
 ) -> OnChipEstimate {
     let k = cfg.k as u64;
-    let flits_per_msg = msg_words.div_ceil(cfg.words_per_flit).max(1) as u64;
+    let flits_per_msg = cfg.flits_per_message(msg_words);
     let messages = vertices as u64;
     let flit_hops = messages * flits_per_msg * k;
     // rings are balanced by construction: per-router load is uniform
@@ -346,7 +351,7 @@ pub fn ring_traffic(
 
 #[allow(clippy::too_many_arguments)]
 fn finalize(
-    cfg: &NocConfig,
+    links: u64,
     load: Vec<u64>,
     flit_hops: u64,
     bypass_hops: u64,
@@ -365,8 +370,7 @@ fn finalize(
         .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
         .map(|(i, l)| (Some(i), l))
         .unwrap_or((None, 0));
-    let bandwidth_bound =
-        (flit_hops as f64 / (link_count(cfg) as f64 * link_utilisation)).ceil() as u64;
+    let bandwidth_bound = (flit_hops as f64 / (links as f64 * link_utilisation)).ceil() as u64;
     let avg_hops = total_hops as f64 / messages as f64;
     let cycles = bandwidth_bound.max(max_router_load) + avg_hops.ceil() as u64 + flits_per_msg;
     OnChipEstimate {
@@ -417,8 +421,20 @@ mod tests {
         )
     }
 
+    /// Ejection ports of router `node` read straight off `cfg`'s segment
+    /// lists: the local port, plus one when any segment ends there.
+    fn scanned_eject_width(cfg: &NocConfig, node: usize) -> u64 {
+        let (x, y) = (node % cfg.k, node / cfg.k);
+        let taps = |segs: &[BypassSegment], index: usize, pos: usize| {
+            segs.iter()
+                .any(|s| s.index == index && (s.from == pos || s.to == pos))
+        };
+        1 + (taps(&cfg.row_bypass, y, x) || taps(&cfg.col_bypass, x, y)) as u64
+    }
+
     /// The seed's per-edge route walker — the oracle the two-pass kernel
     /// must match bit-for-bit, including which [`NocError`] is returned.
+    /// Its ejection widths come from the segment lists, not the index.
     fn legacy_aggregation_traffic(
         cfg: &NocConfig,
         mapping: &VertexMapping,
@@ -427,8 +443,9 @@ mod tests {
         link_utilisation: f64,
     ) -> Result<OnChipEstimate, NocError> {
         use aurora_noc::routing::{compute_route, next_node};
-        use aurora_noc::Port;
+        use aurora_noc::{PeerIndex, Port};
         let k = cfg.k;
+        let peers = PeerIndex::build(cfg);
         let flits_per_msg = msg_words.div_ceil(cfg.words_per_flit).max(1) as u64;
         let mut load = vec![0u64; k * k];
         let mut eject = vec![0u64; k * k];
@@ -451,14 +468,15 @@ mod tests {
             let mut cur = src;
             let mut guard = 0;
             while cur != dst {
-                let port = compute_route(cfg, cur, dst)?;
+                let port = compute_route(cfg, &peers, cur, dst)?;
                 load[cur] += flits_per_msg;
                 flit_hops += flits_per_msg;
                 total_hops += 1;
                 if matches!(port, Port::BypassH | Port::BypassV) {
                     bypass_hops += flits_per_msg;
                 }
-                cur = next_node(cfg, cur, port)?.ok_or(NocError::RoutingLivelock { src, dst })?;
+                cur = next_node(cfg, &peers, cur, port)?
+                    .ok_or(NocError::RoutingLivelock { src, dst })?;
                 guard += 1;
                 if guard > 4 * k * k {
                     return Err(NocError::RoutingLivelock { src, dst });
@@ -468,13 +486,11 @@ mod tests {
         }
 
         for (node, e) in eject.iter().enumerate() {
-            let width =
-                1 + (cfg.h_bypass_peer(node).is_some() || cfg.v_bypass_peer(node).is_some()) as u64;
-            load[node] += e.div_ceil(width.max(1));
+            load[node] += e.div_ceil(scanned_eject_width(cfg, node));
         }
 
         Ok(finalize(
-            cfg,
+            link_count(cfg),
             load,
             flit_hops,
             bypass_hops,
@@ -591,7 +607,7 @@ mod tests {
             let table = RouteTable::build(&cfg).unwrap();
             let profile = TrafficProfile::bin(&table, &d.view(), g.edges()).unwrap();
             for words in [1, 3, 16, 17, 64] {
-                let scaled = profile.estimate(&cfg, words, DEFAULT_LINK_UTILISATION);
+                let scaled = profile.estimate(words, DEFAULT_LINK_UTILISATION);
                 let direct = legacy_aggregation_traffic(
                     &cfg,
                     &d,

@@ -109,6 +109,12 @@ impl GraphSpec {
                     "{edges} R-MAT edges exceed the limit of {MAX_SYNTH_EDGES}"
                 )))
             }
+            // R-MAT keeps unique non-self edges, so more could never be met
+            GraphSpec::Rmat {
+                vertices, edges, ..
+            } if *edges > vertices * (vertices - 1) => Err(SimError::InvalidRequest(format!(
+                "{edges} R-MAT edges exceed the distinct non-self edges of {vertices} vertices"
+            ))),
             GraphSpec::Inline(g) => {
                 g.validate()
                     .map_err(|e| SimError::InvalidRequest(format!("inline graph: {e}")))?;
@@ -699,6 +705,12 @@ mod tests {
                 edges: usize::MAX - usize::MAX / 5,
                 seed: 1,
             },
+            // more edges than 3 vertices have distinct non-self pairs
+            GraphSpec::Rmat {
+                vertices: 3,
+                edges: MAX_SYNTH_EDGES,
+                seed: 1,
+            },
         ] {
             let req = SimRequest {
                 graph: graph.clone(),
@@ -729,6 +741,13 @@ mod tests {
         assert!(GraphSpec::Rmat {
             vertices: MAX_SYNTH_VERTICES,
             edges: MAX_SYNTH_EDGES,
+            seed: 1,
+        }
+        .validate()
+        .is_ok());
+        assert!(GraphSpec::Rmat {
+            vertices: 3,
+            edges: 6,
             seed: 1,
         }
         .validate()

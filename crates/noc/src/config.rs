@@ -1,7 +1,7 @@
 //! NoC configuration: topology mode and bypass-link segmentation.
 
 use crate::error::{BypassKind, NocError};
-use crate::topology::NodeId;
+use crate::flit::Packet;
 use serde::{Deserialize, Serialize};
 
 /// How the reconfigurable fabric is currently wired.
@@ -32,6 +32,10 @@ pub struct BypassSegment {
 }
 
 /// Full NoC configuration.
+///
+/// A configuration only lists its bypass segments. Which routers a
+/// segment attaches is answered by the
+/// [`PeerIndex`](crate::routing::PeerIndex) built from it.
 ///
 /// The dimension-factored route table of `aurora_noc::routing::RouteTable`
 /// (2k³ row/column legs) is a pure function of the configuration, and a
@@ -160,37 +164,10 @@ impl NocConfig {
         Ok(())
     }
 
-    /// The horizontal bypass attachment of node `id`, if any: the node id
-    /// at the other end of the segment. A linear scan of the segments,
-    /// for one-off queries; a `RouteTable` indexes every node's peers
-    /// once at build time instead.
-    pub fn h_bypass_peer(&self, id: NodeId) -> Option<NodeId> {
-        let (x, y) = (id % self.k, id / self.k);
-        self.h_bypass_tap(x, y).map(|px| y * self.k + px)
-    }
-
-    /// The vertical bypass attachment of node `id`, if any.
-    pub fn v_bypass_peer(&self, id: NodeId) -> Option<NodeId> {
-        let (x, y) = (id % self.k, id / self.k);
-        self.v_bypass_tap(x, y).map(|py| py * self.k + x)
-    }
-
-    /// The column at the other end of the horizontal segment tapping
-    /// router `(x, y)`, if any.
-    pub(crate) fn h_bypass_tap(&self, x: usize, y: usize) -> Option<usize> {
-        other_end(&self.row_bypass, y, x)
-    }
-
-    /// The row at the other end of the vertical segment tapping router
-    /// `(x, y)`, if any.
-    pub(crate) fn v_bypass_tap(&self, x: usize, y: usize) -> Option<usize> {
-        other_end(&self.col_bypass, x, y)
-    }
-
-    /// Flits needed to carry a `msg_words`-word message (at least one —
-    /// a zero-word message still occupies a header flit).
+    /// Flits needed to carry a `msg_words`-word message
+    /// ([`Packet::flits_for`]).
     pub fn flits_per_message(&self, msg_words: usize) -> u64 {
-        msg_words.div_ceil(self.words_per_flit).max(1) as u64
+        Packet::flits_for(msg_words, self.words_per_flit) as u64
     }
 
     /// Number of reconfigurable switch settings changed when reprogramming
@@ -202,25 +179,10 @@ impl NocConfig {
     }
 }
 
-/// The far end of the first segment on line `index` that taps position
-/// `pos`.
-fn other_end(segs: &[BypassSegment], index: usize, pos: usize) -> Option<usize> {
-    segs.iter().find_map(|s| {
-        if s.index != index {
-            None
-        } else if s.from == pos {
-            Some(s.to)
-        } else if s.to == pos {
-            Some(s.from)
-        } else {
-            None
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::{Axis, PeerIndex};
 
     #[test]
     fn mesh_default_validates() {
@@ -249,15 +211,16 @@ mod tests {
             }],
         );
         cfg.validate().unwrap();
+        let peers = PeerIndex::build(&cfg);
         // row 1: nodes 4..7; segment joins node 4 and node 7
-        assert_eq!(cfg.h_bypass_peer(4), Some(7));
-        assert_eq!(cfg.h_bypass_peer(7), Some(4));
-        assert_eq!(cfg.h_bypass_peer(5), None);
-        assert_eq!(cfg.h_bypass_peer(0), None);
+        assert_eq!(peers.peer(4, Axis::Row), Some(7));
+        assert_eq!(peers.peer(7, Axis::Row), Some(4));
+        assert_eq!(peers.peer(5, Axis::Row), None);
+        assert_eq!(peers.peer(0, Axis::Row), None);
         // col 2: segment joins (2, y=1) = 6 and (2, y=3) = 14
-        assert_eq!(cfg.v_bypass_peer(6), Some(14));
-        assert_eq!(cfg.v_bypass_peer(14), Some(6));
-        assert_eq!(cfg.v_bypass_peer(2), None);
+        assert_eq!(peers.peer(6, Axis::Col), Some(14));
+        assert_eq!(peers.peer(14, Axis::Col), Some(6));
+        assert_eq!(peers.peer(2, Axis::Col), None);
     }
 
     #[test]
@@ -279,8 +242,9 @@ mod tests {
             vec![],
         );
         cfg.validate().unwrap();
-        assert_eq!(cfg.h_bypass_peer(0), Some(3));
-        assert_eq!(cfg.h_bypass_peer(4), Some(7));
+        let peers = PeerIndex::build(&cfg);
+        assert_eq!(peers.peer(0, Axis::Row), Some(3));
+        assert_eq!(peers.peer(4, Axis::Row), Some(7));
     }
 
     #[test]

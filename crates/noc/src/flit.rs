@@ -56,8 +56,15 @@ impl Packet {
             id,
             src,
             dst,
-            num_flits: payload_words.div_ceil(words_per_flit).max(1),
+            num_flits: Self::flits_for(payload_words, words_per_flit),
         }
+    }
+
+    /// Flits needed to carry `payload_words` words at `words_per_flit`
+    /// per flit: at least one, since a zero-word message still occupies
+    /// a header flit.
+    pub fn flits_for(payload_words: usize, words_per_flit: usize) -> usize {
+        payload_words.div_ceil(words_per_flit).max(1)
     }
 
     /// Expands the packet into its flit sequence.

@@ -4,7 +4,7 @@ use crate::config::{NocConfig, TopologyMode};
 use crate::error::NocError;
 use crate::flit::{Flit, Packet, PacketId};
 use crate::router::Router;
-use crate::routing::{compute_route, next_vc};
+use crate::routing::{compute_route, next_vc, Axis, PeerIndex};
 use crate::stats::NetworkStats;
 use crate::topology::{NodeId, Port};
 use std::collections::VecDeque;
@@ -13,6 +13,8 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 pub struct Network {
     cfg: NocConfig,
+    /// `cfg`'s bypass attachments, read by every head flit's route.
+    peers: PeerIndex,
     routers: Vec<Router>,
     /// `links[node][port] = (downstream node, downstream input port)`.
     links: Vec<[Option<(NodeId, Port)>; Port::COUNT]>,
@@ -44,6 +46,7 @@ impl Network {
         cfg.validate()?;
         let k = cfg.k;
         let n = k * k;
+        let peers = PeerIndex::build(&cfg);
         let mut links = vec![[None; Port::COUNT]; n];
         for (id, node_links) in links.iter_mut().enumerate() {
             let (x, y) = (id % k, id / k);
@@ -62,10 +65,10 @@ impl Network {
             if x > 0 {
                 node_links[Port::West.index()] = Some((id - 1, Port::East));
             }
-            if let Some(peer) = cfg.h_bypass_peer(id) {
+            if let Some(peer) = peers.peer(id, Axis::Row) {
                 node_links[Port::BypassH.index()] = Some((peer, Port::BypassH));
             }
-            if let Some(peer) = cfg.v_bypass_peer(id) {
+            if let Some(peer) = peers.peer(id, Axis::Col) {
                 node_links[Port::BypassV.index()] = Some((peer, Port::BypassV));
             }
         }
@@ -79,6 +82,7 @@ impl Network {
             stats: NetworkStats::new(n),
             latencies: Vec::new(),
             cfg,
+            peers,
         })
     }
 
@@ -153,7 +157,8 @@ impl Network {
                     if vc.route.is_none() {
                         if let Some(f) = vc.queue.front() {
                             if f.kind.is_head() {
-                                vc.route = Some(compute_route(&self.cfg, node, f.dst)?);
+                                vc.route =
+                                    Some(compute_route(&self.cfg, &self.peers, node, f.dst)?);
                             }
                         }
                     }

@@ -9,51 +9,46 @@
 //!   `x = k − 1` back to `x = 0` over the row's bypass wire. A dateline at
 //!   the wrap switches packets to VC 1, breaking the ring's cyclic channel
 //!   dependency.
+//!
+//! The rule reads a router's bypass attachments from a [`PeerIndex`],
+//! built once per configuration: a [`RouteTable`] builds one for its
+//! legs, and the cycle-level [`Network`](crate::Network) builds one for
+//! its links and the [`compute_route`] of every head flit.
 
 use crate::config::{NocConfig, TopologyMode};
 use crate::error::NocError;
 use crate::topology::{Coord, NodeId, Port};
 
-/// Where a router's bypass segments lead — the one input of the routing
-/// rule beyond the mode and the coordinates. [`NocConfig`] answers by
-/// scanning its segment lists (the cycle-level engine's one-off
-/// queries); a [`RouteTable`]'s [`PeerIndex`] answers from a k² array.
-trait BypassPeers {
-    /// The column at the other end of the horizontal segment tapping `c`.
-    fn h_peer(&self, c: Coord) -> Option<usize>;
-    /// The row at the other end of the vertical segment tapping `c`.
-    fn v_peer(&self, c: Coord) -> Option<usize>;
-}
-
-impl BypassPeers for NocConfig {
-    fn h_peer(&self, c: Coord) -> Option<usize> {
-        self.h_bypass_tap(c.x, c.y)
-    }
-
-    fn v_peer(&self, c: Coord) -> Option<usize> {
-        self.v_bypass_tap(c.x, c.y)
-    }
-}
-
 /// [`PeerIndex`] sentinel for "no attachment".
 const NO_PEER: u32 = u32::MAX;
 
-/// Every router's `[horizontal, vertical]` bypass peer (the far end's
-/// column and row), k² entries, built once per table in
-/// O(k² + segments).
+/// Every router's bypass attachments: for each of the k² routers, the
+/// far end of the horizontal segment tapping it (a column) and of the
+/// vertical one (a row). The fabric's one answer to "where does this
+/// router's bypass lead": the routing rule, the cycle-level network's
+/// links and the traffic model's ejection widths all read it. Built
+/// once per configuration in O(k² + segments); a lookup is O(1).
 #[derive(Debug, Clone)]
-struct PeerIndex {
+pub struct PeerIndex {
     k: usize,
+    /// Per router, the far end along its row and along its column
+    /// (indexed by `Axis as usize`), or [`NO_PEER`].
     peers: Vec<[u32; 2]>,
 }
 
 impl PeerIndex {
-    fn build(cfg: &NocConfig) -> PeerIndex {
+    /// Indexes `cfg`'s bypass segments. Where two segments tap one
+    /// router in one dimension, which [`NocConfig::validate`] rejects,
+    /// the first wins.
+    ///
+    /// # Panics
+    /// Panics if a segment lies off the `k × k` fabric, which
+    /// [`NocConfig::validate`] also rejects.
+    pub fn build(cfg: &NocConfig) -> PeerIndex {
         let k = cfg.k;
         let mut peers = vec![[NO_PEER; 2]; k * k];
         let mut attach = |dim: usize, a: NodeId, b: NodeId, far_a: usize, far_b: usize| {
             for (at, far) in [(a, far_a), (b, far_b)] {
-                // the first segment tapping a router wins, as in the scans
                 if peers[at][dim] == NO_PEER {
                     peers[at][dim] = far as u32;
                 }
@@ -68,25 +63,35 @@ impl PeerIndex {
         PeerIndex { k, peers }
     }
 
-    fn get(&self, c: Coord, dim: usize) -> Option<usize> {
-        let p = self.peers[c.id(self.k)][dim];
+    /// The position along `c`'s row (`Axis::Row`) or column
+    /// (`Axis::Col`) at the far end of the segment tapping `c`, if any.
+    fn far(&self, c: Coord, axis: Axis) -> Option<usize> {
+        let p = self.peers[c.id(self.k)][axis as usize];
         (p != NO_PEER).then_some(p as usize)
     }
-}
 
-impl BypassPeers for PeerIndex {
-    fn h_peer(&self, c: Coord) -> Option<usize> {
-        self.get(c, 0)
+    /// The router at the far end of `id`'s horizontal (`Axis::Row`) or
+    /// vertical (`Axis::Col`) bypass segment, if one taps it.
+    pub fn peer(&self, id: NodeId, axis: Axis) -> Option<NodeId> {
+        let c = Coord::of(id, self.k);
+        self.far(c, axis).map(|p| {
+            match axis {
+                Axis::Row => Coord { x: p, ..c },
+                Axis::Col => Coord { y: p, ..c },
+            }
+            .id(self.k)
+        })
     }
 
-    fn v_peer(&self, c: Coord) -> Option<usize> {
-        self.get(c, 1)
+    /// Whether any bypass segment taps router `id`.
+    pub fn tapped(&self, id: NodeId) -> bool {
+        self.peers[id] != [NO_PEER; 2]
     }
 }
 
 /// The routing rule: the output port at `c` towards `d`, with the
-/// bypass attachments read through `peers`.
-fn route(cfg: &NocConfig, peers: &impl BypassPeers, c: Coord, d: Coord) -> Result<Port, NocError> {
+/// bypass attachments read from `peers`.
+fn route(cfg: &NocConfig, peers: &PeerIndex, c: Coord, d: Coord) -> Result<Port, NocError> {
     if c == d {
         return Ok(Port::Local);
     }
@@ -105,7 +110,7 @@ fn route(cfg: &NocConfig, peers: &impl BypassPeers, c: Coord, d: Coord) -> Resul
                 // Resolve X first. Consider the horizontal bypass if it
                 // strictly beats the mesh hop.
                 if cfg.mode == TopologyMode::MeshWithBypass {
-                    if let Some(px) = peers.h_peer(c) {
+                    if let Some(px) = peers.far(c, Axis::Row) {
                         let cur_gap = c.x.abs_diff(d.x);
                         let peer_gap = px.abs_diff(d.x);
                         if peer_gap + 1 < cur_gap {
@@ -121,7 +126,7 @@ fn route(cfg: &NocConfig, peers: &impl BypassPeers, c: Coord, d: Coord) -> Resul
             } else {
                 // X resolved; resolve Y, considering the vertical bypass.
                 if cfg.mode == TopologyMode::MeshWithBypass {
-                    if let Some(py) = peers.v_peer(c) {
+                    if let Some(py) = peers.far(c, Axis::Col) {
                         let cur_gap = c.y.abs_diff(d.y);
                         let peer_gap = py.abs_diff(d.y);
                         if peer_gap + 1 < cur_gap {
@@ -140,10 +145,10 @@ fn route(cfg: &NocConfig, peers: &impl BypassPeers, c: Coord, d: Coord) -> Resul
 }
 
 /// The router reached by leaving `c` through `port`, with the bypass
-/// attachments read through `peers` (see [`next_node`]).
+/// attachments read from `peers` (see [`next_node`]).
 fn advance(
     cfg: &NocConfig,
-    peers: &impl BypassPeers,
+    peers: &PeerIndex,
     c: Coord,
     port: Port,
 ) -> Result<Option<Coord>, NocError> {
@@ -159,13 +164,13 @@ fn advance(
         Port::West => (c.x > 0).then(|| Coord { x: c.x - 1, ..c }),
         Port::BypassH => {
             return Ok(Some(Coord {
-                x: peers.h_peer(c).ok_or_else(unattached)?,
+                x: peers.far(c, Axis::Row).ok_or_else(unattached)?,
                 ..c
             }))
         }
         Port::BypassV => {
             return Ok(Some(Coord {
-                y: peers.v_peer(c).ok_or_else(unattached)?,
+                y: peers.far(c, Axis::Col).ok_or_else(unattached)?,
                 ..c
             }))
         }
@@ -181,7 +186,7 @@ fn advance(
 /// decision.
 fn hop(
     cfg: &NocConfig,
-    peers: &impl BypassPeers,
+    peers: &PeerIndex,
     c: Coord,
     d: Coord,
 ) -> Result<(Port, Option<Coord>), NocError> {
@@ -189,13 +194,19 @@ fn hop(
     Ok((port, advance(cfg, peers, c, port)?))
 }
 
-/// Computes the output port for a flit at `cur` destined to `dst`.
+/// Computes the output port for a flit at `cur` destined to `dst`, with
+/// `peers` built from `cfg`.
 ///
 /// Ring mode only routes within a row (ring traffic is intra-row by
 /// construction of the vertex-update dataflow); a cross-row request
 /// yields [`NocError::CrossRowRingRoute`] instead of aborting the run.
-pub fn compute_route(cfg: &NocConfig, cur: NodeId, dst: NodeId) -> Result<Port, NocError> {
-    route(cfg, cfg, Coord::of(cur, cfg.k), Coord::of(dst, cfg.k))
+pub fn compute_route(
+    cfg: &NocConfig,
+    peers: &PeerIndex,
+    cur: NodeId,
+    dst: NodeId,
+) -> Result<Port, NocError> {
+    route(cfg, peers, Coord::of(cur, cfg.k), Coord::of(dst, cfg.k))
 }
 
 /// The VC a flit occupies on the downstream router after leaving `cur`
@@ -207,18 +218,6 @@ pub fn next_vc(cfg: &NocConfig, cur: NodeId, out: Port, in_vc: usize) -> usize {
     } else {
         in_vc
     }
-}
-
-/// Number of router-to-router hops the route from `src` to `dst` takes
-/// under `cfg` (follows `compute_route` exactly). Fails with the
-/// underlying routing error, or [`NocError::RoutingLivelock`] if the
-/// route cannot reach `dst`.
-///
-/// Convenience for one-off queries: it builds a [`RouteTable`] for `cfg`
-/// and reads the answer out of it. Callers with many queries against one
-/// configuration should hold a [`RouteTable`] themselves.
-pub fn hop_count(cfg: &NocConfig, src: NodeId, dst: NodeId) -> Result<usize, NocError> {
-    RouteTable::build(cfg)?.hops(src, dst)
 }
 
 /// Precomputed summary of one route or route leg: everything a traffic
@@ -267,8 +266,8 @@ pub enum Axis {
 }
 
 /// Precomputed routes of one [`NocConfig`], factored by dimension: a
-/// row-leg and a column-leg table of k³ entries each, plus a k²
-/// bypass-peer index.
+/// row-leg and a column-leg table of k³ entries each, plus the config's
+/// [`PeerIndex`].
 ///
 /// Every mode routes one dimension at a time. Under mesh and
 /// mesh-with-bypass XY routing a flit resolves X first, and each X-phase
@@ -283,7 +282,8 @@ pub enum Axis {
 /// distance, and a column leg between different rows fails.
 ///
 /// Routes are pure functions of the configuration, so the table is built
-/// **once** per config by stepping the same fallible routing rule the
+/// **once** per config, together with the config's [`PeerIndex`]
+/// ([`Self::peers`]), by stepping the same fallible routing rule the
 /// cycle-level engine uses ([`compute_route`] / [`next_node`]): a
 /// mis-segmented bypass config fails [`RouteTable::build`] up front, and
 /// per-pair route errors (e.g. a cross-row ring request) are returned
@@ -388,6 +388,11 @@ impl RouteTable {
         &self.cfg
     }
 
+    /// The bypass-peer index the table was built with.
+    pub fn peers(&self) -> &PeerIndex {
+        &self.peers
+    }
+
     /// Legs per axis (k³); leg indices run over `0..num_legs()`.
     pub fn num_legs(&self) -> usize {
         self.row.len()
@@ -464,7 +469,7 @@ impl RouteTable {
         }
     }
 
-    /// Hop count of the `src → dst` route (table-backed [`hop_count`]).
+    /// Hop count of the `src → dst` route.
     pub fn hops(&self, src: NodeId, dst: NodeId) -> Result<usize, NocError> {
         self.summary(src, dst).map(|s| s.hops as usize)
     }
@@ -613,13 +618,18 @@ impl Iterator for LegNodes<'_> {
 impl ExactSizeIterator for LegNodes<'_> {}
 
 /// The node reached by leaving `cur` through `port` (`Ok(None)` for
-/// Local). A port that steps off the fabric — the mesh edge in a
-/// non-ring mode, or a bypass port at a node without an attachment, as
-/// produced by mis-segmented bypass configs — is a [`NocError`] rather
-/// than a panic.
-pub fn next_node(cfg: &NocConfig, cur: NodeId, port: Port) -> Result<Option<NodeId>, NocError> {
+/// Local), with `peers` built from `cfg`. A port that steps off the
+/// fabric — the mesh edge in a non-ring mode, or a bypass port at a
+/// node without an attachment, as produced by mis-segmented bypass
+/// configs — is a [`NocError`] rather than a panic.
+pub fn next_node(
+    cfg: &NocConfig,
+    peers: &PeerIndex,
+    cur: NodeId,
+    port: Port,
+) -> Result<Option<NodeId>, NocError> {
     let k = cfg.k;
-    Ok(advance(cfg, cfg, Coord::of(cur, k), port)?.map(|c| c.id(k)))
+    Ok(advance(cfg, peers, Coord::of(cur, k), port)?.map(|c| c.id(k)))
 }
 
 #[cfg(test)]
@@ -628,26 +638,41 @@ mod tests {
     use crate::config::BypassSegment;
     use proptest::prelude::*;
 
+    /// `compute_route` under `cfg`, with its peer index built here.
+    fn port(cfg: &NocConfig, cur: NodeId, dst: NodeId) -> Result<Port, NocError> {
+        compute_route(cfg, &PeerIndex::build(cfg), cur, dst)
+    }
+
+    /// `next_node` under `cfg`, with its peer index built here.
+    fn next(cfg: &NocConfig, cur: NodeId, port: Port) -> Result<Option<NodeId>, NocError> {
+        next_node(cfg, &PeerIndex::build(cfg), cur, port)
+    }
+
+    /// Hop count of `src → dst` under `cfg`, read from its route table.
+    fn hops(cfg: &NocConfig, src: NodeId, dst: NodeId) -> Result<usize, NocError> {
+        RouteTable::build(cfg)?.hops(src, dst)
+    }
+
     #[test]
     fn xy_routes_x_first() {
         let cfg = NocConfig::mesh(4);
         // from (0,0) to (2,2): East first
-        assert_eq!(compute_route(&cfg, 0, 10), Ok(Port::East));
+        assert_eq!(port(&cfg, 0, 10), Ok(Port::East));
         // from (2,0) to (2,2): x resolved, go South
-        assert_eq!(compute_route(&cfg, 2, 10), Ok(Port::South));
-        assert_eq!(compute_route(&cfg, 10, 10), Ok(Port::Local));
+        assert_eq!(port(&cfg, 2, 10), Ok(Port::South));
+        assert_eq!(port(&cfg, 10, 10), Ok(Port::Local));
         // from (3,3) to (0,0)
-        assert_eq!(compute_route(&cfg, 15, 0), Ok(Port::West));
+        assert_eq!(port(&cfg, 15, 0), Ok(Port::West));
     }
 
     #[test]
     fn mesh_hop_count_is_manhattan() {
-        let cfg = NocConfig::mesh(5);
+        let table = RouteTable::build(&NocConfig::mesh(5)).unwrap();
         for src in 0..25 {
             for dst in 0..25 {
                 let c = Coord::of(src, 5);
                 let d = Coord::of(dst, 5);
-                assert_eq!(hop_count(&cfg, src, dst), Ok(c.manhattan(d)));
+                assert_eq!(table.hops(src, dst), Ok(c.manhattan(d)));
             }
         }
     }
@@ -664,12 +689,12 @@ mod tests {
             vec![],
         );
         // (0,0) → (7,0): mesh = 7 hops, bypass = 1
-        assert_eq!(compute_route(&cfg, 0, 7), Ok(Port::BypassH));
-        assert_eq!(hop_count(&cfg, 0, 7), Ok(1));
+        assert_eq!(port(&cfg, 0, 7), Ok(Port::BypassH));
+        assert_eq!(hops(&cfg, 0, 7), Ok(1));
         // (1,0) → (7,0): mesh from 1 is 6; via West to 0 then bypass would
         // be 2, but dimension-ordered greedy at node 1 only looks at its own
         // attachment — node 1 has none, so it walks East.
-        assert_eq!(compute_route(&cfg, 1, 7), Ok(Port::East));
+        assert_eq!(port(&cfg, 1, 7), Ok(Port::East));
     }
 
     #[test]
@@ -684,7 +709,7 @@ mod tests {
             vec![],
         );
         // (0,0) → (2,0): bypass to 7 is worse; mesh East.
-        assert_eq!(compute_route(&cfg, 0, 2), Ok(Port::East));
+        assert_eq!(port(&cfg, 0, 2), Ok(Port::East));
     }
 
     #[test]
@@ -699,8 +724,8 @@ mod tests {
             }],
         );
         // (3,0) → (3,7): V bypass 0→6 then one mesh hop
-        assert_eq!(compute_route(&cfg, 3, 3 + 7 * 8), Ok(Port::BypassV));
-        assert_eq!(hop_count(&cfg, 3, 3 + 7 * 8), Ok(2));
+        assert_eq!(port(&cfg, 3, 3 + 7 * 8), Ok(Port::BypassV));
+        assert_eq!(hops(&cfg, 3, 3 + 7 * 8), Ok(2));
     }
 
     #[test]
@@ -708,19 +733,19 @@ mod tests {
         let cfg = NocConfig::rings(4);
         // (3,1) → (0,1): East over the wrap
         let cur = 4 + 3;
-        assert_eq!(compute_route(&cfg, cur, 4), Ok(Port::East));
-        assert_eq!(next_node(&cfg, cur, Port::East), Ok(Some(4)));
+        assert_eq!(port(&cfg, cur, 4), Ok(Port::East));
+        assert_eq!(next(&cfg, cur, Port::East), Ok(Some(4)));
         assert_eq!(next_vc(&cfg, cur, Port::East, 0), 1, "dateline crossing");
         assert_eq!(next_vc(&cfg, 4, Port::East, 0), 0, "no dateline mid-row");
         // full circle is k−... from (1,1) to (0,1): 3 hops around
-        assert_eq!(hop_count(&cfg, 5, 4), Ok(3));
+        assert_eq!(hops(&cfg, 5, 4), Ok(3));
     }
 
     #[test]
     fn ring_rejects_cross_row() {
         let cfg = NocConfig::rings(4);
         assert_eq!(
-            compute_route(&cfg, 0, 5),
+            port(&cfg, 0, 5),
             Err(crate::NocError::CrossRowRingRoute { cur: 0, dst: 5 })
         );
     }
@@ -730,32 +755,33 @@ mod tests {
         let cfg = NocConfig::mesh(4);
         // East off the right edge (node 3 = (3,0)).
         assert!(matches!(
-            next_node(&cfg, 3, Port::East),
+            next(&cfg, 3, Port::East),
             Err(crate::NocError::OffMeshEdge { cur: 3, .. })
         ));
         // North off the top edge.
         assert!(matches!(
-            next_node(&cfg, 1, Port::North),
+            next(&cfg, 1, Port::North),
             Err(crate::NocError::OffMeshEdge { cur: 1, .. })
         ));
         // West off the left edge.
         assert!(matches!(
-            next_node(&cfg, 4, Port::West),
+            next(&cfg, 4, Port::West),
             Err(crate::NocError::OffMeshEdge { cur: 4, .. })
         ));
         // Bypass port at a node with no attachment.
         assert!(matches!(
-            next_node(&cfg, 0, Port::BypassH),
+            next(&cfg, 0, Port::BypassH),
             Err(crate::NocError::MissingBypassAttachment { cur: 0, .. })
         ));
     }
 
-    /// Walks the route hop-by-hop through the public, config-scanning
-    /// [`compute_route`] / [`next_node`], as the pre-table `hop_count`
-    /// did: the route's summary and its forwarding nodes, or the walk's
+    /// Walks the route hop-by-hop through the public [`compute_route`] /
+    /// [`next_node`], as the cycle-level network forwards a head flit:
+    /// the route's summary and its forwarding nodes, or the walk's
     /// error. The oracle for the factored table.
     fn walk(
         cfg: &NocConfig,
+        peers: &PeerIndex,
         src: NodeId,
         dst: NodeId,
     ) -> Result<(RouteSummary, Vec<NodeId>), NocError> {
@@ -766,11 +792,12 @@ mod tests {
         };
         let mut nodes = Vec::new();
         while cur != dst {
-            let port = compute_route(cfg, cur, dst)?;
+            let port = compute_route(cfg, peers, cur, dst)?;
             nodes.push(cur);
             s.hops += 1;
             s.bypass_hops += matches!(port, Port::BypassH | Port::BypassV) as u32;
-            cur = next_node(cfg, cur, port)?.ok_or(NocError::RoutingLivelock { src, dst })?;
+            cur =
+                next_node(cfg, peers, cur, port)?.ok_or(NocError::RoutingLivelock { src, dst })?;
             if s.hops as usize > 4 * cfg.k * cfg.k {
                 return Err(NocError::RoutingLivelock { src, dst });
             }
@@ -786,7 +813,7 @@ mod tests {
         assert_eq!(table.num_legs(), n * cfg.k);
         for src in 0..n {
             for dst in 0..n {
-                let walked = walk(cfg, src, dst);
+                let walked = walk(cfg, table.peers(), src, dst);
                 let nodes: Vec<_> = table.load_nodes(src, dst).collect();
                 assert_eq!(
                     table.summary(src, dst),
@@ -823,22 +850,22 @@ mod tests {
 
     #[test]
     fn ring_hop_counts_are_directed_distances() {
-        // Regression: table-backed hop_count on rings must keep the
-        // directed +x distance (b − a mod k) within a row and the
-        // cross-row error outside it.
+        // Regression: table hop counts on rings must keep the directed
+        // +x distance (b − a mod k) within a row and the cross-row error
+        // outside it.
         let k = 4;
-        let cfg = NocConfig::rings(k);
+        let table = RouteTable::build(&NocConfig::rings(k)).unwrap();
         for row in 0..k {
             for a in 0..k {
                 for b in 0..k {
                     let src = row * k + a;
                     let dst = row * k + b;
-                    assert_eq!(hop_count(&cfg, src, dst), Ok((b + k - a) % k));
+                    assert_eq!(table.hops(src, dst), Ok((b + k - a) % k));
                 }
             }
         }
         assert_eq!(
-            hop_count(&cfg, 0, 5),
+            table.hops(0, 5),
             Err(NocError::CrossRowRingRoute { cur: 0, dst: 5 })
         );
     }
@@ -861,7 +888,7 @@ mod tests {
         let table = RouteTable::build(&cfg).unwrap();
         for src in (0..k * k).step_by(37) {
             for dst in (0..k * k).step_by(11) {
-                let (s, nodes) = walk(&cfg, src, dst).unwrap();
+                let (s, nodes) = walk(&cfg, table.peers(), src, dst).unwrap();
                 assert_eq!(table.summary(src, dst), Ok(s), "{src}->{dst}");
                 assert!(table.load_nodes(src, dst).eq(nodes), "{src}->{dst}");
             }
@@ -904,6 +931,45 @@ mod tests {
         }
     }
 
+    /// Brute-force reading of a segment list: the far end of the first
+    /// segment on line `index` that taps position `pos`.
+    fn scan_far_end(segs: &[BypassSegment], index: usize, pos: usize) -> Option<usize> {
+        segs.iter()
+            .find_map(|s| match (s.index == index, s.from == pos, s.to == pos) {
+                (true, true, _) => Some(s.to),
+                (true, _, true) => Some(s.from),
+                _ => None,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Every router's index entries equal a scan of the config's
+        /// segment lists, for random disjoint segment sets.
+        #[test]
+        fn peer_index_matches_segment_scan(
+            k in 1usize..17,
+            rows in proptest::collection::vec((0usize..16, 0usize..16, 0usize..16), 0..32),
+            cols in proptest::collection::vec((0usize..16, 0usize..16, 0usize..16), 0..32),
+        ) {
+            let cfg = NocConfig::with_bypass(
+                k,
+                disjoint_segments(k, &rows),
+                disjoint_segments(k, &cols),
+            );
+            cfg.validate().unwrap();
+            let peers = PeerIndex::build(&cfg);
+            for id in 0..k * k {
+                let (x, y) = (id % k, id / k);
+                let h = scan_far_end(&cfg.row_bypass, y, x).map(|px| y * k + px);
+                let v = scan_far_end(&cfg.col_bypass, x, y).map(|py| py * k + x);
+                prop_assert_eq!(peers.peer(id, Axis::Row), h, "router {}", id);
+                prop_assert_eq!(peers.peer(id, Axis::Col), v, "router {}", id);
+                prop_assert_eq!(peers.tapped(id), h.is_some() || v.is_some());
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn routes_always_terminate_with_bypass(
@@ -918,7 +984,7 @@ mod tests {
                 vec![BypassSegment { index: 5, from: 1, to: col_to.min(7) }],
             );
             cfg.validate().unwrap();
-            let h = hop_count(&cfg, src, dst).unwrap();
+            let h = hops(&cfg, src, dst).unwrap();
             let manhattan = Coord::of(src, 8).manhattan(Coord::of(dst, 8));
             prop_assert!(h <= manhattan, "bypass never lengthens a route");
         }

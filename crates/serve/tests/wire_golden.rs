@@ -23,7 +23,7 @@
 //! fixture, and say so in the change description.
 
 use aurora_core::{
-    AcceleratorConfig, GraphDelta, SessionCommand, SimRequest, Telemetry, WIRE_VERSION,
+    AcceleratorConfig, GraphDelta, GraphSpec, SessionCommand, SimRequest, Telemetry, WIRE_VERSION,
 };
 use aurora_model::{LayerShape, ModelId};
 use aurora_serve::{
@@ -166,7 +166,7 @@ fn corpus() -> Vec<Case> {
     // requests that once panicked in the engine or ran to a meaningless
     // report: each is one typed invalid_request now
     type Break = fn(&mut SimRequest);
-    let broken: [(&'static str, Break); 11] = [
+    let broken: [(&'static str, Break); 12] = [
         ("sim/invalid/clock-zero", |r| r.config.clock_mhz = 0),
         ("sim/invalid/lanes-zero", |r| r.config.pe.lanes = 0),
         ("sim/invalid/dram-channels-zero", |r| {
@@ -192,6 +192,14 @@ fn corpus() -> Vec<Case> {
         ("sim/invalid/buffer-zero", |r| r.config.pe.buffer_bytes = 0),
         ("sim/invalid/buffer-one", |r| r.config.pe.buffer_bytes = 1),
         ("sim/invalid/buffer-64", |r| r.config.pe.buffer_bytes = 64),
+        // more edges than 3 vertices have distinct non-self pairs
+        ("sim/invalid/rmat-dense", |r| {
+            r.graph = GraphSpec::Rmat {
+                vertices: 3,
+                edges: 1 << 27,
+                seed: 7,
+            }
+        }),
     ];
     cases.extend(broken.into_iter().zip(20..).map(|((name, break_it), id)| {
         let mut req = small_request(7);
