@@ -10,12 +10,14 @@
 //!   over the worker pool touches only warmed-up thread-locals, so the
 //!   parallel region is allocation-free after the first layer.
 //! * [`TileArena`] — one per *calling* thread (thread-local, taken at
-//!   the start of the engine's layer loop and put back at the end), holding
-//!   the structure-of-arrays slabs the tiles write into
-//!   ([`TileSlabs`]) and the traffic stages' per-tile buffers
-//!   ([`SeqScratch`]).
+//!   the start of a run and put back at its end), holding the scratch
+//!   [`SessionState`] a run that brings no state of its own computes
+//!   into, the traffic stages' per-tile buffers ([`SeqScratch`]) and the
+//!   N-Queen S_PE positions.
 //!
-//! The SoA layout: one flat `pe_of` slab indexed by global vertex id
+//! A run's tile artifacts always live in a [`SessionState`]: per layer,
+//! structure-of-arrays slabs the tiles write into ([`TileSlabs`]). The
+//! SoA layout: one flat `pe_of` slab indexed by global vertex id
 //! (tiles partition the vertex space contiguously), plus fixed-stride
 //! per-tile slabs for high-degree ids and planned bypass segments.
 //! Scalar per-tile outputs land in a [`TileOut`] row. Tile views borrow
@@ -24,7 +26,7 @@
 //! slices here; the engine's per-run route-table cache turns it into
 //! the tile's `NocConfig`.
 
-use crate::engine::ProfileKey;
+use crate::engine::{ProfileKey, SessionState};
 use crate::noc_model::OnChipEstimate;
 use aurora_mapping::plan::{PlanScratch, SegmentPlan};
 use aurora_mapping::{MapScratch, MapView, MappingPolicy};
@@ -140,10 +142,6 @@ pub(crate) struct TileSlabs {
     pub col_segs: Vec<SegmentPlan>,
     /// One scalar row per tile.
     pub outs: Vec<TileOut>,
-    /// N-Queen S_PE positions for the current radix (degree-aware maps
-    /// share them across every tile of a run).
-    pub s_pes: Vec<usize>,
-    s_pes_k: usize,
     /// Stride of the `high` slab: the high-degree cap of the layer's
     /// longest tile.
     pub high_cap: usize,
@@ -175,7 +173,6 @@ impl TileSlabs {
         (self.pe_of.capacity() + self.high.capacity()) * size_of::<u32>()
             + (self.row_segs.capacity() + self.col_segs.capacity()) * size_of::<SegmentPlan>()
             + self.outs.capacity() * size_of::<TileOut>()
-            + self.s_pes.capacity() * size_of::<usize>()
     }
 
     /// Tile `ti`'s planned row and column bypass segments (stride `k`).
@@ -187,28 +184,23 @@ impl TileSlabs {
         )
     }
 
-    /// Tile `ti`'s mapping, borrowed straight out of the slabs.
-    pub fn map_view(&self, ti: usize, policy: MappingPolicy, k: usize) -> MapView<'_> {
+    /// Tile `ti`'s mapping, borrowed straight out of the slabs, with
+    /// the run's S_PE positions (empty under hashing).
+    pub fn map_view<'a>(
+        &'a self,
+        ti: usize,
+        policy: MappingPolicy,
+        k: usize,
+        s_pes: &'a [usize],
+    ) -> MapView<'a> {
         let out = &self.outs[ti];
         MapView {
             policy,
             range: out.start..out.end,
             pe_of: &self.pe_of[out.start as usize..out.end as usize],
             k,
-            s_pes: match policy {
-                MappingPolicy::DegreeAware => &self.s_pes,
-                MappingPolicy::Hashing => &[],
-            },
+            s_pes,
             high_degree: &self.high[ti * self.high_cap..][..out.n_high],
-        }
-    }
-
-    /// The N-Queen S_PE positions for radix `k`, recomputed only when
-    /// the radix changes.
-    pub fn prepare_s_pes(&mut self, k: usize) {
-        if self.s_pes_k != k {
-            self.s_pes = aurora_mapping::nqueen::s_pe_positions(k);
-            self.s_pes_k = k;
         }
     }
 }
@@ -218,8 +210,8 @@ impl TileSlabs {
 pub(crate) struct SeqScratch {
     pub keys: Vec<ProfileKey>,
     pub miss_tiles: Vec<usize>,
-    /// The misses that bin, in tile order: all but the clean session
-    /// tiles, which replay their stored traffic profile.
+    /// The misses that bin, in tile order: all but the clean tiles,
+    /// which replay their stored traffic profile.
     pub bin_tiles: Vec<usize>,
     /// Per-tile aggregation-traffic estimate: cache hits fill theirs in
     /// the route-table stage, misses in the traffic-kernel stage.
@@ -235,14 +227,22 @@ impl SeqScratch {
     }
 }
 
-/// The engine's per-run scratch: SoA tile slabs plus the traffic
-/// stages' buffers. Held in a thread-local of the calling thread between
-/// runs, so back-to-back simulations (a serving worker, the autotuner, a
-/// bench loop) reach zero steady-state allocations.
+/// The engine's per-run scratch: the state a run without one of its own
+/// computes into, the traffic stages' buffers and the S_PE table. Held
+/// in a thread-local of the calling thread between runs, so
+/// back-to-back simulations (a serving worker, the autotuner, a bench
+/// loop) reach zero steady-state allocations.
 #[derive(Debug, Default)]
 pub(crate) struct TileArena {
-    pub slabs: TileSlabs,
+    /// Invalidated before every run that uses it, so such a run
+    /// recomputes every tile; it keeps the last such run's layers.
+    pub state: SessionState,
     pub seq: SeqScratch,
+    /// N-Queen S_PE positions for radix `s_pes_k`, which every
+    /// degree-aware tile view of a run borrows; the search is redone
+    /// only when the radix changes.
+    pub s_pes: Vec<usize>,
+    pub s_pes_k: usize,
 }
 
 thread_local! {

@@ -15,7 +15,8 @@ pub struct AcceleratorConfig {
     pub clock_mhz: u64,
     /// Per-PE parameters (100 KB bank buffer, MAC lanes, …).
     pub pe: PeConfig,
-    /// Payload words per NoC flit.
+    /// Payload words per NoC flit: every on-chip message takes
+    /// `⌈words / words_per_flit⌉` flits.
     pub words_per_flit: usize,
     /// DDR3-1600 channels (4 ⇒ ~51 GB/s, a typical accelerator budget).
     pub dram_channels: usize,
@@ -86,9 +87,10 @@ impl AcceleratorConfig {
 
     /// Rejects a configuration the engine cannot run, as one typed
     /// [`SimError::InvalidRequest`]: a radix outside `1..=MAX_K`, a zero
-    /// clock, MAC-lane or DRAM-channel count (each a library assert),
-    /// and a `feature_fraction` or `link_utilisation` outside `(0, 1]`
-    /// (each silently yields a meaningless report).
+    /// clock, MAC-lane or DRAM-channel count (each a library assert), a
+    /// zero flit payload (a division by zero in the flit count), and a
+    /// `feature_fraction` or `link_utilisation` outside `(0, 1]` (each
+    /// silently yields a meaningless report).
     pub fn validate(&self) -> Result<(), SimError> {
         let invalid = |msg: String| Err(SimError::InvalidRequest(msg));
         if !(1..=MAX_K).contains(&self.k) {
@@ -97,6 +99,7 @@ impl AcceleratorConfig {
         for (name, value) in [
             ("clock_mhz", self.clock_mhz),
             ("pe.lanes", self.pe.lanes as u64),
+            ("words_per_flit", self.words_per_flit as u64),
             ("dram_channels", self.dram_channels as u64),
         ] {
             if value == 0 {
@@ -158,11 +161,12 @@ mod tests {
         assert!(AcceleratorConfig::default().validate().is_ok());
         assert!(AcceleratorConfig::small(MAX_K).validate().is_ok());
         type Break = fn(&mut AcceleratorConfig);
-        let bad: [(&str, Break); 12] = [
+        let bad: [(&str, Break); 13] = [
             ("k", |c| c.k = 0),
             ("k", |c| c.k = MAX_K + 1),
             ("clock_mhz", |c| c.clock_mhz = 0),
             ("pe.lanes", |c| c.pe.lanes = 0),
+            ("words_per_flit", |c| c.words_per_flit = 0),
             ("dram_channels", |c| c.dram_channels = 0),
             ("feature_fraction", |c| c.feature_fraction = 0.0),
             ("feature_fraction", |c| c.feature_fraction = -1.0),

@@ -13,14 +13,9 @@
 //!
 //! The dirty-tile rule: editing edge `(u, v)` dirties `tile_of(u)` only.
 //! A tile's artifacts fold remote destinations into an anonymous halo
-//! count, so `v`'s identity never enters another tile's state. The
-//! conservative rule (also dirty every tile whose halo references a
-//! touched vertex, via [`aurora_partition::TileIndex::referencing_tiles`])
-//! matters only for feature-mutating scenarios; on R-MAT graphs a hub's
-//! fan-in would dirty nearly every tile and erase the incremental win,
-//! so the engine uses the minimal rule. Vertex insertions/removals shift
-//! vertex ids and tile boundaries, so those deltas invalidate the warm
-//! state first. An invalidated state, like a fresh one, makes the run
+//! count, so `v`'s identity never enters another tile's state.
+//! Vertex insertions/removals shift vertex ids and tile boundaries, so
+//! those deltas invalidate the warm state first. An invalidated state, like a fresh one, makes the run
 //! recompute every tile, and so does any layer whose fresh tiling or
 //! Algorithm-2 split no longer matches the one its state was computed
 //! under. A full recompute repopulates the warm state, still through

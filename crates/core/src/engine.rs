@@ -12,16 +12,17 @@
 //! loaded from DRAM to overlap the latency" (§IV); and `finalize_layer`
 //! rolls the layer up. Each stage is one host-profiling span.
 //!
-//! A run may carry warm state ([`SessionState`]: a streaming session's,
-//! or the graph cache's for a repeated plan) and the vertices whose
-//! out-edges changed since it was filled. That is the one replay rule:
-//! in a layer computed under the run's tiling and Algorithm-2 split,
-//! every tile owning no touched vertex is clean and replays its stored
-//! mapping, outputs and traffic profile. A fresh or invalidated state
-//! recomputes every tile and fills the state for the next run.
+//! Every run computes into a [`SessionState`]: a streaming session's,
+//! the graph cache's for a repeated plan, or else the calling thread's
+//! scratch, invalidated first. With it come the vertices whose
+//! out-edges changed since the state was filled. That is the one replay
+//! rule: in a layer computed under the run's tiling and Algorithm-2
+//! split, every tile owning no touched vertex is clean and replays its
+//! stored mapping, outputs and traffic profile. A fresh or invalidated
+//! state recomputes every tile and fills the state for the next run.
 
 use crate::arena::{
-    put_engine_scratch, take_engine_scratch, with_worker, TileArena, TileOut, TileSlabs,
+    put_engine_scratch, take_engine_scratch, with_worker, SeqScratch, TileArena, TileOut, TileSlabs,
 };
 use crate::config::AcceleratorConfig;
 use crate::graph_cache::{GraphCache, PlanKey};
@@ -38,7 +39,7 @@ use aurora_mapping::{degree_aware, hashing, MapView, MappingPolicy};
 use aurora_mem::MemoryController;
 use aurora_model::{LayerShape, ModelId, Phase, PhaseOpCounts, Workload};
 use aurora_noc::{BypassSegment, NocConfig, RouteTable, TopologyMode};
-use aurora_partition::{partition, PartitionStrategy, TileIndex};
+use aurora_partition::{partition, PartitionStrategy};
 use aurora_telemetry::span::{self, Stage};
 use aurora_telemetry::{names, tracks, Scope, Telemetry};
 use rayon::prelude::*;
@@ -72,6 +73,8 @@ pub(crate) struct ProfileKey {
 #[derive(Default)]
 struct TrafficCache {
     k: usize,
+    /// The request's flit payload, carried by every interned config.
+    words_per_flit: usize,
     tables: Vec<TableSlot>,
     profiles: HashMap<ProfileKey, TrafficProfile>,
     /// Insertion order of `profiles`, for FIFO eviction.
@@ -177,8 +180,8 @@ impl TrafficCache {
     /// The config a plan runs on: its bypass segments over the mesh, or
     /// the plain mesh for an empty plan (every tile's on a non-flexible
     /// fabric, which plans nothing) or one [`NocConfig::validate`]
-    /// rejects (a planner bug). No slot is ever a bypass config without
-    /// segments.
+    /// rejects (a planner bug), at the request's flit payload. No slot
+    /// is ever a bypass config without segments.
     fn config_of(&self, rows: &[SegmentPlan], cols: &[SegmentPlan]) -> NocConfig {
         let segs = |plan: &[SegmentPlan]| {
             let seg = |s: &SegmentPlan| BypassSegment {
@@ -189,10 +192,14 @@ impl TrafficCache {
             plan.iter().map(seg).collect()
         };
         let cfg = NocConfig::with_bypass(self.k, segs(rows), segs(cols));
-        if (rows.is_empty() && cols.is_empty()) || cfg.validate().is_err() {
+        let cfg = if (rows.is_empty() && cols.is_empty()) || cfg.validate().is_err() {
             NocConfig::mesh(self.k)
         } else {
             cfg
+        };
+        NocConfig {
+            words_per_flit: self.words_per_flit,
+            ..cfg
         }
     }
 
@@ -277,9 +284,10 @@ impl TrafficCache {
     }
 }
 
-/// One layer's warm artifacts between session runs: the SoA slabs the
-/// tile precompute wrote (mapping, bypass plans, `TileOut` rows), each
-/// tile's unit-flit traffic profile, and what they were computed under.
+/// One layer's tile artifacts: the SoA slabs the tile precompute wrote
+/// (mapping, bypass plans, `TileOut` rows), each tile's unit-flit
+/// traffic profile, what they were computed under, and the current
+/// run's dirty mask over them.
 #[derive(Debug, Default)]
 struct SessionLayerState {
     slabs: TileSlabs,
@@ -292,19 +300,64 @@ struct SessionLayerState {
     /// bake `(a, b)` in. Only the integer split matters — the strategy's
     /// layer-level time estimates are recomputed fresh each run.
     computed_under: Option<(Tiling, (usize, usize))>,
+    /// The current run's dirty mask, set by [`Self::enter`]: tile `ti`
+    /// recomputes when `dirty[ti]`, and replays otherwise.
+    dirty: Vec<bool>,
 }
 
-/// All layers' warm state for one [`SimSession`](crate::delta::SimSession)
-/// or one [`GraphCache`] plan. A fresh or invalidated state makes the
-/// next run recompute every tile; otherwise the run's touched vertices
-/// decide which tiles recompute, and every other tile replays.
+impl SessionLayerState {
+    /// Decides the run's dirty set. A layer computed under this run's
+    /// tiling and split (with the slab stride that follows from them)
+    /// recomputes only the tiles owning a touched vertex — none, for a
+    /// warm-state replay; any other layer recomputes every tile,
+    /// repopulating the state. Both are bit-identical to a fresh run.
+    fn enter(&mut self, ctx: &LayerCtx, touched: &[u32], k: usize, high_cap: usize) {
+        let num_tiles = ctx.tiling.num_tiles();
+        let split = (ctx.strategy.a, ctx.strategy.b);
+        let warm = self.slabs.high_cap == high_cap
+            && self
+                .computed_under
+                .as_ref()
+                .is_some_and(|(tiling, s)| *s == split && *tiling == ctx.tiling);
+        self.dirty.clear();
+        self.dirty.resize(num_tiles, !warm);
+        if warm {
+            for &v in touched {
+                self.dirty[ctx.tiling.tile_of(v)] = true;
+            }
+        } else {
+            self.slabs
+                .begin_layer(ctx.g.num_vertices(), num_tiles, k, high_cap);
+            self.computed_under = Some((ctx.tiling.clone(), split));
+            self.profiles.clear();
+            self.profiles.resize(num_tiles, None);
+        }
+    }
+
+    /// True when tile `ti` is clean: it replays its stored profile
+    /// instead of binning. A clean tile keeps the slab rows its profile
+    /// was binned under, and interning is a pure function of those rows,
+    /// so the same mapping, edges and NoC config give the same profile
+    /// without the O(E) pass or the table build.
+    fn replays(&self, ti: usize) -> bool {
+        !self.dirty[ti]
+    }
+}
+
+/// Every layer's tile artifacts for one run: a
+/// [`SimSession`](crate::delta::SimSession)'s, a [`GraphCache`] plan's,
+/// or the calling thread's scratch for a run that brings none. A fresh
+/// or invalidated state makes the next run recompute every tile;
+/// otherwise the run's touched vertices decide which tiles recompute,
+/// and every other tile replays.
 #[derive(Debug, Default)]
 pub(crate) struct SessionState {
     layers: Vec<SessionLayerState>,
 }
 
 impl SessionState {
-    /// Heap bytes held: every layer's slabs, stored profiles and tiling.
+    /// Heap bytes held: every layer's slabs, stored profiles, tiling and
+    /// dirty mask.
     pub(crate) fn bytes(&self) -> usize {
         let layer = |l: &SessionLayerState| {
             let profiles: usize = l.profiles.iter().flatten().map(TrafficProfile::bytes).sum();
@@ -314,84 +367,27 @@ impl SessionState {
                 + l.computed_under.as_ref().map_or(0, |(t, _)| {
                     t.num_tiles() * std::mem::size_of::<std::ops::Range<u32>>()
                 })
+                + l.dirty.capacity()
         };
         self.layers.iter().map(layer).sum()
     }
 
     /// Forgets what every layer was computed under, so the next run
-    /// recomputes every tile: a structural delta, or a run that erred
-    /// mid-layer and may have left the slabs half-written.
+    /// recomputes every tile: a structural delta, a cold run on the
+    /// thread's scratch, or a run that erred mid-layer and may have left
+    /// the slabs half-written.
     pub(crate) fn invalidate(&mut self) {
         for layer in &mut self.layers {
             layer.computed_under = None;
         }
     }
 
-    /// Layer `li`'s warm state, created empty on first use.
+    /// Layer `li`'s state, created empty on first use.
     fn layer(&mut self, li: usize) -> &mut SessionLayerState {
         if self.layers.len() <= li {
             self.layers.resize_with(li + 1, SessionLayerState::default);
         }
         &mut self.layers[li]
-    }
-}
-
-/// A session run's hold on one layer: its warm state, the run's touched
-/// vertices, and the dirty set tile precompute resolves them to.
-struct LayerSession<'a> {
-    state: &'a mut SessionLayerState,
-    touched: &'a [u32],
-    /// `Some(mask)` when only the flagged tiles recompute, `None` when
-    /// every tile does.
-    dirty: Option<Vec<bool>>,
-}
-
-impl LayerSession<'_> {
-    /// Swaps the layer's warm slabs in for this run and decides its
-    /// dirty set. A layer computed under this run's tiling and split
-    /// (with the slab stride that follows from them) recomputes only the
-    /// tiles owning a touched vertex — none, for a warm-state replay;
-    /// any other layer recomputes every tile, repopulating the store.
-    /// Both paths are bit-identical to a from-scratch run.
-    fn enter(&mut self, ctx: &LayerCtx, slabs: &mut TileSlabs, k: usize, high_cap: usize) {
-        let state = &mut *self.state;
-        std::mem::swap(slabs, &mut state.slabs);
-        let num_tiles = ctx.tiling.num_tiles();
-        let split = (ctx.strategy.a, ctx.strategy.b);
-        let warm = slabs.high_cap == high_cap
-            && state
-                .computed_under
-                .as_ref()
-                .is_some_and(|(tiling, s)| *s == split && *tiling == ctx.tiling);
-        self.dirty = warm.then(|| {
-            let mut bounds: Vec<u32> = (0..num_tiles)
-                .map(|ti| ctx.tiling.range(ti).start)
-                .collect();
-            bounds.push(ctx.g.num_vertices() as u32);
-            TileIndex::from_boundaries(bounds).dirty_tiles(self.touched.iter().copied(), false)
-        });
-        if !warm {
-            slabs.begin_layer(ctx.g.num_vertices(), num_tiles, k, high_cap);
-            state.computed_under = Some((ctx.tiling.clone(), split));
-            state.profiles.clear();
-            state.profiles.resize(num_tiles, None);
-        }
-    }
-
-    /// Hands the warm slabs back to the session once the layer's stages
-    /// have run, whether or not they succeeded: the slabs never leave
-    /// the session's ownership past one layer.
-    fn leave(self, slabs: &mut TileSlabs) {
-        std::mem::swap(slabs, &mut self.state.slabs);
-    }
-
-    /// True when tile `ti` is clean: it replays its stored profile
-    /// instead of binning. A clean tile keeps the slab rows its profile
-    /// was binned under, and interning is a pure function of those rows,
-    /// so the same mapping, edges and NoC config give the same profile
-    /// without the O(E) pass or the table build.
-    fn replays(&self, ti: usize) -> bool {
-        self.dirty.as_ref().is_some_and(|m| !m[ti])
     }
 }
 
@@ -419,12 +415,16 @@ struct LayerCtx<'a> {
 }
 
 /// The run's mutable state, threaded through every layer's stages.
-struct RunState {
+struct RunState<'a> {
     mem: MemoryController,
     activity: ActivityCounts,
     instructions: Vec<Instruction>,
     cache: TrafficCache,
-    arena: Box<TileArena>,
+    /// The traffic stages' per-tile buffers, from the thread's arena.
+    seq: &'a mut SeqScratch,
+    /// The N-Queen S_PE positions every degree-aware tile view shares
+    /// (empty under hashing).
+    s_pes: &'a [usize],
     /// Every tile's bound attribution, in execution order.
     tiles: Vec<TileAttribution>,
 }
@@ -565,7 +565,8 @@ impl AuroraSimulator {
     /// artifacts; a fresh or invalidated state recomputes every tile.
     /// The state is refreshed for the next run. On error the caller must
     /// invalidate or drop that state (the slabs may be half-written).
-    /// `None` is a plain from-scratch run.
+    /// `None` runs on the thread's scratch state, invalidated first, so
+    /// a cold run takes the same path as a session open.
     pub(crate) fn run_core(
         &self,
         g: &Csr,
@@ -573,7 +574,7 @@ impl AuroraSimulator {
         shapes: &[LayerShape],
         workload: &str,
         input_density: f64,
-        mut session: Option<(&mut SessionState, &[u32])>,
+        session: Option<(&mut SessionState, &[u32])>,
     ) -> Result<SimReport, SimError> {
         if g.num_vertices() == 0 {
             return Err(SimError::EmptyGraph);
@@ -605,20 +606,43 @@ impl AuroraSimulator {
             self.telemetry
                 .instant(tracks::CONTROLLER, "generate workflow", 0);
         }
+        // The engine scratch persists across runs on this thread: a
+        // warmed-up arena makes tile precompute and the walk
+        // allocation-free in the steady state.
+        let mut arena = take_engine_scratch();
+        if cfg.mapping_policy == MappingPolicy::DegreeAware && arena.s_pes_k != cfg.k {
+            arena.s_pes = aurora_mapping::nqueen::s_pe_positions(cfg.k);
+            arena.s_pes_k = cfg.k;
+        }
+        let TileArena {
+            state: scratch,
+            seq,
+            s_pes,
+            ..
+        } = &mut *arena;
+        let (state, touched) = match session {
+            Some(session) => session,
+            None => {
+                scratch.invalidate();
+                (scratch, &[][..])
+            }
+        };
         // Route tables and tile traffic profiles persist across the run's
-        // layers: later layers rescale instead of re-binning. The engine
-        // scratch persists across runs on this thread: a warmed-up arena
-        // makes tile precompute and the walk allocation-free in the
-        // steady state.
+        // layers: later layers rescale instead of re-binning.
         let mut run = RunState {
             mem,
             activity: ActivityCounts::default(),
             instructions: Vec::new(),
             cache: TrafficCache {
                 k: cfg.k,
+                words_per_flit: cfg.words_per_flit,
                 ..TrafficCache::default()
             },
-            arena: take_engine_scratch(),
+            seq,
+            s_pes: match cfg.mapping_policy {
+                MappingPolicy::DegreeAware => s_pes,
+                MappingPolicy::Hashing => &[],
+            },
             tiles: Vec::new(),
         };
         if cfg.trace_instructions {
@@ -637,23 +661,12 @@ impl AuroraSimulator {
         let mut run_layers = || -> Result<(), SimError> {
             for (li, &shape) in shapes.iter().enumerate() {
                 let density = if li == 0 { input_density } else { 1.0 };
-                let mut layer_session = session.as_mut().map(|(state, touched)| LayerSession {
-                    state: state.layer(li),
-                    touched,
-                    dirty: None,
-                });
+                let layer = state.layer(li);
                 let (ctx, w) = self.partition(g, &wf, shape, li, density, &mut run);
-                let walked = (|| -> Result<_, SimError> {
-                    self.tile_precompute(&ctx, &mut run.arena.slabs, layer_session.as_mut());
-                    self.route_tables(&ctx, &mut run, layer_session.as_mut())?;
-                    self.traffic_kernels(&ctx, &mut run, layer_session.as_mut())?;
-                    Ok(self.engine_walk(&ctx, &mut run, w, total_cycles))
-                })();
-                // the warm slabs return to the session on error too
-                if let Some(s) = layer_session {
-                    s.leave(&mut run.arena.slabs);
-                }
-                let totals = walked?;
+                self.tile_precompute(&ctx, layer, touched);
+                self.route_tables(&ctx, &mut run, layer)?;
+                self.traffic_kernels(&ctx, &mut run, layer)?;
+                let totals = self.engine_walk(&ctx, &mut run, layer, w, total_cycles);
                 let (report, layer_profile) = self.finalize_layer(ctx, &totals);
                 reconfigs += totals.reconfigs;
                 total_cycles += report.total_cycles;
@@ -666,17 +679,24 @@ impl AuroraSimulator {
             Ok(())
         };
         let result = run_layers();
-        put_engine_scratch(run.arena);
+        let RunState {
+            mem,
+            mut activity,
+            instructions,
+            cache,
+            tiles,
+            ..
+        } = run;
+        put_engine_scratch(arena);
         result?;
 
-        let (mem, mut activity) = (run.mem, run.activity);
         activity.cycles = total_cycles;
         activity.dram_bytes = mem.counters().total_bytes();
         activity.reconfigurations = reconfigs;
-        profile.tiles = run.tiles;
-        profile.route_table_builds = run.cache.builds;
-        profile.tile_profile_hits = run.cache.hits;
-        profile.tile_profile_misses = run.cache.misses;
+        profile.tiles = tiles;
+        profile.route_table_builds = cache.builds;
+        profile.tile_profile_hits = cache.hits;
+        profile.tile_profile_misses = cache.misses;
         profile.peak_gflops = cfg.num_pes() as f64 * cfg.flops_per_pe() / 1e9;
         profile.dram_peak_gbps =
             mem.peak_bytes_per_cycle() * mem.timing().clock_mhz as f64 * 1e6 / 1e9;
@@ -691,7 +711,7 @@ impl AuroraSimulator {
             activity,
             energy: Default::default(),
             reconfigurations: reconfigs,
-            instructions: run.instructions,
+            instructions,
             metrics: Default::default(),
             profile,
             host_profile: None,
@@ -895,18 +915,12 @@ impl AuroraSimulator {
     /// Stage 2, tile precompute: everything about a tile that does not
     /// touch the memory controller, telemetry or the instruction trace —
     /// Algorithm 1's mapping (the nested `Mapping` span), the per-PE load
-    /// balance, the bypass plan and both pipeline stages' times. Tiles
-    /// fan out over the worker pool (`AURORA_THREADS`), each writing its
-    /// own pre-split slab slices, so the walk sees exactly the sequential
-    /// schedule and cycle results are bit-identical at every thread
-    /// count. A session run swaps in the layer's warm slabs and fans
-    /// out only its dirty tiles.
-    fn tile_precompute(
-        &self,
-        ctx: &LayerCtx,
-        slabs: &mut TileSlabs,
-        session: Option<&mut LayerSession>,
-    ) {
+    /// balance, the bypass plan and both pipeline stages' times. The
+    /// layer's dirty tiles fan out over the worker pool
+    /// (`AURORA_THREADS`), each writing its own pre-split slab slices, so
+    /// the walk sees exactly the sequential schedule and cycle results
+    /// are bit-identical at every thread count.
+    fn tile_precompute(&self, ctx: &LayerCtx, layer: &mut SessionLayerState, touched: &[u32]) {
         let _span = span::enter(Stage::TilePrecompute);
         let cfg = &self.config;
         let k = cfg.k;
@@ -914,7 +928,10 @@ impl AuroraSimulator {
             (ctx.g, &ctx.tiling, ctx.shape, &ctx.strategy, ctx.c_pe);
         let (model, has_vertex_update) = (ctx.wf.model.id, ctx.wf.model.has_vertex_update());
         let num_tiles = tiling.num_tiles();
-        let rings_cfg = NocConfig::rings(k);
+        let rings_cfg = NocConfig {
+            words_per_flit: cfg.words_per_flit,
+            ..NocConfig::rings(k)
+        };
         // Uniform per-tile strides: the longest tile bounds the high-degree
         // slab (high_degree_cap is monotonic in n, so every tile fits its
         // slice), and each row/column plan is bounded by the k physical
@@ -924,19 +941,8 @@ impl AuroraSimulator {
             .max()
             .unwrap_or(0);
         let high_cap = aurora_mapping::high_degree_cap(max_len, k, c_pe);
-        let dirty = match session {
-            Some(s) => {
-                s.enter(ctx, slabs, k, high_cap);
-                s.dirty.as_deref()
-            }
-            None => {
-                slabs.begin_layer(g.num_vertices(), num_tiles, k, high_cap);
-                None
-            }
-        };
-        if cfg.mapping_policy == MappingPolicy::DegreeAware {
-            slabs.prepare_s_pes(k);
-        }
+        layer.enter(ctx, touched, k, high_cap);
+        let SessionLayerState { slabs, dirty, .. } = layer;
 
         // Hand-split the slabs into disjoint per-tile slices; the capacity
         // tiling partitions the vertex space contiguously from 0, so
@@ -950,7 +956,7 @@ impl AuroraSimulator {
             let mut col_rest: &mut [SegmentPlan] = &mut slabs.col_segs;
             let mut out_rest: &mut [TileOut] = &mut slabs.outs;
             let mut offset = 0usize;
-            for ti in 0..num_tiles {
+            for (ti, &recompute) in dirty.iter().enumerate() {
                 let range = tiling.subgraph(g, ti).vertex_range();
                 debug_assert_eq!(range.start as usize, offset, "tiles must be contiguous");
                 let n = (range.end - range.start) as usize;
@@ -967,10 +973,9 @@ impl AuroraSimulator {
                     .split_first_mut()
                     .expect("one TileOut row per tile");
                 out_rest = r;
-                // Clean session tiles keep their slab contents from the
-                // previous run; only dirty tiles enter the parallel
-                // fan-out.
-                if dirty.is_none_or(|m| m[ti]) {
+                // Clean tiles keep their slab contents from the previous
+                // run; only dirty tiles enter the parallel fan-out.
+                if recompute {
                     tasks.push(TileTask {
                         ti,
                         pe_of,
@@ -1126,31 +1131,31 @@ impl AuroraSimulator {
     /// up in the cross-layer cache.
     /// Hits are estimated here, before this layer's misses insert (and
     /// possibly evict) anything. Every miss that will bin — all but the
-    /// clean session tiles, which replay their stored profile — gets its
-    /// route table materialised, sequentially in tile order, so a
-    /// rejected configuration errors at the same tile at every thread
-    /// count. A layer past the slot cap leaves its tables to the
-    /// traffic-kernel stage, which builds them chunk by chunk.
+    /// clean tiles, which replay their stored profile — gets its route
+    /// table materialised, sequentially in tile order, so a rejected
+    /// configuration errors at the same tile at every thread count. A
+    /// layer past the slot cap leaves its tables to the traffic-kernel
+    /// stage, which builds them chunk by chunk.
     fn route_tables(
         &self,
         ctx: &LayerCtx,
         run: &mut RunState,
-        mut session: Option<&mut LayerSession>,
+        layer: &mut SessionLayerState,
     ) -> Result<(), SimError> {
         let _span = span::enter(Stage::RouteTableBuild);
         let cfg = &self.config;
-        let TileArena { slabs, seq, .. } = &mut *run.arena;
-        let cache = &mut run.cache;
+        let (cache, seq) = (&mut run.cache, &mut *run.seq);
         seq.begin_layer();
-        cache.intern_layer(slabs, ctx.c_pe, &mut seq.keys, &self.telemetry, &ctx.scope);
+        let (c_pe, tel, scope) = (ctx.c_pe, &self.telemetry, &ctx.scope);
+        cache.intern_layer(&layer.slabs, c_pe, &mut seq.keys, tel, scope);
         for (ti, key) in seq.keys.iter().enumerate() {
-            let replays = session.as_deref().is_some_and(|s| s.replays(ti));
+            let replays = layer.replays(ti);
             let est_a = match cache.profiles.get(key) {
                 Some(p) => {
                     // the cache's profile is exactly what a fresh bin
                     // would produce: a recomputed tile stores it
-                    if let Some(s) = session.as_deref_mut().filter(|_| !replays) {
-                        s.state.profiles[ti] = Some(p.clone());
+                    if !replays {
+                        layer.profiles[ti] = Some(p.clone());
                     }
                     p.estimate(ctx.msg_words, cfg.link_utilisation)
                 }
@@ -1178,20 +1183,19 @@ impl AuroraSimulator {
     /// sequentially, in tile order, so the first erring tile decides the
     /// returned error at every thread count — estimates each miss and
     /// inserts its profile into the cache. A binned profile is also
-    /// stored in the session; a clean session tile's stored profile is
+    /// stored in the layer's state; a clean tile's stored profile is
     /// estimated where it is stored and cloned into the cache.
     fn traffic_kernels(
         &self,
         ctx: &LayerCtx,
         run: &mut RunState,
-        mut session: Option<&mut LayerSession>,
+        layer: &mut SessionLayerState,
     ) -> Result<(), SimError> {
         let _span = span::enter(Stage::TrafficKernels);
         let cfg = &self.config;
-        let TileArena { slabs, seq, .. } = &mut *run.arena;
-        let cache = &mut run.cache;
+        let (cache, seq) = (&mut run.cache, &mut *run.seq);
         let binned: Vec<Binned> = {
-            let (slabs, seq) = (&*slabs, &*seq);
+            let (slabs, seq, s_pes) = (&layer.slabs, &*seq, run.s_pes);
             let bin = |cache: &TrafficCache, bins: std::ops::Range<usize>| -> Vec<Binned> {
                 bins.into_par_iter()
                     .map(|i| {
@@ -1199,7 +1203,7 @@ impl AuroraSimulator {
                         let ti = seq.bin_tiles[i];
                         TrafficProfile::bin(
                             cache.table(seq.keys[ti].table_id),
-                            &slabs.map_view(ti, cfg.mapping_policy, cfg.k),
+                            &slabs.map_view(ti, cfg.mapping_policy, cfg.k, s_pes),
                             ctx.tiling.subgraph(ctx.g, ti).edges(),
                         )
                     })
@@ -1225,25 +1229,19 @@ impl AuroraSimulator {
         tel.counter_add(names::NOC_TILE_PROFILE_MISSES, &ctx.scope, misses);
         let mut binned = binned.into_iter();
         for &ti in &seq.miss_tiles {
-            let key = seq.keys[ti];
             let estimate = |p: &TrafficProfile| p.estimate(ctx.msg_words, cfg.link_utilisation);
-            let profile = match session.as_deref_mut() {
-                Some(s) if s.replays(ti) => {
-                    let stored = s.state.profiles[ti].as_ref();
-                    let p = stored.expect("a clean tile holds its binned profile");
-                    seq.est_a[ti] = estimate(p);
-                    p.clone()
-                }
-                session => {
-                    let p = binned.next().expect("one result per binning tile")?;
-                    seq.est_a[ti] = estimate(&p);
-                    if let Some(s) = session {
-                        s.state.profiles[ti] = Some(p.clone());
-                    }
-                    p
-                }
+            let profile = if layer.replays(ti) {
+                let stored = layer.profiles[ti].as_ref();
+                let p = stored.expect("a clean tile holds its binned profile");
+                seq.est_a[ti] = estimate(p);
+                p.clone()
+            } else {
+                let p = binned.next().expect("one result per binning tile")?;
+                seq.est_a[ti] = estimate(&p);
+                layer.profiles[ti] = Some(p.clone());
+                p
             };
-            cache.insert_profile(key, profile);
+            cache.insert_profile(seq.keys[ti], profile);
         }
         Ok(())
     }
@@ -1256,6 +1254,7 @@ impl AuroraSimulator {
         &self,
         ctx: &LayerCtx,
         run: &mut RunState,
+        layer: &SessionLayerState,
         mut w_sg: Workload,
         start_cycle: u64,
     ) -> LayerTotals {
@@ -1268,10 +1267,11 @@ impl AuroraSimulator {
             activity,
             instructions,
             cache,
-            arena,
+            seq,
+            s_pes,
             tiles,
         } = run;
-        let TileArena { slabs, seq } = &mut **arena;
+        let slabs = &layer.slabs;
         let num_tiles = ctx.tiling.num_tiles();
         let dram_bytes_before = mem.counters().total_bytes();
         let mut t = LayerTotals::default();
@@ -1313,7 +1313,7 @@ impl AuroraSimulator {
 
         for ti in 0..num_tiles {
             let (pre, noc_cfg) = (&slabs.outs[ti], &cache.tables[seq.keys[ti].table_id].cfg);
-            let map = slabs.map_view(ti, cfg.mapping_policy, k);
+            let map = slabs.map_view(ti, cfg.mapping_policy, k, s_pes);
             if tel.is_enabled() {
                 // scope strings only matter to an attached recorder, and
                 // building them clones — skip both when disabled
@@ -2017,6 +2017,7 @@ mod tests {
     fn new_cache(k: usize) -> TrafficCache {
         TrafficCache {
             k,
+            words_per_flit: 4,
             ..TrafficCache::default()
         }
     }
@@ -2083,7 +2084,7 @@ mod tests {
         assert_eq!(intern(&mut cache, &full).len(), MAX_ROUTE_TABLES);
         assert_eq!(cache.builds, MAX_ROUTE_TABLES as u64);
         cache.ensure_built(0).unwrap();
-        let view = full.map_view(0, MappingPolicy::Hashing, k);
+        let view = full.map_view(0, MappingPolicy::Hashing, k, &[]);
         let profile = TrafficProfile::bin(cache.table(0), &view, std::iter::empty()).unwrap();
         let key = ProfileKey {
             table_id: 0,
@@ -2124,7 +2125,7 @@ mod tests {
                 chunks.push(misses.len());
                 misses
                     .map(|i| {
-                        let view = wide.map_view(i, MappingPolicy::Hashing, k);
+                        let view = wide.map_view(i, MappingPolicy::Hashing, k, &[]);
                         TrafficProfile::bin(cache.table(ids[i]), &view, std::iter::empty())
                     })
                     .collect()
@@ -2160,6 +2161,92 @@ mod tests {
         let alone = run_one(&sim, &g, ModelId::Gcn, &shapes[2..], "flush");
         assert_eq!(all.layers[2].noc, alone.layers[0].noc);
         assert_eq!(all.layers[2].phase_cycles, alone.layers[0].phase_cycles);
+    }
+
+    #[test]
+    fn cold_runs_on_one_thread_match_fresh_threads() {
+        let config = AcceleratorConfig {
+            pe: aurora_pe::PeConfig {
+                buffer_bytes: 1024,
+                ..Default::default()
+            },
+            ..AcceleratorConfig::small(4)
+        };
+        let sim = AuroraSimulator::new(config);
+        let shapes = [LayerShape::new(32, 16), LayerShape::new(16, 8)];
+        let a = toy_graph();
+        let tiling = Tiling::build(
+            &a,
+            &TilingConfig {
+                onchip_bytes: config.onchip_bytes(),
+                feature_dim: 32,
+                bytes_per_element: 8,
+                feature_fraction: config.feature_fraction,
+            },
+        );
+        // B moves one of vertex 0's in-tile edges to a vertex of the last
+        // tile: same degrees, tiling and Algorithm-2 split, so only a
+        // state that replays tile 0 would miss the move
+        let u = 0;
+        let v = *a
+            .neighbors(u)
+            .iter()
+            .find(|&&v| tiling.tile_of(v) == 0)
+            .unwrap();
+        let last = tiling.range(tiling.num_tiles() - 1);
+        let w = last.clone().find(|w| !a.neighbors(u).contains(w)).unwrap();
+        let b = crate::delta::GraphDelta {
+            insert_edges: vec![(u, w)],
+            remove_edges: vec![(u, v)],
+            ..Default::default()
+        }
+        .apply(&a)
+        .unwrap();
+        let fresh = |g: &Csr| {
+            let (sim, g) = (sim.clone(), g.clone());
+            std::thread::spawn(move || run_one(&sim, &g, ModelId::Gcn, &shapes, "cold"))
+                .join()
+                .unwrap()
+        };
+        let (fresh_a, fresh_b) = (fresh(&a), fresh(&b));
+        assert!(fresh_a.layers.iter().all(|l| l.tiles > 1));
+        assert_ne!(fresh_a, fresh_b, "the moved edge must show in the report");
+        std::thread::spawn(move || {
+            assert_eq!(run_one(&sim, &a, ModelId::Gcn, &shapes, "cold"), fresh_a);
+            assert_eq!(run_one(&sim, &b, ModelId::Gcn, &shapes, "cold"), fresh_b);
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn words_per_flit_sets_the_flit_count() {
+        let run = |words_per_flit| {
+            let config = AcceleratorConfig {
+                words_per_flit,
+                ..AcceleratorConfig::small(4)
+            };
+            let req = SimRequest::builder(ModelId::Gcn)
+                .config(config)
+                .rmat(512, 4000, 7)
+                .layers(&[LayerShape::new(32, 16)])
+                .build()
+                .unwrap();
+            small_sim().run(&req).unwrap()
+        };
+        let hops = [4, 16, 64].map(|w| run(w).activity.noc_flit_hops);
+        assert!(
+            hops[0] > hops[1] && hops[1] > hops[2],
+            "fewer flits per message at a wider payload: {hops:?}"
+        );
+        // 4 words per flit is the payload every config carried before
+        // the request's value was read: its report is unchanged
+        let json = serde_json::to_string(&run(4)).unwrap();
+        assert_eq!(
+            crate::request::fnv1a64(&[json.as_bytes()]),
+            0x4542_faa7_0f46_51b4,
+            "the 4-words-per-flit report moved"
+        );
     }
 
     #[test]

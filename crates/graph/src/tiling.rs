@@ -258,6 +258,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "vertex outside all tiles")]
+    fn tile_of_rejects_out_of_range() {
+        let g = generate::ring(4);
+        Tiling::with_tile_size(&g, 4).tile_of(4);
+    }
+
+    #[test]
     fn config_vertices_per_tile() {
         let cfg = TilingConfig {
             onchip_bytes: 1_000,

@@ -34,9 +34,6 @@ use aurora_model::PhaseOpCounts;
 use aurora_telemetry::{Scope, Telemetry};
 use serde::{Deserialize, Serialize};
 
-mod tile_index;
-pub use tile_index::TileIndex;
-
 /// The chosen split of `P` PEs into sub-accelerators A and B.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PartitionStrategy {

@@ -166,7 +166,7 @@ fn corpus() -> Vec<Case> {
     // requests that once panicked in the engine or ran to a meaningless
     // report: each is one typed invalid_request now
     type Break = fn(&mut SimRequest);
-    let broken: [(&'static str, Break); 12] = [
+    let broken: [(&'static str, Break); 13] = [
         ("sim/invalid/clock-zero", |r| r.config.clock_mhz = 0),
         ("sim/invalid/lanes-zero", |r| r.config.pe.lanes = 0),
         ("sim/invalid/dram-channels-zero", |r| {
@@ -199,6 +199,10 @@ fn corpus() -> Vec<Case> {
                 edges: 1 << 27,
                 seed: 7,
             }
+        }),
+        // a zero flit payload divides by zero in the flit count
+        ("sim/invalid/words-per-flit-zero", |r| {
+            r.config.words_per_flit = 0
         }),
     ];
     cases.extend(broken.into_iter().zip(20..).map(|((name, break_it), id)| {
