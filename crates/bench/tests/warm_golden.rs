@@ -22,7 +22,7 @@
 //! * `mesh/...` — `flexible_noc: false` (every tile on the plain mesh).
 //! * `hashing/...` — the hashing mapping policy.
 //! * `deep/...` — three layers where layer 2 repeats layer 1's `f_in`,
-//!   so its tiles hit the traffic profiles layer 1 binned.
+//!   so its tiles reuse the NoC configs layer 1 interned.
 //! * `wide/...` — 256-byte PE buffers on an R-MAT graph at k=8: one
 //!   layer with more distinct bypass plans than the 64-slot route-table
 //!   cache holds.

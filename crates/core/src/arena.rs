@@ -26,7 +26,7 @@
 //! slices here; the engine's per-run route-table cache turns it into
 //! the tile's `NocConfig`.
 
-use crate::engine::{ProfileKey, SessionState};
+use crate::engine::SessionState;
 use crate::noc_model::OnChipEstimate;
 use aurora_mapping::plan::{PlanScratch, SegmentPlan};
 use aurora_mapping::{MapScratch, MapView, MappingPolicy};
@@ -208,20 +208,19 @@ impl TileSlabs {
 /// Per-tile buffers of the route-table and traffic-kernel stages.
 #[derive(Debug, Default)]
 pub(crate) struct SeqScratch {
-    pub keys: Vec<ProfileKey>,
-    pub miss_tiles: Vec<usize>,
-    /// The misses that bin, in tile order: all but the clean tiles,
+    /// Each tile's NoC-config slot in the run's interner.
+    pub slots: Vec<usize>,
+    /// The tiles that bin, in tile order: all but the clean tiles,
     /// which replay their stored traffic profile.
     pub bin_tiles: Vec<usize>,
-    /// Per-tile aggregation-traffic estimate: cache hits fill theirs in
-    /// the route-table stage, misses in the traffic-kernel stage.
+    /// Per-tile aggregation-traffic estimate, priced by the
+    /// traffic-kernel stage.
     pub est_a: Vec<OnChipEstimate>,
 }
 
 impl SeqScratch {
     pub fn begin_layer(&mut self) {
-        self.keys.clear();
-        self.miss_tiles.clear();
+        self.slots.clear();
         self.bin_tiles.clear();
         self.est_a.clear();
     }

@@ -951,11 +951,9 @@ mod tests {
         );
     }
 
-    /// Multi-layer, multi-tile sessions: the second layer re-uses the
-    /// first layer's tiling, so its tiles hit the cross-layer profile
-    /// cache and refresh the session store from it. Both an edge delta
-    /// (dirty tiles only) and a structural delta (full recompute) must
-    /// reproduce a from-scratch run byte for byte.
+    /// Multi-layer, multi-tile sessions: both an edge delta (dirty tiles
+    /// only) and a structural delta (full recompute) must reproduce a
+    /// from-scratch run byte for byte.
     #[test]
     fn multi_layer_session_matches_from_scratch() {
         let g = aurora_graph::generate::rmat(16_384, 160_000, Default::default(), 21);
@@ -984,10 +982,6 @@ mod tests {
                 let mut session = SimSession::open(&req, None).unwrap();
                 let open = session.last_report();
                 assert!(open.layers[0].tiles > 1, "{cell}: need several tiles");
-                assert!(
-                    open.profile.tile_profile_hits > 0,
-                    "{cell}: layer 1 must hit the cross-layer cache"
-                );
 
                 let base = session.graph().clone();
                 let (u, v) = base.edges().nth(1_000).unwrap();

@@ -43,45 +43,23 @@ use aurora_partition::{partition, PartitionStrategy};
 use aurora_telemetry::span::{self, Stage};
 use aurora_telemetry::{names, tracks, Scope, Telemetry};
 use rayon::prelude::*;
-use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
-
-/// Identity of a tile's unit-flit traffic profile within one run: the
-/// profile is a pure function of the route table and the mapping, and
-/// the mapping of `(policy, k)` — fixed per run — is determined by the
-/// tile's vertex range and the per-PE capacity (which varies with each
-/// layer's `f_in`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct ProfileKey {
-    /// The tile's [`TrafficCache`] slot: its NoC config and route table.
-    table_id: usize,
-    start: u32,
-    end: u32,
-    c_pe: usize,
-}
 
 /// The run's one owner of every tile's NoC configuration: an interner
 /// from a tile's planned bypass segments to a slot holding the tile's
-/// [`NocConfig`] and its lazily built [`RouteTable`], plus the per-tile
-/// unit-flit [`TrafficProfile`]s binned under them.
-/// Later layers over the same tiling rescale a cached profile by their
-/// own `flits_per_msg` instead of re-binning edges.
+/// [`NocConfig`] and its lazily built [`RouteTable`]. A tile's binned
+/// traffic profile lives in its layer's [`SessionLayerState`].
 ///
-/// All lookups and insertions happen on the sequential path of the
-/// engine, so slot ids, hit/miss resolution — and therefore every
-/// telemetry counter — are identical at every `AURORA_THREADS` value.
+/// All interning happens on the sequential path of the engine, so slot
+/// ids and build counts — and therefore every telemetry counter — are
+/// identical at every `AURORA_THREADS` value.
 #[derive(Default)]
 struct TrafficCache {
     k: usize,
     /// The request's flit payload, carried by every interned config.
     words_per_flit: usize,
     tables: Vec<TableSlot>,
-    profiles: HashMap<ProfileKey, TrafficProfile>,
-    /// Insertion order of `profiles`, for FIFO eviction.
-    profile_order: VecDeque<ProfileKey>,
     builds: u64,
-    hits: u64,
-    misses: u64,
 }
 
 /// One interned NoC configuration. Interning is the countable "build"
@@ -98,7 +76,7 @@ struct TableSlot {
 /// Slot cap: per-tile bypass plans give each tile its own config, so a
 /// deep multi-layer run can see many distinct tables; past the cap the
 /// cache flushes wholesale (ids index `tables`, so selective eviction
-/// would dangle the profile keys). A layer with more plans than the cap
+/// would dangle the tiles' slot ids). A layer with more plans than the cap
 /// keeps every slot but materialises at most this many tables at once
 /// ([`TrafficCache::bin_in_chunks`]).
 const MAX_ROUTE_TABLES: usize = 64;
@@ -106,29 +84,25 @@ const MAX_ROUTE_TABLES: usize = 64;
 /// One tile's binned unit-flit profile, or the NoC error binning hit.
 type Binned = Result<TrafficProfile, aurora_noc::NocError>;
 
-/// Profile cap (FIFO eviction). Profiles are ~2 k² words each.
-const MAX_TILE_PROFILES: usize = 1024;
-
 impl TrafficCache {
-    /// Interns every tile's bypass plan, in tile order, into `keys` —
+    /// Interns every tile's bypass plan, in tile order, into `slots` —
     /// the one place a tile's NoC config is decided. A new slot counts
     /// one build; its table waits for [`Self::ensure_built`]. A new slot
-    /// past [`MAX_ROUTE_TABLES`] flushes tables and profiles, at most
-    /// once per layer, and the layer interns again from its first tile,
-    /// so every id in `keys` names a live slot (a layer with more plans
-    /// than the cap grows past it).
+    /// past [`MAX_ROUTE_TABLES`] flushes the tables, at most once per
+    /// layer, and the layer interns again from its first tile, so every
+    /// id in `slots` names a live slot (a layer with more plans than the
+    /// cap grows past it).
     fn intern_layer(
         &mut self,
         slabs: &TileSlabs,
-        c_pe: usize,
-        keys: &mut Vec<ProfileKey>,
+        slots: &mut Vec<usize>,
         tel: &Telemetry,
         scope: &Scope,
     ) {
         let mut may_flush = true;
-        keys.clear();
-        while keys.len() < slabs.outs.len() {
-            let ti = keys.len();
+        slots.clear();
+        while slots.len() < slabs.outs.len() {
+            let ti = slots.len();
             let (rows, cols) = slabs.plan(ti, self.k);
             let table_id = match self.find(rows, cols) {
                 Some(id) => id,
@@ -140,10 +114,8 @@ impl TrafficCache {
                         Some(id) => id,
                         None if self.tables.len() >= MAX_ROUTE_TABLES && may_flush => {
                             self.tables.clear();
-                            self.profiles.clear();
-                            self.profile_order.clear();
                             may_flush = false;
-                            keys.clear();
+                            slots.clear();
                             continue;
                         }
                         None => {
@@ -155,13 +127,7 @@ impl TrafficCache {
                     }
                 }
             };
-            let out = &slabs.outs[ti];
-            keys.push(ProfileKey {
-                table_id,
-                start: out.start,
-                end: out.end,
-                c_pe,
-            });
+            slots.push(table_id);
         }
     }
 
@@ -268,20 +234,6 @@ impl TrafficCache {
             .as_ref()
             .expect("route table materialised by the sequential ensure_built pass")
     }
-
-    fn insert_profile(&mut self, key: ProfileKey, profile: TrafficProfile) {
-        while self.profiles.len() >= MAX_TILE_PROFILES {
-            match self.profile_order.pop_front() {
-                Some(old) => {
-                    self.profiles.remove(&old);
-                }
-                None => break,
-            }
-        }
-        if self.profiles.insert(key, profile).is_none() {
-            self.profile_order.push_back(key);
-        }
-    }
 }
 
 /// One layer's tile artifacts: the SoA slabs the tile precompute wrote
@@ -292,14 +244,17 @@ impl TrafficCache {
 struct SessionLayerState {
     slabs: TileSlabs,
     profiles: Vec<Option<TrafficProfile>>,
-    /// The tiling and Algorithm-2 split `(a, b)` the slabs and profiles
-    /// were computed under; `None` for a fresh or invalidated layer. A
-    /// run whose fresh tiling or split differs (a vertex delta moved a
-    /// tile boundary, edge churn moved the op totals enough to shift
-    /// the integer split) recomputes every tile: the per-tile `t_a`/`t_b`
-    /// bake `(a, b)` in. Only the integer split matters — the strategy's
-    /// layer-level time estimates are recomputed fresh each run.
-    computed_under: Option<(Tiling, (usize, usize))>,
+    /// What the slabs and profiles were computed under: the vertex
+    /// count, the first tile's length and the Algorithm-2 split `(a, b)`;
+    /// `None` for a fresh or invalidated layer. The first two stand for
+    /// the tiling, which is a pure function of them
+    /// ([`Tiling::with_tile_size`]). A run whose fresh tiling or split
+    /// differs (a vertex delta moved a tile boundary, edge churn moved
+    /// the op totals enough to shift the integer split) recomputes every
+    /// tile: the per-tile `t_a`/`t_b` bake `(a, b)` in. Only the integer
+    /// split matters — the strategy's layer-level time estimates are
+    /// recomputed fresh each run.
+    computed_under: Option<(usize, usize, (usize, usize))>,
     /// The current run's dirty mask, set by [`Self::enter`]: tile `ti`
     /// recomputes when `dirty[ti]`, and replays otherwise.
     dirty: Vec<bool>,
@@ -313,12 +268,12 @@ impl SessionLayerState {
     /// repopulating the state. Both are bit-identical to a fresh run.
     fn enter(&mut self, ctx: &LayerCtx, touched: &[u32], k: usize, high_cap: usize) {
         let num_tiles = ctx.tiling.num_tiles();
-        let split = (ctx.strategy.a, ctx.strategy.b);
-        let warm = self.slabs.high_cap == high_cap
-            && self
-                .computed_under
-                .as_ref()
-                .is_some_and(|(tiling, s)| *s == split && *tiling == ctx.tiling);
+        let under = (
+            ctx.g.num_vertices(),
+            ctx.tiling.range(0).len(),
+            (ctx.strategy.a, ctx.strategy.b),
+        );
+        let warm = self.slabs.high_cap == high_cap && self.computed_under == Some(under);
         self.dirty.clear();
         self.dirty.resize(num_tiles, !warm);
         if warm {
@@ -328,7 +283,7 @@ impl SessionLayerState {
         } else {
             self.slabs
                 .begin_layer(ctx.g.num_vertices(), num_tiles, k, high_cap);
-            self.computed_under = Some((ctx.tiling.clone(), split));
+            self.computed_under = Some(under);
             self.profiles.clear();
             self.profiles.resize(num_tiles, None);
         }
@@ -356,17 +311,14 @@ pub(crate) struct SessionState {
 }
 
 impl SessionState {
-    /// Heap bytes held: every layer's slabs, stored profiles, tiling and
-    /// dirty mask.
+    /// Heap bytes held: every layer's slabs, stored profiles and dirty
+    /// mask.
     pub(crate) fn bytes(&self) -> usize {
         let layer = |l: &SessionLayerState| {
             let profiles: usize = l.profiles.iter().flatten().map(TrafficProfile::bytes).sum();
             l.slabs.bytes()
                 + profiles
                 + l.profiles.capacity() * std::mem::size_of::<Option<TrafficProfile>>()
-                + l.computed_under.as_ref().map_or(0, |(t, _)| {
-                    t.num_tiles() * std::mem::size_of::<std::ops::Range<u32>>()
-                })
                 + l.dirty.capacity()
         };
         self.layers.iter().map(layer).sum()
@@ -627,8 +579,8 @@ impl AuroraSimulator {
                 (scratch, &[][..])
             }
         };
-        // Route tables and tile traffic profiles persist across the run's
-        // layers: later layers rescale instead of re-binning.
+        // Interned NoC configs persist across the run's layers: a plan
+        // seen in an earlier layer counts no second build.
         let mut run = RunState {
             mem,
             activity: ActivityCounts::default(),
@@ -695,8 +647,6 @@ impl AuroraSimulator {
         activity.reconfigurations = reconfigs;
         profile.tiles = tiles;
         profile.route_table_builds = cache.builds;
-        profile.tile_profile_hits = cache.hits;
-        profile.tile_profile_misses = cache.misses;
         profile.peak_gflops = cfg.num_pes() as f64 * cfg.flops_per_pe() / 1e9;
         profile.dram_peak_gbps =
             mem.peak_bytes_per_cycle() * mem.timing().clock_mhz as f64 * 1e6 / 1e9;
@@ -1127,12 +1077,9 @@ impl AuroraSimulator {
     }
 
     /// Stage 3, route tables: interns each tile's bypass plan into its
-    /// NoC configuration's slot and looks its unit-flit traffic profile
-    /// up in the cross-layer cache.
-    /// Hits are estimated here, before this layer's misses insert (and
-    /// possibly evict) anything. Every miss that will bin — all but the
-    /// clean tiles, which replay their stored profile — gets its route
-    /// table materialised, sequentially in tile order, so a rejected
+    /// NoC configuration's slot, then materialises the route table of
+    /// every tile that bins — all but the clean tiles, which replay their
+    /// stored profile — sequentially in tile order, so a rejected
     /// configuration errors at the same tile at every thread count. A
     /// layer past the slot cap leaves its tables to the traffic-kernel
     /// stage, which builds them chunk by chunk.
@@ -1140,38 +1087,18 @@ impl AuroraSimulator {
         &self,
         ctx: &LayerCtx,
         run: &mut RunState,
-        layer: &mut SessionLayerState,
+        layer: &SessionLayerState,
     ) -> Result<(), SimError> {
         let _span = span::enter(Stage::RouteTableBuild);
-        let cfg = &self.config;
         let (cache, seq) = (&mut run.cache, &mut *run.seq);
         seq.begin_layer();
-        let (c_pe, tel, scope) = (ctx.c_pe, &self.telemetry, &ctx.scope);
-        cache.intern_layer(&layer.slabs, c_pe, &mut seq.keys, tel, scope);
-        for (ti, key) in seq.keys.iter().enumerate() {
-            let replays = layer.replays(ti);
-            let est_a = match cache.profiles.get(key) {
-                Some(p) => {
-                    // the cache's profile is exactly what a fresh bin
-                    // would produce: a recomputed tile stores it
-                    if !replays {
-                        layer.profiles[ti] = Some(p.clone());
-                    }
-                    p.estimate(ctx.msg_words, cfg.link_utilisation)
-                }
-                None => {
-                    seq.miss_tiles.push(ti);
-                    if !replays {
-                        seq.bin_tiles.push(ti);
-                    }
-                    OnChipEstimate::default()
-                }
-            };
-            seq.est_a.push(est_a);
-        }
+        let (tel, scope) = (&self.telemetry, &ctx.scope);
+        cache.intern_layer(&layer.slabs, &mut seq.slots, tel, scope);
+        seq.bin_tiles
+            .extend((0..seq.slots.len()).filter(|&ti| !layer.replays(ti)));
         if !cache.chunked() {
             for &ti in &seq.bin_tiles {
-                cache.ensure_built(seq.keys[ti].table_id)?;
+                cache.ensure_built(seq.slots[ti])?;
             }
         }
         Ok(())
@@ -1179,12 +1106,11 @@ impl AuroraSimulator {
 
     /// Stage 4, traffic kernels: bins each binning tile's edges into a
     /// unit-flit profile over the pool (a layer past the slot cap builds
-    /// and bins in chunks of at most [`MAX_ROUTE_TABLES`] tables), then —
-    /// sequentially, in tile order, so the first erring tile decides the
-    /// returned error at every thread count — estimates each miss and
-    /// inserts its profile into the cache. A binned profile is also
-    /// stored in the layer's state; a clean tile's stored profile is
-    /// estimated where it is stored and cloned into the cache.
+    /// and bins in chunks of at most [`MAX_ROUTE_TABLES`] tables) and
+    /// stores it in the layer's state, sequentially in tile order, so the
+    /// first erring tile decides the returned error at every thread
+    /// count. It then prices every tile's stored profile at this layer's
+    /// message width, in tile order.
     fn traffic_kernels(
         &self,
         ctx: &LayerCtx,
@@ -1202,7 +1128,7 @@ impl AuroraSimulator {
                         let _tag = span::stage_scope(Stage::TrafficKernels);
                         let ti = seq.bin_tiles[i];
                         TrafficProfile::bin(
-                            cache.table(seq.keys[ti].table_id),
+                            cache.table(seq.slots[ti]),
                             &slabs.map_view(ti, cfg.mapping_policy, cfg.k, s_pes),
                             ctx.tiling.subgraph(ctx.g, ti).edges(),
                         )
@@ -1210,39 +1136,21 @@ impl AuroraSimulator {
                     .collect()
             };
             if cache.chunked() {
-                let ids: Vec<usize> = seq
-                    .bin_tiles
-                    .iter()
-                    .map(|&ti| seq.keys[ti].table_id)
-                    .collect();
+                let ids: Vec<usize> = seq.bin_tiles.iter().map(|&ti| seq.slots[ti]).collect();
                 cache.bin_in_chunks(&ids, bin)?
             } else {
                 bin(cache, 0..seq.bin_tiles.len())
             }
         };
-        let misses = seq.miss_tiles.len() as u64;
-        let hits = ctx.tiling.num_tiles() as u64 - misses;
-        cache.hits += hits;
-        cache.misses += misses;
-        let tel = &self.telemetry;
-        tel.counter_add(names::NOC_TILE_PROFILE_HITS, &ctx.scope, hits);
-        tel.counter_add(names::NOC_TILE_PROFILE_MISSES, &ctx.scope, misses);
         let mut binned = binned.into_iter();
-        for &ti in &seq.miss_tiles {
-            let estimate = |p: &TrafficProfile| p.estimate(ctx.msg_words, cfg.link_utilisation);
-            let profile = if layer.replays(ti) {
-                let stored = layer.profiles[ti].as_ref();
-                let p = stored.expect("a clean tile holds its binned profile");
-                seq.est_a[ti] = estimate(p);
-                p.clone()
-            } else {
-                let p = binned.next().expect("one result per binning tile")?;
-                seq.est_a[ti] = estimate(&p);
-                layer.profiles[ti] = Some(p.clone());
-                p
-            };
-            cache.insert_profile(seq.keys[ti], profile);
+        for &ti in &seq.bin_tiles {
+            layer.profiles[ti] = Some(binned.next().expect("one result per binning tile")?);
         }
+        seq.est_a.extend(layer.profiles.iter().map(|p| {
+            p.as_ref()
+                .expect("every tile holds its binned profile")
+                .estimate(ctx.msg_words, cfg.link_utilisation)
+        }));
         Ok(())
     }
 
@@ -1312,7 +1220,7 @@ impl AuroraSimulator {
         }
 
         for ti in 0..num_tiles {
-            let (pre, noc_cfg) = (&slabs.outs[ti], &cache.tables[seq.keys[ti].table_id].cfg);
+            let (pre, noc_cfg) = (&slabs.outs[ti], &cache.tables[seq.slots[ti]].cfg);
             let map = slabs.map_view(ti, cfg.mapping_policy, k, s_pes);
             if tel.is_enabled() {
                 // scope strings only matter to an attached recorder, and
@@ -2024,9 +1932,9 @@ mod tests {
 
     /// Interns one layer of `slabs`; each tile's slot id.
     fn intern(cache: &mut TrafficCache, slabs: &TileSlabs) -> Vec<usize> {
-        let mut keys = Vec::new();
-        cache.intern_layer(slabs, 1, &mut keys, &Telemetry::disabled(), &Scope::ROOT);
-        keys.iter().map(|key| key.table_id).collect()
+        let mut slots = Vec::new();
+        cache.intern_layer(slabs, &mut slots, &Telemetry::disabled(), &Scope::ROOT);
+        slots
     }
 
     /// Whether slot `id` holds exactly `plan` (the mesh for an empty one).
@@ -2084,23 +1992,15 @@ mod tests {
         assert_eq!(intern(&mut cache, &full).len(), MAX_ROUTE_TABLES);
         assert_eq!(cache.builds, MAX_ROUTE_TABLES as u64);
         cache.ensure_built(0).unwrap();
-        let view = full.map_view(0, MappingPolicy::Hashing, k, &[]);
-        let profile = TrafficProfile::bin(cache.table(0), &view, std::iter::empty()).unwrap();
-        let key = ProfileKey {
-            table_id: 0,
-            start: 0,
-            end: 1,
-            c_pe: 1,
-        };
-        cache.insert_profile(key, profile);
-        // a known plan, then one past the cap: the flush drops tables and
-        // profiles, and the layer interns again from its first tile, so
+        // a known plan, then one past the cap: the flush drops the
+        // tables, and the layer interns again from its first tile, so
         // the known plan's build counts again
         let layer = [plans[0].clone(), plans[MAX_ROUTE_TABLES].clone()];
         let ids = intern(&mut cache, &plan_slabs(k, &layer));
         assert_eq!(ids, [0, 1]);
         assert_eq!(cache.builds, MAX_ROUTE_TABLES as u64 + 2);
-        assert!(cache.profiles.is_empty() && cache.profile_order.is_empty());
+        assert_eq!(cache.tables.len(), 2);
+        assert!(cache.tables.iter().all(|t| t.table.is_none()));
         // a layer with more distinct plans than the cap flushes once and
         // then grows past the cap; every tile keeps its own slot
         let wide = plan_slabs(k, &plans);
@@ -2116,19 +2016,18 @@ mod tests {
         let live = |cache: &TrafficCache| cache.tables.iter().filter(|t| t.table.is_some()).count();
         let mut chunks = Vec::new();
         let binned = cache
-            .bin_in_chunks(&ids, |cache, misses| {
+            .bin_in_chunks(&ids, |cache, bins| {
                 assert!(
                     live(cache) <= MAX_ROUTE_TABLES,
                     "{} tables built",
                     live(cache)
                 );
-                chunks.push(misses.len());
-                misses
-                    .map(|i| {
-                        let view = wide.map_view(i, MappingPolicy::Hashing, k, &[]);
-                        TrafficProfile::bin(cache.table(ids[i]), &view, std::iter::empty())
-                    })
-                    .collect()
+                chunks.push(bins.len());
+                bins.map(|i| {
+                    let view = wide.map_view(i, MappingPolicy::Hashing, k, &[]);
+                    TrafficProfile::bin(cache.table(ids[i]), &view, std::iter::empty())
+                })
+                .collect()
             })
             .unwrap();
         assert_eq!(chunks, [MAX_ROUTE_TABLES, plans.len() - MAX_ROUTE_TABLES]);
@@ -2244,7 +2143,7 @@ mod tests {
         let json = serde_json::to_string(&run(4)).unwrap();
         assert_eq!(
             crate::request::fnv1a64(&[json.as_bytes()]),
-            0x4542_faa7_0f46_51b4,
+            0xcb90_9447_053e_ab61,
             "the 4-words-per-flit report moved"
         );
     }

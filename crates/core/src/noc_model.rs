@@ -128,14 +128,15 @@ fn link_count(cfg: &NocConfig) -> u64 {
 /// Every stored quantity is linear in `flits_per_msg` (per-router
 /// forwarded flits, total flit-hops, bypass flit-hops all scale by it;
 /// message and hop counts don't depend on it at all), so one profile
-/// serves **every layer** of a run over the same tile and NoC config:
+/// serves **every message width** over the same tile and NoC config:
 /// [`TrafficProfile::estimate`] rescales and applies the only non-linear
 /// step — the eject-port `div_ceil` — *after* scaling, which is exactly
 /// what charging the full-size messages directly would compute. The
 /// profile also records the three things pricing reads from the fabric
 /// (each router's ejection-port width, the flit payload and the link
 /// count), so it prices itself without its [`NocConfig`]. The engine
-/// caches these across layers (`noc.tile_profile.{hits,misses}`).
+/// keeps each tile's profile in its layer's session state, where a
+/// clean tile of a later run re-prices it instead of re-binning.
 #[derive(Debug, Clone)]
 pub struct TrafficProfile {
     /// Per-router forwarded messages (1 flit/message scale).

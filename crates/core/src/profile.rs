@@ -363,14 +363,9 @@ pub struct ProfileReport {
     /// Achievable fraction of raw link bandwidth assumed by the NoC
     /// model (see `AcceleratorConfig::link_utilisation`).
     pub link_utilisation: f64,
-    /// Route tables built by the engine's traffic cache — one per
+    /// Route tables built by the engine's NoC-config interner — one per
     /// distinct NoC configuration seen across the tile × layer loop.
     pub route_table_builds: u64,
-    /// Tiles whose unit-flit traffic profile was reused from an earlier
-    /// layer (rescaled instead of re-binned).
-    pub tile_profile_hits: u64,
-    /// Tiles whose edges went through the O(E) counting pass.
-    pub tile_profile_misses: u64,
 }
 
 impl ProfileReport {
@@ -429,8 +424,6 @@ impl ProfileReport {
         self.ops += other.ops;
         self.dram_bytes += other.dram_bytes;
         self.route_table_builds += other.route_table_builds;
-        self.tile_profile_hits += other.tile_profile_hits;
-        self.tile_profile_misses += other.tile_profile_misses;
         self.operational_intensity = if self.dram_bytes == 0 {
             0.0
         } else {

@@ -81,26 +81,18 @@ fn min_conflicts(k: usize) -> Vec<usize> {
             let Some(r1) = picked else {
                 return cols; // no conflicts anywhere: solved
             };
-            // swap with the partner that lowers total diagonal conflicts most
+            // swap with the partner that lowers total diagonal conflicts
+            // most, scoring each candidate in place and undoing it
             let mut best: Option<(i32, usize)> = None;
             for r2 in 0..k {
                 if r2 == r1 {
                     continue;
                 }
-                let before = conflicts(r1, cols[r1], &d1, &d2) + conflicts(r2, cols[r2], &d1, &d2);
-                // simulate swap
                 let (c1, c2) = (cols[r1], cols[r2]);
-                let mut e1 = d1.clone();
-                let mut e2 = d2.clone();
-                e1[r1 + c1] -= 1;
-                e2[r1 + k - c1] -= 1;
-                e1[r2 + c2] -= 1;
-                e2[r2 + k - c2] -= 1;
-                e1[r1 + c2] += 1;
-                e2[r1 + k - c2] += 1;
-                e1[r2 + c1] += 1;
-                e2[r2 + k - c1] += 1;
-                let after = conflicts(r1, c2, &e1, &e2) + conflicts(r2, c1, &e1, &e2);
+                let before = conflicts(r1, c1, &d1, &d2) + conflicts(r2, c2, &d1, &d2);
+                swap_diagonals(&mut d1, &mut d2, k, (r1, c1), (r2, c2));
+                let after = conflicts(r1, c2, &d1, &d2) + conflicts(r2, c1, &d1, &d2);
+                swap_diagonals(&mut d1, &mut d2, k, (r1, c2), (r2, c1));
                 let gain = before - after;
                 if best.is_none_or(|(g, _)| gain > g) {
                     best = Some((gain, r2));
@@ -108,15 +100,7 @@ fn min_conflicts(k: usize) -> Vec<usize> {
             }
             if let Some((gain, r2)) = best {
                 if gain > 0 || rand() % 8 == 0 {
-                    let (c1, c2) = (cols[r1], cols[r2]);
-                    d1[r1 + c1] -= 1;
-                    d2[r1 + k - c1] -= 1;
-                    d1[r2 + c2] -= 1;
-                    d2[r2 + k - c2] -= 1;
-                    d1[r1 + c2] += 1;
-                    d2[r1 + k - c2] += 1;
-                    d1[r2 + c1] += 1;
-                    d2[r2 + k - c1] += 1;
+                    swap_diagonals(&mut d1, &mut d2, k, (r1, cols[r1]), (r2, cols[r2]));
                     cols.swap(r1, r2);
                 }
             }
@@ -126,6 +110,27 @@ fn min_conflicts(k: usize) -> Vec<usize> {
             }
         }
     }
+}
+
+/// Moves the queens at `(r1, c1)` and `(r2, c2)` to `(r1, c2)` and
+/// `(r2, c1)` in the diagonal counts `d1` (row + col) and `d2`
+/// (row − col + k). Calling it again with the columns exchanged undoes
+/// it.
+fn swap_diagonals(
+    d1: &mut [i32],
+    d2: &mut [i32],
+    k: usize,
+    (r1, c1): (usize, usize),
+    (r2, c2): (usize, usize),
+) {
+    d1[r1 + c1] -= 1;
+    d2[r1 + k - c1] -= 1;
+    d1[r2 + c2] -= 1;
+    d2[r2 + k - c2] -= 1;
+    d1[r1 + c2] += 1;
+    d2[r1 + k - c2] += 1;
+    d1[r2 + c1] += 1;
+    d2[r2 + k - c1] += 1;
 }
 
 /// Algorithm 1's `canPlace`: column and both diagonals free.
@@ -197,6 +202,95 @@ mod tests {
         assert!(!can_place(&[0], 1, 0), "same column");
         assert!(!can_place(&[0], 1, 1), "diagonal");
         assert!(can_place(&[0], 1, 2));
+    }
+
+    /// FNV-1a/64 of `s_pe_positions(k)` as little-endian `u32` ids.
+    fn positions_digest(k: usize) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for p in s_pe_positions(k) {
+            for b in (p as u32).to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// `positions_digest(k)` for k = 4..=64, recorded from the search
+    /// that scored each candidate swap on cloned diagonal counts.
+    const POSITION_DIGESTS: [u64; 61] = [
+        0x7bd4b6674553f915,
+        0x063281d4e64b61cb,
+        0x686fa2bc21b45c06,
+        0xe06a049333cf8121,
+        0xfa933dbef2ed6225,
+        0x3ce76a339932dd99,
+        0x2a05eac6a19a1686,
+        0x56d3d788ff14c7f3,
+        0x5fe7119975ea6ccd,
+        0xdb3f2d87838e25d3,
+        0x6d814f3f10b44bc2,
+        0x97e1d2b995ded241,
+        0x59454ecf9638f4d5,
+        0x7779a561c6b2d935,
+        0x3003d9b81f8f5f6d,
+        0x03a6b9e8d220d08f,
+        0x684ebbef6a76557a,
+        0x711cbe01f919e0f0,
+        0xe9d9c7abe46efdd6,
+        0x5f696c284405f525,
+        0xb73f2dbfa0960af3,
+        0x07cb53006e907d87,
+        0x22444dcb9577488e,
+        0x59f93dbc88bf98e9,
+        0xb70aac0f1bba9d5e,
+        0xa4cb87c089eff8b4,
+        0x470118b3479c2dff,
+        0x7669439b0ae758da,
+        0xddbb0ccdc6353241,
+        0xa09502abd3230838,
+        0x0f5fd1f6ffe205b0,
+        0x2be3268b870583eb,
+        0x1e25873f8b7c3695,
+        0xc943942ac0b8769e,
+        0x59092575ccac06d2,
+        0x870a9a1cdc291a16,
+        0x4bdbdee21b1dfbf9,
+        0x0bb597c974d9ed94,
+        0x4cc0b412293069f0,
+        0xd8ae9b7db1550a56,
+        0xb27175d9414ded6f,
+        0x0e2aaafa79d4d2e5,
+        0x7ab8d2e65a8e1151,
+        0xde8e24a6d83bc81c,
+        0xe8ce7fcd5faf025b,
+        0xa93e75e22f0bd0e0,
+        0x22181e9d61cdd7b5,
+        0x2d7bd841ae84b410,
+        0x82f0fc31d6de415c,
+        0x282203521df535ca,
+        0x4855a755fa35c744,
+        0x52bc2f6f5b8e2454,
+        0x96ac24f085435fcc,
+        0x9c80a1c44279c368,
+        0x8fdf68cb56bb600e,
+        0xc21a79588bee381f,
+        0x57d38036cdd25a68,
+        0x3bf029c09c8c0984,
+        0x56795816f9f1941f,
+        0x46eeadb28ce263ed,
+        0x428f26558782d939,
+    ];
+
+    /// The placement is part of every degree-aware report, so the search
+    /// must keep finding the same solution at every radix.
+    #[test]
+    fn s_pe_positions_are_pinned() {
+        let now: Vec<u64> = (4..=64).map(positions_digest).collect();
+        assert_eq!(
+            now, POSITION_DIGESTS,
+            "positions moved; digests now: {now:#x?}"
+        );
     }
 
     proptest! {

@@ -9,13 +9,6 @@
 /// traffic cache sees; a cached run builds each config's table once).
 pub const NOC_ROUTE_TABLE_BUILDS: &str = "noc.route_table.builds";
 
-/// Tile traffic-profile cache hits: a later layer reused a tile's binned
-/// unit-flit profile instead of re-binning its edges.
-pub const NOC_TILE_PROFILE_HITS: &str = "noc.tile_profile.hits";
-
-/// Tile traffic-profile cache misses: the O(E) counting pass ran.
-pub const NOC_TILE_PROFILE_MISSES: &str = "noc.tile_profile.misses";
-
 /// Simulation requests admitted by the serve front end (accepted for
 /// execution or answered from cache; rejected requests count under
 /// [`SERVE_REJECT_OVERLOADED`] / [`SERVE_ERRORS`] instead).

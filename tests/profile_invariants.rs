@@ -160,8 +160,8 @@ fn mixes_roll_up_into_layer_and_run_totals() {
 fn traffic_cache_counters_reconcile_with_telemetry() {
     let g = generate::rmat(1_024, 8_000, Default::default(), 5);
     // Two layers with the same input width: identical tilings, vertex
-    // mappings and per-tile NoC configs, so every layer-1 tile must hit
-    // the unit-flit profile cache that layer 0 populated.
+    // mappings and per-tile NoC configs, so layer 1 interns no new
+    // config and sees the same traffic as layer 0.
     let shapes = [LayerShape::new(32, 32), LayerShape::new(32, 16)];
     let r = run_request(
         &AuroraSimulator::new(AcceleratorConfig::small(8)).with_telemetry(Telemetry::enabled()),
@@ -178,33 +178,22 @@ fn traffic_cache_counters_reconcile_with_telemetry() {
     let tiles = p.layers[0].tiles as u64;
     assert!(tiles > 0);
 
-    // Layer 0 bins every tile; layer 1 rescales every cached profile.
-    assert_eq!(p.tile_profile_misses, tiles);
-    assert_eq!(p.tile_profile_hits, tiles);
     // Tables are keyed by distinct NocConfig: at least one build, never
-    // more than the number of binned tiles.
+    // more than one per tile of a layer.
     assert!(p.route_table_builds >= 1);
-    assert!(p.route_table_builds <= p.tile_profile_misses);
+    assert!(p.route_table_builds <= tiles);
 
-    // The telemetry counters and the report fields are two views of the
-    // same cache state.
+    // The telemetry counter and the report field are two views of the
+    // same interner state.
     let m = &r.metrics;
     assert_eq!(
         m.counter_total(metric_names::NOC_ROUTE_TABLE_BUILDS),
         p.route_table_builds
     );
-    assert_eq!(
-        m.counter_total(metric_names::NOC_TILE_PROFILE_HITS),
-        p.tile_profile_hits
-    );
-    assert_eq!(
-        m.counter_total(metric_names::NOC_TILE_PROFILE_MISSES),
-        p.tile_profile_misses
-    );
 
-    // Caching is transparent: a cold single-layer run of the same first
-    // layer reports identical cycles, and both cached layers see the
-    // same traffic (same tiles, same message width).
+    // A cold single-layer run of the same first layer reports identical
+    // cycles and builds, and both layers see the same traffic (same
+    // tiles, same message width).
     let cold = run_request(
         &AuroraSimulator::new(AcceleratorConfig::small(8)),
         &g,
@@ -214,8 +203,7 @@ fn traffic_cache_counters_reconcile_with_telemetry() {
         1.0,
     );
     assert_eq!(cold.layers[0].total_cycles, r.layers[0].total_cycles);
-    assert_eq!(cold.profile.tile_profile_hits, 0);
-    assert_eq!(cold.profile.tile_profile_misses, tiles);
+    assert_eq!(cold.profile.route_table_builds, p.route_table_builds);
     assert_eq!(r.layers[0].noc, r.layers[1].noc);
 
     // A run without telemetry still fills the report fields.
