@@ -679,10 +679,12 @@ impl LineHandler for Router {
     }
 }
 
-/// The `error.kind` of a response line, when it carries one.
+/// The `error.kind` of a response line, when it carries one. Only the
+/// `error` member is built; the rest of the line (the report) is lexed
+/// and checked, so an unparseable line still reads as no error.
 fn reply_error_kind(line: &str) -> Option<&'static str> {
-    let value: serde_json::Value = serde_json::from_str(line).ok()?;
-    let kind = value.get("error")?.get("kind")?.as_str()?;
+    let error = serde_json::from_str_member(line, "error").ok()??;
+    let kind = error.get("kind")?.as_str()?;
     // normalize to 'static for the match sites; only the kinds the
     // router acts on are distinguished
     match kind {
@@ -781,5 +783,43 @@ mod tests {
         );
         assert_eq!(reply_error_kind("{\"id\":1,\"error\":null}"), None);
         assert_eq!(reply_error_kind("not json"), None);
+        // `error` need not be the last member, and an `error` key nested
+        // in the report is not the envelope's
+        assert_eq!(
+            reply_error_kind(
+                "{\"id\":1,\"error\":{\"kind\":\"overloaded\",\"message\":\"x\"},\
+                 \"report\":{\"error\":{\"kind\":\"shutting_down\"}}}"
+            ),
+            Some("overloaded")
+        );
+        assert_eq!(
+            reply_error_kind(
+                "{\"id\":1,\"report\":{\"error\":{\"kind\":\"shutting_down\"}},\"error\":null}"
+            ),
+            None
+        );
+        // a duplicated key: the first one wins
+        assert_eq!(
+            reply_error_kind(
+                "{\"error\":{\"kind\":\"shutting_down\"},\"error\":{\"kind\":\"overloaded\"}}"
+            ),
+            Some("shutting_down")
+        );
+        // an unparseable reply reads as no error, wherever it breaks
+        let shutting = "{\"id\":1,\"error\":{\"kind\":\"shutting_down\",\"message\":\"x\"}";
+        for broken in [
+            "[".repeat(1_000_000),
+            format!("{shutting},\"report\":{}}}", "[".repeat(1_000_000)),
+            format!("{shutting},\"report\":\"unterminated}}"),
+            format!("{shutting},\"report\":{{\"cycles\":12"),
+            format!("{shutting},\"report\":{{\"cycles\":-}}}}"),
+            format!("{shutting}}} trailing"),
+        ] {
+            assert_eq!(reply_error_kind(&broken), None, "{}", &broken[..60]);
+        }
+        assert_eq!(
+            reply_error_kind(&format!("{shutting}}}")),
+            Some("shutting_down")
+        );
     }
 }

@@ -17,6 +17,10 @@
 //! (`outcome|shard|digest`), or `-` for none. Other lines pin only
 //! their reply bytes (`*` in the record column).
 //!
+//! Every reply at both hops is also read member by member with
+//! `serde_json::from_str_member`, the router's reply check, which must
+//! agree with a full parse.
+//!
 //! Upkeep needs no knob: on any mismatch the test prints the full table
 //! as computed now. After a deliberate protocol change, check that the
 //! change is meant to move the listed rows, paste the table into the
@@ -243,8 +247,21 @@ fn records(log: &MemoryLog, seen: &mut usize, fields: &[&str]) -> String {
         .join(",")
 }
 
+/// Checks that the router's one-member reader sees in `reply` exactly
+/// what a full parse sees, for each envelope member.
+fn assert_members_read_like_a_full_parse(hop: &str, case: &Case, reply: &str) {
+    for key in ["id", "digest", "report", "error"] {
+        let full = serde_json::from_str::<serde_json::Value>(reply)
+            .map(|v| v.get(key).cloned())
+            .map_err(|e| e.to_string());
+        let member = serde_json::from_str_member(reply, key).map_err(|e| e.to_string());
+        assert_eq!(member, full, "{hop} {}: member `{key}`", case.name);
+    }
+}
+
 /// One fixture row: `<hop> <case> <reply hash> <records>`.
 fn row(hop: &str, case: &Case, reply: &str, records: String) -> String {
+    assert_members_read_like_a_full_parse(hop, case, reply);
     let records = if case.well_formed {
         records
     } else {

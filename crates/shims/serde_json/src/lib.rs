@@ -1,9 +1,24 @@
 //! Offline stand-in for `serde_json`: JSON text ⇄ the shim `serde`
 //! [`Value`] tree. Provides `to_string`, `to_string_pretty`, `from_str`,
-//! and a `Value` re-export — the surface this workspace uses.
+//! [`from_str_member`] and a `Value` re-export — the surface this
+//! workspace uses.
+//!
+//! The rendered bytes are a contract: request digests are FNV-1a over
+//! `to_string`'s output, and golden fixtures pin reply and report
+//! bytes. So the renderer never changes a byte of its output. Map
+//! entries keep their stored order. Compact output has no whitespace,
+//! and pretty output indents by two spaces. Integers are plain
+//! decimal. A finite float is Rust's shortest round-trip `{:?}` text,
+//! with `.0` appended when that text has neither a `.` nor an exponent;
+//! NaN and ±inf render as `null`. A string escapes `"`, `\`, `\n`, `\r`
+//! and `\t` as such and every other character below U+0020 as `\u00xx`
+//! (lowercase hex); everything else is copied as is. The tests keep the
+//! earlier allocating renderer as an oracle and compare the two byte for
+//! byte on random trees.
 
 use serde::{Deserialize, Serialize};
 pub use serde::{Error, Value};
+use std::fmt::Write;
 
 /// Serializes `value` as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
@@ -21,35 +36,66 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 
 /// Parses JSON text into any [`Deserialize`] type (including [`Value`]).
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
+    let mut p = Parser::new(s);
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::new(format!("trailing characters at byte {}", p.pos)));
-    }
+    p.finish()?;
     T::from_value(&v)
+}
+
+/// Parses JSON text and returns the top-level member `key`: what
+/// `from_str::<Value>(s)?.get(key).cloned()` returns, errors included,
+/// without building the rest of the tree. Every other member is lexed
+/// and checked by the same rules as [`from_str`] (depth limit and
+/// trailing-character check included) and then dropped, so it costs no
+/// allocation. `Ok(None)` when the document is not an object or has no
+/// such member; with duplicate keys, the first one wins.
+pub fn from_str_member(s: &str, key: &str) -> Result<Option<Value>, Error> {
+    let mut p = Parser::new(s);
+    p.skip_ws();
+    let member = if p.peek() == Some(b'{') {
+        p.nested(|p| {
+            let mut found = None;
+            p.delimited(b'{', b'}', |p| {
+                let hit = p.key_is(key)? && found.is_none();
+                p.colon()?;
+                if hit {
+                    found = Some(p.value()?);
+                    Ok(())
+                } else {
+                    p.skip()
+                }
+            })?;
+            Ok(found)
+        })?
+    } else {
+        p.skip()?;
+        None
+    };
+    p.finish()?;
+    Ok(member)
 }
 
 // --- rendering ---------------------------------------------------------
 
+// Writes into a `String` cannot fail, so the `fmt::Result`s below are
+// dropped.
 fn render(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        Value::UInt(u) => {
+            let _ = write!(out, "{u}");
+        }
         Value::Float(f) => {
             if f.is_finite() {
                 // `{:?}` is the shortest representation that round-trips;
                 // ensure a decimal point or exponent so it reads as float
-                let s = format!("{f:?}");
-                out.push_str(&s);
-                if !s.contains(['.', 'e', 'E']) {
+                let start = out.len();
+                let _ = write!(out, "{f:?}");
+                if !out[start..].contains(['.', 'e', 'E']) {
                     out.push_str(".0");
                 }
             } else {
@@ -105,19 +151,31 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// Copies each run of characters that need no escape with one
+/// `push_str`. Every escaped character is ASCII, so scanning bytes
+/// splits `s` only at character boundaries.
 fn render_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -137,6 +195,26 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    fn new(s: &'a str) -> Self {
+        Self {
+            bytes: s.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Refuses anything but whitespace after the document.
+    fn finish(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(Error::new(format!(
+                "trailing characters at byte {}",
+                self.pos
+            )));
+        }
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -157,6 +235,11 @@ impl<'a> Parser<'a> {
                 b as char, self.pos
             )))
         }
+    }
+
+    fn colon(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        self.expect(b':')
     }
 
     fn eat_literal(&mut self, lit: &str) -> bool {
@@ -186,9 +269,27 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Lexes one value by [`Parser::value`]'s rules without building it.
+    fn skip(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'"') => self.lex_string(|_| {}),
+            Some(b'[') => self.nested(|p| p.delimited(b'[', b']', Self::skip)),
+            Some(b'{') => self.nested(|p| {
+                p.delimited(b'{', b'}', |p| {
+                    p.lex_string(|_| {})?;
+                    p.colon()?;
+                    p.skip()
+                })
+            }),
+            // literals and numbers build nothing on the heap
+            _ => self.value().map(drop),
+        }
+    }
+
     /// Parses one array or object one level deeper, refusing to go
     /// past [`MAX_DEPTH`].
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T, Error>) -> Result<T, Error> {
         if self.depth == MAX_DEPTH {
             return Err(Error::new(format!(
                 "nesting deeper than {MAX_DEPTH} at byte {}",
@@ -201,92 +302,102 @@ impl<'a> Parser<'a> {
         value
     }
 
-    fn seq(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Walks one array (`open` `[`) or object (`open` `{`), calling
+    /// `item` on each element or `key: value` member.
+    fn delimited(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.expect(open)?;
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Value::Seq(items));
+            return Ok(());
         }
         loop {
-            items.push(self.value()?);
+            self.skip_ws();
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
+                Some(c) if c == close => {
                     self.pos += 1;
-                    return Ok(Value::Seq(items));
+                    return Ok(());
                 }
                 _ => {
                     return Err(Error::new(format!(
-                        "expected `,` or `]` at byte {}",
-                        self.pos
+                        "expected `,` or `{}` at byte {}",
+                        close as char, self.pos
                     )))
                 }
             }
         }
+    }
+
+    fn seq(&mut self) -> Result<Value, Error> {
+        let mut items = Vec::new();
+        self.delimited(b'[', b']', |p| {
+            items.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(Value::Seq(items))
     }
 
     fn map(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
         let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Map(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            entries.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                _ => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `}}` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
+        self.delimited(b'{', b'}', |p| {
+            let key = p.string()?;
+            p.colon()?;
+            entries.push((key, p.value()?));
+            Ok(())
+        })?;
+        Ok(Value::Map(entries))
     }
 
     fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
         let mut s = String::new();
+        self.lex_string(|piece| s.push_str(piece))?;
+        Ok(s)
+    }
+
+    /// Lexes one string and tells whether it decodes to `key`.
+    fn key_is(&mut self, key: &str) -> Result<bool, Error> {
+        let mut rest = Some(key.as_bytes());
+        self.lex_string(|piece| rest = rest.and_then(|r| r.strip_prefix(piece.as_bytes())))?;
+        Ok(rest.is_some_and(<[u8]>::is_empty))
+    }
+
+    /// Lexes one string literal, handing its decoded text to `piece`
+    /// in order: each run between escapes, then each escaped character.
+    fn lex_string(&mut self, mut piece: impl FnMut(&str)) -> Result<(), Error> {
+        self.expect(b'"')?;
         loop {
             let start = self.pos;
             while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\') {
                 self.pos += 1;
             }
-            s.push_str(
+            piece(
                 std::str::from_utf8(&self.bytes[start..self.pos])
                     .map_err(|_| Error::new("invalid UTF-8 in string"))?,
             );
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(s);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b't') => '\t',
+                        Some(b'r') => '\r',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
                         Some(b'u') => {
                             let hex = self
                                 .bytes
@@ -298,14 +409,12 @@ impl<'a> Parser<'a> {
                                 16,
                             )
                             .map_err(|_| Error::new("bad \\u escape"))?;
-                            s.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("bad \\u code point"))?,
-                            );
                             self.pos += 4;
+                            char::from_u32(code).ok_or_else(|| Error::new("bad \\u code point"))?
                         }
                         _ => return Err(Error::new("bad escape")),
-                    }
+                    };
+                    piece(c.encode_utf8(&mut [0; 4]));
                     self.pos += 1;
                 }
                 None => return Err(Error::new("unterminated string")),
@@ -343,6 +452,98 @@ impl<'a> Parser<'a> {
         text.parse::<f64>()
             .map(Value::Float)
             .map_err(|_| Error::new(format!("bad number `{text}`")))
+    }
+}
+
+/// The renderer as it was before it wrote numbers and strings in
+/// place: one `String` per number and one push per character. The
+/// byte-identity tests compare against it.
+#[cfg(test)]
+mod oracle {
+    use super::Value;
+
+    pub(super) fn render(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
+        match v {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Int(i) => out.push_str(&i.to_string()),
+            Value::UInt(u) => out.push_str(&u.to_string()),
+            Value::Float(f) => {
+                if f.is_finite() {
+                    // `{:?}` is the shortest representation that round-trips;
+                    // ensure a decimal point or exponent so it reads as float
+                    let s = format!("{f:?}");
+                    out.push_str(&s);
+                    if !s.contains(['.', 'e', 'E']) {
+                        out.push_str(".0");
+                    }
+                } else {
+                    // JSON has no NaN/Infinity; match serde_json's null
+                    out.push_str("null");
+                }
+            }
+            Value::Str(s) => render_string(s, out),
+            Value::Seq(items) => {
+                if items.is_empty() {
+                    out.push_str("[]");
+                    return;
+                }
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, indent, depth + 1);
+                    render(item, out, indent, depth + 1);
+                }
+                newline_indent(out, indent, depth);
+                out.push(']');
+            }
+            Value::Map(entries) => {
+                if entries.is_empty() {
+                    out.push_str("{}");
+                    return;
+                }
+                out.push('{');
+                for (i, (k, val)) in entries.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, indent, depth + 1);
+                    render_string(k, out);
+                    out.push(':');
+                    if indent.is_some() {
+                        out.push(' ');
+                    }
+                    render(val, out, indent, depth + 1);
+                }
+                newline_indent(out, indent, depth);
+                out.push('}');
+            }
+        }
+    }
+
+    fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+        if let Some(width) = indent {
+            out.push('\n');
+            out.extend(std::iter::repeat(' ').take(width * depth));
+        }
+    }
+
+    fn render_string(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
     }
 }
 
@@ -400,7 +601,11 @@ mod tests {
             err.to_string(),
             format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
         );
-        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
         assert!(from_str::<Value>(&objects).is_err());
         // a million unclosed brackets: an error, not a stack overflow
         let err = from_str::<Value>(&"[".repeat(1_000_000)).unwrap_err();
@@ -413,5 +618,247 @@ mod tests {
         let s = to_string(&xs).unwrap();
         let back: Vec<(u32, i64)> = from_str(&s).unwrap();
         assert_eq!(back, xs);
+    }
+
+    /// SplitMix64, the seeded source of the random trees below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len())]
+        }
+    }
+
+    const FLOATS: [f64; 13] = [
+        -0.0,
+        0.0,
+        1.0,
+        -2.5,
+        0.1,
+        1e-7,
+        1e15,
+        1e21,
+        f64::MIN_POSITIVE / 2.0,
+        f64::MAX,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    /// String pieces: quotes, backslashes, `\n\r\t`, other control
+    /// characters, DEL and non-ASCII text.
+    const PIECES: [&str; 16] = [
+        "a", "error", " ", "/", "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{8}", "\u{1f}", "\u{7f}",
+        "é", "€", "😀",
+    ];
+
+    /// Keys, so that `error` recurs at every level and in every position.
+    const KEYS: [&str; 5] = ["error", "report", "id", "kind", "err\"or"];
+
+    fn random_string(rng: &mut Rng) -> String {
+        (0..rng.below(6)).map(|_| rng.pick(&PIECES)).collect()
+    }
+
+    fn random_value(rng: &mut Rng, depth: usize) -> Value {
+        match rng.below(if depth == 0 { 6 } else { 8 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.next() & 1 == 1),
+            2 => {
+                let any = -((rng.next() >> 1) as i64);
+                Value::Int(rng.pick(&[-1, i64::MIN, any]))
+            }
+            3 => {
+                let any = rng.next() >> rng.below(64);
+                Value::UInt(rng.pick(&[0, u64::MAX, any]))
+            }
+            4 => Value::Float(if rng.below(2) == 0 {
+                rng.pick(&FLOATS)
+            } else {
+                f64::from_bits(rng.next())
+            }),
+            5 => Value::Str(random_string(rng)),
+            6 => Value::Seq(
+                (0..rng.below(4))
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => random_map(rng, depth - 1),
+        }
+    }
+
+    fn random_map(rng: &mut Rng, depth: usize) -> Value {
+        Value::Map(
+            (0..rng.below(5))
+                .map(|_| (rng.pick(&KEYS).to_string(), random_value(rng, depth)))
+                .collect(),
+        )
+    }
+
+    fn oracle_text(v: &Value, indent: Option<usize>) -> String {
+        let mut out = String::new();
+        oracle::render(v, &mut out, indent, 0);
+        out
+    }
+
+    #[test]
+    fn rendering_matches_the_oracle_byte_for_byte() {
+        let every_float = Value::Seq(FLOATS.iter().map(|&f| Value::Float(f)).collect());
+        let every_piece = Value::Map(
+            PIECES
+                .iter()
+                .map(|&p| (p.to_string(), Value::Str(PIECES.concat() + p)))
+                .collect(),
+        );
+        let mut rng = Rng(0x5eed_2026);
+        let trees = [every_float, every_piece]
+            .into_iter()
+            .chain((0..3_000).map(|_| random_value(&mut rng, 4)));
+        for v in trees {
+            assert_eq!(to_string(&v).unwrap(), oracle_text(&v, None), "{v:?}");
+            assert_eq!(
+                to_string_pretty(&v).unwrap(),
+                oracle_text(&v, Some(2)),
+                "{v:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn floats_render_as_before() {
+        let text: Vec<String> = FLOATS
+            .iter()
+            .map(|&f| to_string(&Value::Float(f)).unwrap())
+            .collect();
+        assert_eq!(
+            text,
+            [
+                "-0.0",
+                "0.0",
+                "1.0",
+                "-2.5",
+                "0.1",
+                "1e-7",
+                "1000000000000000.0",
+                "1e21",
+                "1.1125369292536007e-308",
+                "1.7976931348623157e308",
+                "null",
+                "null",
+                "null",
+            ]
+        );
+    }
+
+    /// What [`from_str_member`] must return: the member of a full parse.
+    fn full_parse_member(s: &str, key: &str) -> Result<Option<Value>, String> {
+        from_str::<Value>(s)
+            .map(|v| v.get(key).cloned())
+            .map_err(|e| e.to_string())
+    }
+
+    fn assert_member_reads_like_a_full_parse(s: &str) {
+        for key in KEYS {
+            assert_eq!(
+                from_str_member(s, key).map_err(|e| e.to_string()),
+                full_parse_member(s, key),
+                "key {key:?} of {s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn member_reads_like_a_full_parse_on_random_documents() {
+        let mut rng = Rng(0xab5e_2026);
+        let noise = [
+            "[", "]", "{", "}", "\"", ",", ":", "\\", "-", ".", "e", "1", " ", "x",
+        ];
+        for i in 0..2_000 {
+            let doc = if i % 10 == 0 {
+                random_value(&mut rng, 3)
+            } else {
+                random_map(&mut rng, 3)
+            };
+            let text = if i % 2 == 0 {
+                to_string(&doc).unwrap()
+            } else {
+                to_string_pretty(&doc).unwrap()
+            };
+            assert_member_reads_like_a_full_parse(&text);
+            // a broken copy: cut short, or one stray token inserted
+            let mut at = rng.below(text.len() + 1);
+            while !text.is_char_boundary(at) {
+                at -= 1;
+            }
+            assert_member_reads_like_a_full_parse(&text[..at]);
+            let stray = format!("{}{}{}", &text[..at], rng.pick(&noise), &text[at..]);
+            assert_member_reads_like_a_full_parse(&stray);
+        }
+    }
+
+    #[test]
+    fn member_reader_picks_the_top_level_first_member() {
+        let report = r#"{"report":{"error":{"kind":"nested"}},"error":{"kind":"top"},"id":1}"#;
+        let kind = |s: &str| {
+            from_str_member(s, "error")
+                .unwrap()
+                .and_then(|e| e.get("kind").cloned())
+        };
+        assert_eq!(kind(report), Some(Value::Str("top".into())));
+        // duplicates: the first one wins, as in `Value::get`
+        let twice = r#"{"error":{"kind":"first"},"error":{"kind":"second"}}"#;
+        assert_eq!(kind(twice), Some(Value::Str("first".into())));
+        // an escaped key decodes before it is compared
+        assert_eq!(
+            kind(r#"{"\u0065rror":{"kind":"escaped"}}"#),
+            Some(Value::Str("escaped".into()))
+        );
+        assert_eq!(
+            from_str_member(r#"{"report":{"error":1}}"#, "error").unwrap(),
+            None
+        );
+        assert_eq!(from_str_member("[1,2]", "error").unwrap(), None);
+        assert_eq!(from_str_member("\"error\"", "error").unwrap(), None);
+        for s in [report, twice, r#"{"errors":1,"erro":2}"#] {
+            assert_member_reads_like_a_full_parse(s);
+        }
+    }
+
+    #[test]
+    fn member_reader_refuses_hostile_input() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str_member(&deep(MAX_DEPTH), "error").is_ok());
+        let hostile = [
+            "[".repeat(1_000_000),
+            format!("{{\"error\":null,\"report\":{}}}", "[".repeat(1_000_000)),
+            format!("{{\"report\":{},\"error\":null}}", deep(MAX_DEPTH)),
+            r#"{"error":null,"report":"unterminated}"#.into(),
+            r#"{"report":{"cycles":12"#.into(),
+            r#"{"report":{"cycles":-},"error":null}"#.into(),
+            r#"{"report":{"cycles":1e},"error":null}"#.into(),
+            r#"{"error":null} trailing"#.into(),
+            r#"{"error":null}}"#.into(),
+            r#"{"report":"bad \q escape","error":null}"#.into(),
+            String::new(),
+        ];
+        for s in &hostile {
+            assert!(
+                from_str_member(s, "error").is_err(),
+                "{:?}",
+                &s[..s.len().min(60)]
+            );
+            assert_member_reads_like_a_full_parse(s);
+        }
     }
 }
