@@ -100,7 +100,10 @@ pub struct AccessRecord {
     pub outcome: String,
     pub queue_wait_us: u64,
     pub execute_us: u64,
-    /// Inclusive end-to-end latency (the `serve.latency_us` sample).
+    /// Inclusive latency. The transport (`server::answer`) times it
+    /// from the line's arrival to the rendered reply, decode and render
+    /// included; in-process callers of `handle_traced` get the service
+    /// part alone (the `serve.latency_us` sample).
     pub latency_us: u64,
     /// Serialized response size, newline included (0 until the
     /// transport fills it in; in-process callers have no wire form).

@@ -157,8 +157,9 @@ impl LineHandler for SimService {
     }
 
     fn refuse_line(&self, error: ServeError) -> String {
+        let received = Instant::now();
         let (response, record) = rejected(self, 0, String::new(), String::new(), error);
-        finish(self, &response, record)
+        finish(self, &response, record, received)
     }
 
     fn drain(&self) {
@@ -385,9 +386,12 @@ fn read_capped_line(
 /// response line (no trailing newline). The line is decoded once by
 /// [`wire::decode`]; every non-admin line, bad ones included, becomes
 /// one reply plus one access record, logged through the service's sink
-/// with the response size filled in. Admin lines are not logged. This
-/// is the function the connection loop speaks.
+/// with the response size filled in. The record's `latency_us` runs
+/// from here to the rendered reply, so it covers the line's decode and
+/// the reply's render as well as the service. Admin lines are not
+/// logged. This is the function the connection loop speaks.
 pub fn answer(service: &SimService, line: &str) -> String {
+    let received = Instant::now();
     let (response, record) = match wire::decode(line) {
         Ok(Line::Admin { id, command }) => return admin::dispatch(service, id, &command),
         Ok(Line::Sim(req)) if req.version > WIRE_VERSION => rejected(
@@ -430,13 +434,20 @@ pub fn answer(service: &SimService, line: &str) -> String {
             bad.error,
         ),
     };
-    finish(service, &response, record)
+    finish(service, &response, record, received)
 }
 
-/// Serializes a reply and logs its access record with the wire size.
-fn finish(service: &SimService, response: &SimResponse, mut record: AccessRecord) -> String {
+/// Serializes a reply and logs its access record with the wire size and
+/// the latency since the line was `received`.
+fn finish(
+    service: &SimService,
+    response: &SimResponse,
+    mut record: AccessRecord,
+    received: Instant,
+) -> String {
     let out = serde_json::to_string(response).expect("response serializes");
     record.bytes_out = out.len() as u64 + 1; // the newline ships too
+    record.latency_us = received.elapsed().as_micros() as u64;
     service.log_access(&record);
     out
 }
