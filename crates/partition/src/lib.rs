@@ -167,62 +167,6 @@ pub fn partition(counts: &PhaseOpCounts, total_pes: usize, flops_per_pe: f64) ->
     best.expect("sweep is non-empty")
 }
 
-/// Extension beyond Algorithm 2: balance *total* stage times including
-/// each side's communication cycles (`comm_a`, `comm_b` in seconds), i.e.
-/// minimise `|T_A + comm_a − (T_B + comm_b)|`. With zero communication it
-/// reduces exactly to [`partition`]. Useful when the on-chip estimate is
-/// known before partitioning; documented in DESIGN.md as an extension.
-pub fn partition_with_comm(
-    counts: &PhaseOpCounts,
-    total_pes: usize,
-    flops_per_pe: f64,
-    comm_a: f64,
-    comm_b: f64,
-) -> PartitionStrategy {
-    assert!(total_pes > 0, "need at least one PE");
-    assert!(flops_per_pe > 0.0, "PE throughput must be positive");
-    assert!(
-        comm_a >= 0.0 && comm_b >= 0.0,
-        "communication times are non-negative"
-    );
-    if counts.vertex_update == 0 {
-        let a = total_pes;
-        return PartitionStrategy {
-            a,
-            b: 0,
-            t_a: time_a(counts, a, flops_per_pe) + comm_a,
-            t_b: 0.0,
-        };
-    }
-    if counts.edge_update + counts.aggregation == 0 {
-        return PartitionStrategy {
-            a: 0,
-            b: total_pes,
-            t_a: 0.0,
-            t_b: time_b(counts, total_pes, flops_per_pe) + comm_b,
-        };
-    }
-    let mut best: Option<PartitionStrategy> = None;
-    for a in 0..=total_pes {
-        let t_a = time_a(counts, a, flops_per_pe) + comm_a;
-        let t_b = time_b(counts, total_pes - a, flops_per_pe) + comm_b;
-        let diff = (t_a - t_b).abs();
-        let better = match &best {
-            None => true,
-            Some(s) => diff < (s.t_a - s.t_b).abs(),
-        };
-        if better {
-            best = Some(PartitionStrategy {
-                a,
-                b: total_pes - a,
-                t_a,
-                t_b,
-            });
-        }
-    }
-    best.expect("sweep is non-empty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,36 +260,6 @@ mod tests {
             }
             assert!(s.stage_time().is_finite(), "{}", id.name());
         }
-    }
-
-    #[test]
-    fn comm_aware_reduces_to_algorithm2_with_zero_comm() {
-        let c = counts_for(ModelId::Gcn, 2000, 12000);
-        let plain = partition(&c, 256, 1e9);
-        let comm = partition_with_comm(&c, 256, 1e9, 0.0, 0.0);
-        assert_eq!(plain.a, comm.a);
-        assert_eq!(plain.b, comm.b);
-    }
-
-    #[test]
-    fn comm_on_a_side_shifts_pes_to_a() {
-        let c = PhaseOpCounts {
-            edge_update: 0,
-            aggregation: 1_000_000,
-            vertex_update: 1_000_000,
-            edge_feature_dim: 0,
-            num_edges: 1,
-            num_vertices: 1,
-        };
-        let plain = partition(&c, 100, 1e9);
-        // heavy aggregation-side communication: balance needs more A PEs
-        let comm = partition_with_comm(&c, 100, 1e9, 5e-4, 0.0);
-        assert!(
-            comm.a > plain.a,
-            "comm-aware a = {} should exceed plain a = {}",
-            comm.a,
-            plain.a
-        );
     }
 
     #[test]

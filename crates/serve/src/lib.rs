@@ -1,11 +1,10 @@
 //! `aurora-serve` — a concurrent simulation service in front of the
 //! Aurora engine.
 //!
-//! The ROADMAP's north star is a system that serves heavy traffic; this
-//! crate is the serving layer. A long-running daemon ([`bin/aurora_serve`])
-//! speaks newline-delimited JSON over a Unix socket or TCP: each line is
-//! a [`ServeRequest`] envelope carrying a serializable
-//! [`SimRequest`](aurora_core::SimRequest), each reply a
+//! This crate is the serving layer. A long-running daemon
+//! ([`bin/aurora_serve`]) speaks newline-delimited JSON over a Unix
+//! socket or TCP: each line is a [`ServeRequest`] envelope carrying a
+//! serializable [`SimRequest`](aurora_core::SimRequest), each reply a
 //! [`SimResponse`](aurora_core::SimResponse).
 //!
 //! Five layers, each independently testable:
