@@ -735,32 +735,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn floats_render_as_before() {
-        let text: Vec<String> = FLOATS
-            .iter()
-            .map(|&f| to_string(&Value::Float(f)).unwrap())
-            .collect();
-        assert_eq!(
-            text,
-            [
-                "-0.0",
-                "0.0",
-                "1.0",
-                "-2.5",
-                "0.1",
-                "1e-7",
-                "1000000000000000.0",
-                "1e21",
-                "1.1125369292536007e-308",
-                "1.7976931348623157e308",
-                "null",
-                "null",
-                "null",
-            ]
-        );
-    }
-
     /// What [`from_str_member`] must return: the member of a full parse.
     fn full_parse_member(s: &str, key: &str) -> Result<Option<Value>, String> {
         from_str::<Value>(s)

@@ -43,6 +43,13 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test --workspace -q
 
+echo "==> cargo test -q -p serde_json (JSON shim)"
+# The offline shims sit outside the workspace, so the workspace run above
+# skips their tests. Request digests and golden fixtures hash this shim's
+# rendering, and the router reads replies with its member reader: its
+# byte-identity and member-reader tests gate here.
+cargo test -q -p serde_json
+
 echo "==> cargo test --release (perfbench)"
 # The benchmark is a workspace of its own that links the crates by path.
 # Its tests regenerate the serve-mix base graph with aurora-graph, so
