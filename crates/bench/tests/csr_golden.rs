@@ -18,6 +18,10 @@
 //! * `rmat/{1,3,1000,19717}/...` — vertex counts that are not powers of
 //!   two (the draw folds `u % n`), and the single-vertex graph whose
 //!   every draw is a self loop.
+//! * `rmat/{65536,65537,100000}/...` — vertex counts on both sides of
+//!   2¹⁶, the largest `n` whose two endpoints pack into one `u32`, and
+//!   one well past it. No dataset cell at the standard scales has more
+//!   than 2¹⁶ vertices.
 //! * `ring`, `star`, `grid`, `complete`, `erdos_renyi`, `symmetric` —
 //!   one output of each `GraphBuilder` route.
 //!
@@ -45,6 +49,9 @@ fn cells() -> Vec<(String, Csr)> {
         (3, 40, 6),
         (1_000, 9_000, 7),
         (19_717, 88_648, 8),
+        (65_536, 400_000, 9),
+        (65_537, 400_000, 10),
+        (100_000, 300_000, 11),
     ] {
         let g = generate::rmat(n, m, Default::default(), seed);
         cells.push((format!("rmat/{n}/{m}/s{seed}"), g));
