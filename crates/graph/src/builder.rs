@@ -1,11 +1,14 @@
 //! Incremental edge-list construction of [`Csr`] graphs.
 //!
-//! Both [`GraphBuilder`] finalisers and the R-MAT generator build through
-//! `csr_from_replay`, a two-pass counting sort over a replayable edge
-//! source: no global sort, and no pair buffer for a source that can
-//! regenerate its edges. Its output is the CSR of the source's edge set
-//! (sorted, duplicate-free rows), the same graph the earlier pair-sort
-//! builder produced.
+//! Both [`GraphBuilder`] finalisers, and the R-MAT generator above 2¹⁶
+//! vertices, build through `csr_from_replay`, a two-pass counting sort
+//! over a replayable edge source: no global sort, and no pair buffer for
+//! a source that can regenerate its edges. Up to 2¹⁶ vertices the R-MAT
+//! generator builds through `csr_from_packed` instead, which reads its
+//! source once, packs each edge into one `u32` key and sorts the keys.
+//! Either output is the CSR of the source's edge set (sorted,
+//! duplicate-free rows), the same graph the earlier pair-sort builder
+//! produced.
 
 use crate::csr::{Csr, VertexId};
 
@@ -149,6 +152,57 @@ where
     col_idx.truncate(kept);
     col_idx.shrink_to_fit();
     Csr::from_raw(row_ptr, col_idx)
+}
+
+/// Builds the CSR of the edges `edges` yields on `n` vertices, reading
+/// the source once.
+///
+/// Each edge `(u, v)` becomes the key `(u << shift) | v` in one buffer
+/// of `capacity` keys; every key fits because `u, v < n ≤ 2^shift` and
+/// `2 · shift ≤ 32`. Sorting the keys sorts the edges by source, then
+/// destination. One pass then drops duplicate keys, counts each source's
+/// row and compacts the destinations (`key & mask`) into the front of
+/// the same buffer, which becomes `col_idx`. A source without self
+/// loops has fewer than `n · n ≤ 2³²` distinct keys, so its edge count
+/// fits `u32`.
+///
+/// `capacity` should be an upper bound on the edge count, so the buffer
+/// is allocated once.
+///
+/// # Panics
+/// Panics if a source is `>= n` or a destination is out of range (via
+/// [`Csr::from_raw`]'s validation), given that both fit in `shift` bits.
+pub(crate) fn csr_from_packed(
+    n: usize,
+    shift: u32,
+    capacity: usize,
+    edges: impl Iterator<Item = (VertexId, VertexId)>,
+) -> Csr {
+    debug_assert!(2 * shift <= u32::BITS && n <= 1 << shift);
+    let mut keys: Vec<u32> = Vec::with_capacity(capacity);
+    keys.extend(edges.map(|(u, v)| (u << shift) | v));
+    keys.sort_unstable();
+    let mask = (1u32 << shift) - 1;
+    let mut row_ptr = vec![0u32; n + 1];
+    let mut kept = 0usize;
+    // `keys[..kept]` already holds masked destinations, so a key is
+    // compared with the last key read, never with a slot behind it
+    let mut last = None;
+    for i in 0..keys.len() {
+        let key = keys[i];
+        if last != Some(key) {
+            last = Some(key);
+            row_ptr[(key >> shift) as usize + 1] += 1;
+            keys[kept] = key & mask;
+            kept += 1;
+        }
+    }
+    for u in 0..n {
+        row_ptr[u + 1] += row_ptr[u];
+    }
+    keys.truncate(kept);
+    keys.shrink_to_fit();
+    Csr::from_raw(row_ptr, keys)
 }
 
 #[cfg(test)]

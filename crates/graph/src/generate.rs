@@ -8,14 +8,20 @@
 //! no-skew control, and a few regular toys support unit tests.
 //!
 //! Every generator is a pure function of its arguments. [`rmat`] in
-//! particular is a pure function of `(n, edges, params, seed)`: it replays
-//! its SplitMix64 draw loop from the seed once per pass of the builder's
-//! two-pass counting sort, so it never holds an edge buffer, and its
-//! output is bit-identical to the earlier pair-buffer-and-global-sort
-//! build (pinned by `crates/bench/tests/csr_golden.rs` and by an oracle
-//! proptest against a test-only copy of that build).
+//! particular is a pure function of `(n, edges, params, seed)`. Up to
+//! 2¹⁶ vertices it runs its SplitMix64 draw loop once, packing each kept
+//! draw into one `u32` key `(u << levels) | v`, and sorts and
+//! deduplicates the keys in place. Above 2¹⁶ a `u32` cannot hold both
+//! endpoints, so it replays the draw loop from the seed once per pass of
+//! the builder's two-pass counting sort instead. Both paths hold one
+//! `u32` per kept draw at their peak, the size of the pre-dedup
+//! `col_idx`, and both are bit-identical to the earlier
+//! pair-buffer-and-global-sort build (pinned by
+//! `crates/bench/tests/csr_golden.rs`, by an oracle proptest against a
+//! test-only copy of that build, and by a proptest of one path against
+//! the other).
 
-use crate::builder::{csr_from_replay, GraphBuilder};
+use crate::builder::{csr_from_packed, csr_from_replay, GraphBuilder};
 use crate::csr::{Csr, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -77,9 +83,12 @@ pub fn rmat_draw_count(target_edges: usize) -> Option<usize> {
 /// internally, then vertices folded back into range) and approximately
 /// `target_edges` unique directed edges.
 ///
-/// The draw loop is replayed from `seed` for each pass of the two-pass
-/// CSR build, so the output is a pure function of
-/// `(n, target_edges, params, seed)`.
+/// The output is a pure function of `(n, target_edges, params, seed)`.
+/// Which build runs depends on `n` alone, and both build the same graph:
+/// - `n ≤ 2¹⁶`: one pass of draws, each kept draw packed into a `u32`
+///   key, then one in-place sort and dedup of the keys;
+/// - `n > 2¹⁶`: the draw loop is replayed from `seed` for each pass of
+///   the two-pass CSR build.
 ///
 /// # Panics
 /// Panics if `params` do not sum to 1, `n` is 0 or exceeds `u32`, or the
@@ -90,21 +99,36 @@ pub fn rmat(n: usize, target_edges: usize, params: RmatParams, seed: u64) -> Csr
     assert!(n <= u32::MAX as usize, "vertex count exceeds u32 range");
     let draws = rmat_draw_count(target_edges).expect("R-MAT edge target overflows the draw count");
     let levels = (usize::BITS - (n - 1).leading_zeros()).max(1);
-    let cuts = params.cuts();
-    csr_from_replay(n, || {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..draws).filter_map(move |_| {
-            let (mut u, mut v) = (0usize, 0usize);
-            for _ in 0..levels {
-                // quadrant 0..4 = a, b, c, d; its bits are (du, dv)
-                let m = rng.next_u64() >> 11;
-                let q = (m >= cuts[0]) as usize + (m >= cuts[1]) as usize + (m >= cuts[2]) as usize;
-                u = (u << 1) | (q >> 1);
-                v = (v << 1) | (q & 1);
-            }
-            let (u, v) = ((u % n) as VertexId, (v % n) as VertexId);
-            (u != v).then_some((u, v))
-        })
+    let edges = || rmat_edges(n, levels, draws, params.cuts(), seed);
+    if 2 * levels <= u32::BITS {
+        csr_from_packed(n, levels, draws, edges())
+    } else {
+        csr_from_replay(n, edges)
+    }
+}
+
+/// The kept edges of `draws` R-MAT draws from `seed`, in draw order:
+/// each draw descends `levels` quadrants, folds both endpoints into
+/// range with `% n`, and is dropped if it is a self loop.
+fn rmat_edges(
+    n: usize,
+    levels: u32,
+    draws: usize,
+    cuts: [u64; 3],
+    seed: u64,
+) -> impl Iterator<Item = (VertexId, VertexId)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..draws).filter_map(move |_| {
+        let (mut u, mut v) = (0usize, 0usize);
+        for _ in 0..levels {
+            // quadrant 0..4 = a, b, c, d; its bits are (du, dv)
+            let m = rng.next_u64() >> 11;
+            let q = (m >= cuts[0]) as usize + (m >= cuts[1]) as usize + (m >= cuts[2]) as usize;
+            u = (u << 1) | (q >> 1);
+            v = (v << 1) | (q & 1);
+        }
+        let (u, v) = ((u % n) as VertexId, (v % n) as VertexId);
+        (u != v).then_some((u, v))
     })
 }
 
@@ -228,12 +252,14 @@ mod tests {
     }
 
     /// Valid quadrant probabilities from raw weights; `shape` forces the
-    /// corners `a = 1` (1) and `d = 0` (2), or zeroes `b` (3).
+    /// corners `a = 1` (1), `d = 0` (2) and `d = 1` (4), or zeroes `b`
+    /// (3). Both `a = 1` and `d = 1` make every draw a self loop.
     fn params_from(shape: u8, w: (f64, f64, f64, f64)) -> RmatParams {
         let (a, b, c, d) = match shape {
             1 => (1.0, 0.0, 0.0, 0.0),
             2 => (w.0, w.1, w.2, 0.0),
             3 => (w.0, 0.0, w.2, w.3),
+            4 => (0.0, 0.0, 0.0, 1.0),
             _ => w,
         };
         let s = a + b + c + d;
@@ -245,15 +271,37 @@ mod tests {
         }
     }
 
+    /// A vertex count from one of four bands: `n ∈ {1, 2}`, small
+    /// graphs, either side of the packed path's `n ≤ 2¹⁶` limit, or
+    /// anywhere up to well past it.
+    fn vertices_from(band: u8, raw: usize) -> usize {
+        match band {
+            0 => 1 + raw % 2,
+            1 => 1 + raw % 4_096,
+            2 => (1 << 16) - 64 + raw % 128,
+            _ => 1 + raw % 140_000,
+        }
+    }
+
+    /// [`rmat`] through the replay build, whatever `n` is: the reference
+    /// the packed build must match.
+    fn rmat_replayed(n: usize, target_edges: usize, params: RmatParams, seed: u64) -> Csr {
+        let draws = rmat_draw_count(target_edges).unwrap();
+        let levels = (usize::BITS - (n - 1).leading_zeros()).max(1);
+        csr_from_replay(n, || rmat_edges(n, levels, draws, params.cuts(), seed))
+    }
+
     proptest! {
         #[test]
         fn rmat_matches_sorted_oracle(
-            n in 1usize..4096,
+            band in 0u8..4,
+            raw in 0usize..1 << 20,
             edges in 0usize..20_000,
             seed in 0u64..u64::MAX,
-            shape in 0u8..4,
+            shape in 0u8..5,
             w in (0.01f64..1.0, 0.01f64..1.0, 0.01f64..1.0, 0.01f64..1.0)
         ) {
+            let n = vertices_from(band, raw);
             let params = params_from(shape, w);
             prop_assert_eq!(
                 rmat(n, edges, params, seed),
@@ -261,17 +309,64 @@ mod tests {
                 "n={} edges={} seed={} params={:?}", n, edges, seed, params
             );
         }
+
+        #[test]
+        fn packed_build_matches_replay_build(
+            band in 0u8..3,
+            raw in 0usize..1 << 20,
+            edges in 0usize..40_000,
+            seed in 0u64..u64::MAX,
+            shape in 0u8..5,
+            w in (0.01f64..1.0, 0.01f64..1.0, 0.01f64..1.0, 0.01f64..1.0)
+        ) {
+            let n = vertices_from(band, raw).min(1 << 16);
+            let params = params_from(shape, w);
+            prop_assert_eq!(
+                rmat(n, edges, params, seed),
+                rmat_replayed(n, edges, params, seed),
+                "n={} edges={} seed={} params={:?}", n, edges, seed, params
+            );
+        }
     }
 
     #[test]
     fn rmat_matches_sorted_oracle_at_dataset_shapes() {
-        for (n, m) in [(1, 10), (2, 0), (2_708, 10_556), (16_384, 160_000)] {
+        for (n, m) in [
+            (1, 10),
+            (2, 0),
+            (2_708, 10_556),
+            (2_855, 30_000),
+            (16_384, 160_000),
+            (65_536, 100_000),
+            (65_537, 100_000),
+        ] {
             let p = RmatParams::default();
             assert_eq!(
                 rmat(n, m, p, 9),
                 rmat_sorted_oracle(n, m, p, 9),
                 "n={n} m={m}"
             );
+        }
+    }
+
+    /// `a = 1` and `d = 1` send every draw to one diagonal corner, so
+    /// every draw is a self loop and both builds return an empty graph.
+    #[test]
+    fn self_loop_corners_build_empty_graphs() {
+        let corners = [
+            params_from(1, (1.0, 1.0, 1.0, 1.0)),
+            params_from(4, (1.0, 1.0, 1.0, 1.0)),
+        ];
+        for params in corners {
+            for n in [1, 2, 3, 2_855, 1 << 16, (1 << 16) + 1] {
+                let g = rmat(n, 1_000, params, 5);
+                assert_eq!(
+                    (g.num_vertices(), g.num_edges()),
+                    (n, 0),
+                    "n={n} {params:?}"
+                );
+                assert_eq!(g, rmat_replayed(n, 1_000, params, 5), "n={n} {params:?}");
+            }
         }
     }
 
