@@ -44,6 +44,12 @@ pub const MAX_K: usize = 64;
 /// in `PeConfig::vertex_capacity`).
 pub const MAX_LAYER_WIDTH: usize = 1 << 16;
 
+/// Most layers one request may stack: above the deepest published GNNs
+/// (about a thousand layers) and far above every in-repo request, which
+/// stack a handful. Without it, about 200,000 layers fit in one 4 MiB
+/// line, and 2,000 layers on Cora/16 already take 30 ms.
+pub const MAX_LAYERS: usize = 1 << 10;
+
 /// Where a request's graph comes from. Every variant is serializable so
 /// requests can travel over the `aurora-serve` wire; the spec variants
 /// synthesize deterministically (same spec ⇒ same [`Csr`]), which keeps
@@ -265,7 +271,8 @@ impl SimRequest {
 }
 
 /// Rejects a layer chain `config` cannot run, as one typed
-/// [`SimError::InvalidRequest`]: a width outside `1..=MAX_LAYER_WIDTH`,
+/// [`SimError::InvalidRequest`]: more than [`MAX_LAYERS`] layers (checked
+/// before any layer is read), a width outside `1..=MAX_LAYER_WIDTH`,
 /// an `f_in` that is not the previous layer's `f_out`, or a PE buffer
 /// that cannot hold one vertex of the widest layer input
 /// (`pe.buffer_bytes < 8 × f_in`). An empty chain passes; callers
@@ -274,6 +281,12 @@ pub(crate) fn validate_layers(
     config: &AcceleratorConfig,
     layers: &[LayerShape],
 ) -> Result<(), SimError> {
+    if layers.len() > MAX_LAYERS {
+        return Err(SimError::InvalidRequest(format!(
+            "layers holds {} layers, more than {MAX_LAYERS}",
+            layers.len()
+        )));
+    }
     let mut prev_out: Option<usize> = None;
     for (i, l) in layers.iter().enumerate() {
         for (name, width) in [("f_in", l.f_in), ("f_out", l.f_out)] {
@@ -765,7 +778,7 @@ mod tests {
             req.validate()
         };
         type Break = fn(&mut SimRequest);
-        let broken: [(&str, Break); 11] = [
+        let broken: [(&str, Break); 12] = [
             ("clock_mhz", |r| r.config.clock_mhz = 0),
             ("pe.lanes", |r| r.config.pe.lanes = 0),
             ("dram_channels", |r| r.config.dram_channels = 0),
@@ -785,6 +798,10 @@ mod tests {
             // one vertex of the 32-wide input needs 256 bytes
             ("pe.buffer_bytes 255", |r| r.config.pe.buffer_bytes = 255),
             ("pe.buffer_bytes 0", |r| r.config.pe.buffer_bytes = 0),
+            // the count is checked first: these layers are also too wide
+            ("more than 1024", |r| {
+                r.layers = vec![LayerShape { f_in: 0, f_out: 0 }; MAX_LAYERS + 1]
+            }),
         ];
         for (what, break_it) in broken {
             match with(break_it) {
@@ -802,6 +819,7 @@ mod tests {
         .is_ok());
         assert!(with(|r| r.config.pe.buffer_bytes = 256).is_ok());
         assert!(with(|r| r.layers.push(LayerShape::new(16, 4))).is_ok());
+        assert!(with(|r| r.layers = vec![LayerShape::new(32, 32); MAX_LAYERS]).is_ok());
         assert!(with(|r| r.layers[0].f_in = MAX_LAYER_WIDTH + 1).is_err());
     }
 

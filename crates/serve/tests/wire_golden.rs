@@ -26,6 +26,7 @@
 //! change is meant to move the listed rows, paste the table into the
 //! fixture, and say so in the change description.
 
+use aurora_core::request::MAX_LAYERS;
 use aurora_core::{
     AcceleratorConfig, GraphDelta, GraphSpec, SessionCommand, SimRequest, Telemetry, WIRE_VERSION,
 };
@@ -170,7 +171,7 @@ fn corpus() -> Vec<Case> {
     // requests that once panicked in the engine or ran to a meaningless
     // report: each is one typed invalid_request now
     type Break = fn(&mut SimRequest);
-    let broken: [(&'static str, Break); 13] = [
+    let broken: [(&'static str, Break); 14] = [
         ("sim/invalid/clock-zero", |r| r.config.clock_mhz = 0),
         ("sim/invalid/lanes-zero", |r| r.config.pe.lanes = 0),
         ("sim/invalid/dram-channels-zero", |r| {
@@ -207,6 +208,10 @@ fn corpus() -> Vec<Case> {
         // a zero flit payload divides by zero in the flit count
         ("sim/invalid/words-per-flit-zero", |r| {
             r.config.words_per_flit = 0
+        }),
+        // one layer past the count cap, each layer a valid 32 → 32
+        ("sim/invalid/layers-too-many", |r| {
+            r.layers = vec![LayerShape::new(32, 32); MAX_LAYERS + 1]
         }),
     ];
     cases.extend(broken.into_iter().zip(20..).map(|((name, break_it), id)| {
