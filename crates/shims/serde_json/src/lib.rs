@@ -9,8 +9,8 @@
 //! entries keep their stored order. Compact output has no whitespace,
 //! and pretty output indents by two spaces. Integers are plain
 //! decimal. A finite float is Rust's shortest round-trip `{:?}` text,
-//! with `.0` appended when that text has neither a `.` nor an exponent;
-//! NaN and ±inf render as `null`. A string escapes `"`, `\`, `\n`, `\r`
+//! which always holds a `.` or an exponent (`1.0`, `1e21`); NaN and ±inf
+//! render as `null`. A string escapes `"`, `\`, `\n`, `\r`
 //! and `\t` as such and every other character below U+0020 as `\u00xx`
 //! (lowercase hex); everything else is copied as is. The tests keep the
 //! earlier allocating renderer as an oracle and compare the two byte for
@@ -91,13 +91,10 @@ fn render(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
         }
         Value::Float(f) => {
             if f.is_finite() {
-                // `{:?}` is the shortest representation that round-trips;
-                // ensure a decimal point or exponent so it reads as float
-                let start = out.len();
+                // `{:?}` is the shortest representation that round-trips,
+                // and for a finite f64 it always holds a `.` or an `e`, so
+                // it reads back as a float
                 let _ = write!(out, "{f:?}");
-                if !out[start..].contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
             } else {
                 // JSON has no NaN/Infinity; match serde_json's null
                 out.push_str("null");

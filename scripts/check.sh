@@ -43,12 +43,14 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test --workspace -q
 
-echo "==> cargo test -q -p serde_json (JSON shim)"
+echo "==> cargo test -q -p serde_json -p rand -p rayon -p serde -p proptest (shims)"
 # The offline shims sit outside the workspace, so the workspace run above
-# skips their tests. Request digests and golden fixtures hash this shim's
-# rendering, and the router reads replies with its member reader: its
-# byte-identity and member-reader tests gate here.
-cargo test -q -p serde_json
+# skips their tests. Request digests and golden fixtures hash the JSON
+# shim's rendering, and the router reads replies with its member reader;
+# every synthesized graph is a function of the rand shim's SplitMix64
+# stream (pinned by a known-answer test), and the engine's determinism
+# across thread counts rests on the rayon shim's ordered reductions.
+cargo test -q -p serde_json -p rand -p rayon -p serde -p proptest
 
 echo "==> cargo test --release (perfbench)"
 # The benchmark is a workspace of its own that links the crates by path.
