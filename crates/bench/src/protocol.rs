@@ -13,9 +13,8 @@ pub struct EvalProtocol {
     /// which run every dataset under every design, interactive: full
     /// Reddit is 57.3 M directed edges, and each run synthesizes its
     /// graph and walks every edge once per layer. Graph synthesis is no
-    /// longer the limit: the two-pass generator's peak memory is its CSR
-    /// before dedup (EXPERIMENTS.md gives full-size wall time and peak
-    /// memory). Scaling preserves the degree-distribution
+    /// longer the limit: the generator's peak memory is its CSR before
+    /// dedup (EXPERIMENTS.md gives full-size wall time and peak memory). Scaling preserves the degree-distribution
     /// shape (R-MAT is self-similar) and the feature/class dimensions
     /// that set per-message volume. DESIGN.md's substitution table
     /// documents this.

@@ -212,7 +212,7 @@ mod tests {
 
     /// The R-MAT generator as it was before the two-pass build: float
     /// quadrant if-chain, one pair buffer, a global sort and dedup. The
-    /// oracle the replaying [`rmat`] must match exactly.
+    /// oracle both builds of [`rmat`] must match exactly.
     fn rmat_sorted_oracle(n: usize, target_edges: usize, params: RmatParams, seed: u64) -> Csr {
         params.validate();
         let mut rng = StdRng::seed_from_u64(seed);
