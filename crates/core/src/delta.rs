@@ -28,7 +28,7 @@
 //! line of one session lands on the worker holding the warm state.
 
 use crate::engine::{AuroraSimulator, SessionState};
-use crate::graph_cache::{resolve_with, GraphCache};
+use crate::graph_cache::{csr_bytes, resolve_with, GraphCache};
 use crate::report::SimReport;
 use crate::request::{fnv1a64, SimError, SimRequest};
 use aurora_graph::{Csr, GraphBuilder};
@@ -466,6 +466,13 @@ impl SimSession {
         }
     }
 
+    /// Heap bytes held: the graph, the recycled CSR arrays and the warm
+    /// state.
+    pub(crate) fn bytes(&self) -> usize {
+        let bufs = self.bufs.row_ptr.capacity() + self.bufs.col_idx.capacity();
+        csr_bytes(&self.graph) + bufs * std::mem::size_of::<u32>() + self.state.bytes()
+    }
+
     /// The session id (`d₀`, the base request's digest).
     pub fn sid(&self) -> &str {
         &self.sid
@@ -509,16 +516,6 @@ impl AuroraSimulator {
     /// [`SimSession::apply`]) advances it incrementally.
     pub fn open_session(&self, req: &SimRequest) -> Result<SimSession, SimError> {
         SimSession::open(req, None)
-    }
-
-    /// [`Self::open_session`], resolving a spec graph through `graphs`
-    /// (the open report is identical either way).
-    pub fn open_session_with(
-        &self,
-        req: &SimRequest,
-        graphs: Option<&GraphCache>,
-    ) -> Result<SimSession, SimError> {
-        SimSession::open(req, graphs)
     }
 
     /// Applies `delta` to an open session — sugar for

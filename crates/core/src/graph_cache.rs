@@ -1,5 +1,6 @@
-//! A one-graph cache of synthesized graphs keyed by [`GraphSpec`], and
-//! the one owner of a worker's warm engine state.
+//! A worker's graph cache and its one store of warm tile state: the
+//! resident graph keyed by [`GraphSpec`], and a byte-budgeted list of
+//! warm entries (warm plans and open sessions).
 //!
 //! The paper's evaluation sweeps one dataset many times — input density
 //! (§VI-D), array size, mapping and NoC ablations — so a long-running
@@ -21,50 +22,74 @@
 //!   insert only, so concurrent misses synthesize in parallel (two
 //!   misses of one spec may both synthesize; the graphs are identical).
 //!
-//! **Warm state.** Beside the resident graph the slot holds at most one
-//! plan's warm engine state, as a session keeps it: the per-layer slabs
+//! **Warm entries.** Beside the graph the store keeps engine state that
+//! a later run replays instead of recomputing: the per-layer slabs
 //! (mapping, bypass plans, per-tile outputs), traffic profiles, and the
-//! tiling and A/B split they were computed under (§III-E: the
-//! controller fixes mapping, partitioning and NoC configuration before
-//! a subgraph executes). None
-//! of it depends on the input density, which reaches the engine only
-//! through layer 0's message width. So a request on the resident graph
-//! whose *plan key* matches — everything in the request except the
-//! graph spec (the slot key), `options.input_density` and the workload
-//! label, with `trace_instructions` folded into the config as
-//! [`AuroraSimulator::run_with`](crate::AuroraSimulator::run_with) folds
-//! it — replays every tile as a clean session tile: no mapping, no
-//! route-table build, no binning, only its stored profile re-priced at
-//! the current message width. Keys compare by equality, never by hash,
-//! so no collision can serve a wrong report.
+//! tiling and A/B split they were computed under (§III-E: the controller
+//! fixes mapping, partitioning and NoC configuration before a subgraph
+//! executes). Two kinds of entry differ only in payload and key, and
+//! keys compare by equality, never by hash, so no collision can serve a
+//! wrong report:
 //!
-//! * **Checkout.** A hit takes the state out under the lock and runs
-//!   without it; the state goes back only after a successful run. A
-//!   same-key request that finds it checked out runs cold. A run that
-//!   errors or panics drops the state and clears the slot, as a
-//!   session's `invalidate` would.
-//! * **Admission.** The graph's doorkeeper rule: a plan is admitted on
-//!   its second consecutive miss on one graph spec. Admission is a
-//!   checkout of a fresh state, which the run fills as a full recompute:
-//!   the plan takes the slot at once, checked out, and the checkout
-//!   rules above apply unchanged. Its bytes count with the graph's under
-//!   [`GRAPH_CACHE_MAX_BYTES`]; a new resident graph drops the state.
+//! * A **warm plan** is a bare [`SessionState`], keyed by the graph's
+//!   spec key and the request's *plan key*: everything in the request
+//!   except the graph spec, `options.input_density` and the workload
+//!   label, with `trace_instructions` folded into the config as
+//!   [`AuroraSimulator::run_with`](crate::AuroraSimulator::run_with)
+//!   folds it. None of the state depends on the input density, which
+//!   reaches the engine only through layer 0's message width. So a run
+//!   on the resident graph whose plan is warm replays every tile as a
+//!   clean session tile: no mapping, no route-table build, no binning,
+//!   only its stored profile re-priced at the current message width.
+//! * An **open session** is a [`SimSession`], keyed by its session id
+//!   (`d₀`, the base request's digest).
+//!
+//! One set of rules covers both:
+//!
+//! * **Checkout.** A run takes its entry's payload out under the lock
+//!   and runs without it; one `Checkout` guard puts it back. The
+//!   caller decides what a checked-out entry or a failed run means: a
+//!   plan that finds its entry out runs cold, and a failed plan run
+//!   drops its entry; a session op that finds its session out answers
+//!   [`SessionError::Busy`], and a failed delta checks its session back
+//!   in (its state invalidated by [`SimSession::apply`]). A panic
+//!   unwinding through either drops the entry.
+//! * **Admission.** A plan is admitted on its second consecutive miss on
+//!   the resident graph (the plan doorkeeper); a session by its open.
+//!   Admission checks out an empty entry, which the run fills: the entry
+//!   is in the store at once, checked out, and the checkout rules above
+//!   apply unchanged.
+//! * **One byte budget.** The resident CSR plus every entry's bytes — a
+//!   plan's state; a session's CSR, recycled CSR arrays and state —
+//!   counted as of the entry's last check-in, fit in
+//!   [`GRAPH_CACHE_MAX_BYTES`]. Whenever a check-in or a new resident
+//!   graph overruns it, idle entries are evicted least recently used
+//!   first until the total fits. A checked-out entry is never evicted,
+//!   so an entry too large for the budget goes as soon as it is checked
+//!   in. An evicted session answers `unknown_session`, and its client
+//!   re-opens it: nothing is lost but warmth.
+//!
+//! A warm plan outlives its graph's residency: it is unreachable while
+//! another graph is resident, and replays again once its graph is
+//! re-admitted, unless the budget evicted it meanwhile.
 //!
 //! `Inline` graphs are never cached: the engine borrows them.
 
 use crate::config::AcceleratorConfig;
+use crate::delta::{DeltaOutcome, GraphDelta, SimSession};
 use crate::engine::SessionState;
 use crate::report::SimReport;
-use crate::request::{GraphSpec, SimError};
+use crate::request::{GraphSpec, SimError, SimRequest};
 use aurora_graph::{Csr, Dataset};
 use aurora_model::{LayerShape, ModelId};
 use aurora_telemetry::span::{self, Stage};
 use std::sync::{Arc, Mutex};
 
-/// The largest graph plus warm state (CSR array bytes plus
-/// [`SessionState`] bytes) the cache retains: room for every graph of
-/// the standard evaluation protocol (the largest, Reddit at scale 16, is
-/// 9.5 MiB; Pubmed is 0.5 MiB), not for full Reddit.
+/// The byte budget of the resident graph plus every warm entry (CSR
+/// array bytes, [`SessionState`] bytes, and a session's own CSR): room
+/// for every graph of the standard evaluation protocol (the largest,
+/// Reddit at scale 16, is 9.5 MiB; Pubmed is 0.5 MiB), not for full
+/// Reddit.
 pub const GRAPH_CACHE_MAX_BYTES: usize = 16 << 20;
 
 /// The cacheable spec variants, as a comparable key.
@@ -110,13 +135,72 @@ impl PlanKey {
     }
 }
 
-/// The resident graph's warm plan.
-struct WarmSlot {
-    plan: PlanKey,
-    /// `None` while a run has it checked out.
-    state: Option<SessionState>,
-    /// [`SessionState::bytes`] when it was last checked in.
+/// What a warm entry is found by.
+#[derive(Debug, Clone, PartialEq)]
+enum WarmKey {
+    Plan(SpecKey, PlanKey),
+    Session(String),
+}
+
+/// A warm entry's payload; a plan key always holds a `Plan`, a session
+/// key a `Session`.
+enum Warm {
+    Plan(SessionState),
+    Session(Box<SimSession>),
+}
+
+impl Warm {
+    fn bytes(&self) -> usize {
+        match self {
+            Warm::Plan(state) => state.bytes(),
+            Warm::Session(session) => session.bytes(),
+        }
+    }
+}
+
+struct Entry {
+    key: WarmKey,
+    /// `None` while checked out.
+    warm: Option<Warm>,
+    /// [`Warm::bytes`] at the last check-in (0 until the first).
     bytes: usize,
+    /// The store tick of the last use; eviction takes the smallest.
+    used: u64,
+}
+
+/// One session op's answer: the digest-chain head after the op, whether
+/// the report was replayed rather than computed, and the report of the
+/// session's current graph.
+#[derive(Debug, Clone)]
+pub struct SessionReply {
+    pub digest: String,
+    pub cached: bool,
+    pub report: SimReport,
+}
+
+impl SessionReply {
+    fn of(session: &SimSession, cached: bool) -> Self {
+        Self {
+            digest: session.digest().to_string(),
+            cached,
+            report: session.last_report().clone(),
+        }
+    }
+}
+
+/// Why a session op has no [`SessionReply`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum SessionError {
+    /// Another op has the session checked out.
+    Busy,
+    /// `unknown_session`, or the open's or the delta's own error.
+    Sim(SimError),
+}
+
+impl From<SimError> for SessionError {
+    fn from(e: SimError) -> Self {
+        SessionError::Sim(e)
+    }
 }
 
 #[derive(Default)]
@@ -124,9 +208,11 @@ struct State {
     resident: Option<(SpecKey, Arc<Csr>)>,
     /// The doorkeeper: the key of the last miss.
     last_miss: Option<SpecKey>,
-    warm: Option<WarmSlot>,
-    /// The plan doorkeeper: the graph and plan of the last plan miss.
-    last_plan_miss: Option<(SpecKey, PlanKey)>,
+    /// The plan doorkeeper: the key of the last plan miss.
+    last_plan_miss: Option<WarmKey>,
+    warm: Vec<Entry>,
+    /// Bumped on every use of an entry.
+    tick: u64,
     hits: u64,
     misses: u64,
     warm_hits: u64,
@@ -134,33 +220,98 @@ struct State {
 }
 
 impl State {
-    /// A run of `plan` on `key`'s graph that finds no warm state:
-    /// admitted when the graph is resident and the previous plan miss
-    /// was the same graph and plan. Admission checks a fresh state out
-    /// under a placeholder slot for the plan.
-    fn plan_miss(&mut self, key: SpecKey, plan: &PlanKey, resident: bool) -> Option<SessionState> {
+    /// `key`'s entry, marked as used now.
+    fn find(&mut self, key: &WarmKey) -> Option<&mut Entry> {
+        self.tick += 1;
+        let tick = self.tick;
+        let entry = self.warm.iter_mut().find(|e| e.key == *key)?;
+        entry.used = tick;
+        Some(entry)
+    }
+
+    /// Admits `key` as an entry checked out with nothing in it yet.
+    fn reserve(&mut self, key: WarmKey) {
+        self.tick += 1;
+        self.warm.push(Entry {
+            key,
+            warm: None,
+            bytes: 0,
+            used: self.tick,
+        });
+    }
+
+    /// Ends the checkout of `key`: puts `warm` back, or drops the entry
+    /// when there is nothing to put back.
+    fn check_in(&mut self, key: &WarmKey, warm: Option<Warm>, max_bytes: usize) {
+        let out = self
+            .warm
+            .iter()
+            .position(|e| e.warm.is_none() && e.key == *key);
+        let Some(i) = out else {
+            return;
+        };
+        let Some(warm) = warm else {
+            self.warm.swap_remove(i);
+            return;
+        };
+        self.tick += 1;
+        let entry = &mut self.warm[i];
+        (entry.bytes, entry.used) = (warm.bytes(), self.tick);
+        entry.warm = Some(warm);
+        self.fit(max_bytes);
+    }
+
+    /// Evicts idle entries, least recently used first, until the
+    /// resident graph and every entry fit in `max_bytes`.
+    fn fit(&mut self, max_bytes: usize) {
+        let graph = self.resident.as_ref().map_or(0, |(_, g)| csr_bytes(g));
+        let mut total = graph + self.warm.iter().map(|e| e.bytes).sum::<usize>();
+        while total > max_bytes {
+            let idle = self
+                .warm
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.warm.is_some());
+            let Some((i, _)) = idle.min_by_key(|(_, e)| e.used) else {
+                return;
+            };
+            total -= self.warm.swap_remove(i).bytes;
+        }
+    }
+
+    /// The warm state a run of `plan` checks out: its entry's state to
+    /// replay when `resident` (the plan's graph is the resident one), or
+    /// a fresh state to fill when the plan doorkeeper admits it. None —
+    /// a cold run — when its entry is checked out or it is not admitted.
+    fn checkout_plan(&mut self, plan: &WarmKey, resident: bool) -> Option<SessionState> {
+        let found = if resident { self.find(plan) } else { None };
+        if let Some(entry) = found {
+            let warm = entry.warm.take();
+            let Some(warm) = warm else {
+                self.warm_misses += 1;
+                return None;
+            };
+            let Warm::Plan(state) = warm else {
+                unreachable!("a plan key holds a plan state")
+            };
+            self.warm_hits += 1;
+            return Some(state);
+        }
         self.warm_misses += 1;
-        let repeat = self
-            .last_plan_miss
-            .as_ref()
-            .is_some_and(|(k, p)| *k == key && p == plan);
+        let repeat = self.last_plan_miss.as_ref() == Some(plan);
         if !repeat {
-            self.last_plan_miss = Some((key, plan.clone()));
+            self.last_plan_miss = Some(plan.clone());
         }
         if !(repeat && resident) {
             return None;
         }
-        self.warm = Some(WarmSlot {
-            plan: plan.clone(),
-            state: None,
-            bytes: 0,
-        });
+        self.reserve(plan.clone());
         Some(SessionState::default())
     }
 }
 
-/// The `GraphSpec → Arc<Csr>` cache. One per worker process; share it
-/// by reference across threads.
+/// The `GraphSpec → Arc<Csr>` cache and store of warm entries. One per
+/// worker process; share it by reference across threads.
 pub struct GraphCache {
     state: Mutex<State>,
     max_bytes: usize,
@@ -173,7 +324,7 @@ impl Default for GraphCache {
 }
 
 impl GraphCache {
-    /// An empty cache capped at [`GRAPH_CACHE_MAX_BYTES`].
+    /// An empty cache with a budget of [`GRAPH_CACHE_MAX_BYTES`].
     pub fn new() -> Self {
         Self::with_max_bytes(GRAPH_CACHE_MAX_BYTES)
     }
@@ -207,7 +358,7 @@ impl GraphCache {
             .map_or(0, |(_, g)| csr_bytes(g))
     }
 
-    /// Spec-graph runs that replayed the resident warm state.
+    /// Spec-graph runs that replayed a warm plan.
     pub fn warm_hits(&self) -> u64 {
         self.lock().warm_hits
     }
@@ -217,10 +368,26 @@ impl GraphCache {
         self.lock().warm_misses
     }
 
-    /// Bytes of the resident warm state, counted while checked out too
-    /// (0 when none). With [`Self::bytes`] always ≤ the cap.
+    /// Bytes of every warm entry, plans and sessions, counted while
+    /// checked out too. With [`Self::bytes`] within the budget whenever
+    /// no entry is checked out.
     pub fn warm_bytes(&self) -> usize {
-        self.lock().warm.as_ref().map_or(0, |w| w.bytes)
+        self.lock().warm.iter().map(|e| e.bytes).sum()
+    }
+
+    /// Warm entries held, plans and sessions, checked out or not.
+    pub fn warm_entries(&self) -> usize {
+        self.lock().warm.len()
+    }
+
+    /// Open sessions, checked out or not.
+    pub fn sessions(&self) -> usize {
+        let state = self.lock();
+        let sessions = state
+            .warm
+            .iter()
+            .filter(|e| matches!(e.key, WarmKey::Session(_)));
+        sessions.count()
     }
 
     /// Resolves `spec`: validates it exactly as [`GraphSpec::resolve`]
@@ -242,7 +409,7 @@ impl GraphCache {
         &self,
         spec: &GraphSpec,
         key: SpecKey,
-        plan: Option<&PlanKey>,
+        plan: Option<&WarmKey>,
     ) -> Result<(Arc<Csr>, Option<SessionState>), SimError> {
         spec.validate()?;
         let admit = {
@@ -251,20 +418,7 @@ impl GraphCache {
                 if *resident == key {
                     let graph = Arc::clone(graph);
                     state.hits += 1;
-                    let Some(plan) = plan else {
-                        return Ok((graph, None));
-                    };
-                    let warm = match &mut state.warm {
-                        Some(slot) if slot.plan == *plan => {
-                            let warm = slot.state.take();
-                            match warm {
-                                Some(_) => state.warm_hits += 1,
-                                None => state.warm_misses += 1,
-                            }
-                            warm
-                        }
-                        _ => state.plan_miss(key, plan, true),
-                    };
+                    let warm = plan.and_then(|plan| state.checkout_plan(plan, true));
                     return Ok((graph, warm));
                 }
             }
@@ -276,14 +430,14 @@ impl GraphCache {
         let resident = admit && csr_bytes(&graph) <= self.max_bytes;
         if resident {
             state.resident = Some((key, Arc::clone(&graph)));
-            state.warm = None;
+            state.fit(self.max_bytes);
         }
-        let warm = plan.and_then(|plan| state.plan_miss(key, plan, resident));
+        let warm = plan.and_then(|plan| state.checkout_plan(plan, resident));
         Ok((graph, warm))
     }
 
-    /// Runs `run` on `spec`'s graph with whatever warm state the cache
-    /// checks out for `plan` (see the module doc): the slot's state to
+    /// Runs `run` on `spec`'s graph with whatever warm state the store
+    /// checks out for `plan` (see the module doc): an entry's state to
     /// replay, a fresh state to fill, or none. The state is checked back
     /// in only after a successful run.
     pub(crate) fn run_planned(
@@ -292,68 +446,121 @@ impl GraphCache {
         plan: PlanKey,
         run: impl FnOnce(&Csr, Option<&mut SessionState>) -> Result<SimReport, SimError>,
     ) -> Result<SimReport, SimError> {
-        let Some(key) = SpecKey::of(spec) else {
+        let Some(spec_key) = SpecKey::of(spec) else {
             return run(&spec.resolve()?, None);
         };
+        let key = WarmKey::Plan(spec_key, plan);
         let (graph, warm) = {
             let _span = span::enter(Stage::GraphLoad);
-            self.lookup(spec, key, Some(&plan))?
+            self.lookup(spec, spec_key, Some(&key))?
         };
         let Some(mut state) = warm else {
             return run(&graph, None);
         };
-        let mut out = Checkout {
-            cache: self,
-            graph: &graph,
-            plan,
-            state: None,
-        };
+        let mut out = Checkout::new(self, key);
         let report = run(&graph, Some(&mut state))?;
-        out.state = Some(state);
+        out.warm = Some(Warm::Plan(state));
         Ok(report)
+    }
+
+    /// Opens a session for `req`, resolving its graph through this
+    /// cache, and keeps it as an entry. Re-opening an open session (same
+    /// base request, same sid) answers its current digest and report with
+    /// `cached: true` rather than resetting it: a client retrying a
+    /// dropped open must not rewind a session that already advanced.
+    pub fn open_session(&self, req: &SimRequest) -> Result<SessionReply, SessionError> {
+        let key = WarmKey::Session(req.digest());
+        {
+            let mut state = self.lock();
+            match state.find(&key) {
+                Some(Entry {
+                    warm: Some(Warm::Session(session)),
+                    ..
+                }) => return Ok(SessionReply::of(session, true)),
+                Some(_) => return Err(SessionError::Busy),
+                None => state.reserve(key.clone()),
+            }
+        }
+        let mut out = Checkout::new(self, key);
+        let session = SimSession::open(req, Some(self))?;
+        let reply = SessionReply::of(&session, false);
+        out.warm = Some(Warm::Session(Box::new(session)));
+        Ok(reply)
+    }
+
+    /// Applies `delta` to open session `sid`, checked out for the run. A
+    /// failed apply checks the session back in: its graph and digest did
+    /// not advance, so the client can correct and continue.
+    pub fn apply_delta(&self, sid: &str, delta: &GraphDelta) -> Result<SessionReply, SessionError> {
+        self.run_delta(sid, |session| session.apply(delta))
+    }
+
+    /// [`Self::apply_delta`] with the apply step given as `apply`.
+    fn run_delta(
+        &self,
+        sid: &str,
+        apply: impl FnOnce(&mut SimSession) -> Result<DeltaOutcome, SimError>,
+    ) -> Result<SessionReply, SessionError> {
+        let (mut out, mut session) = self.checkout_session(sid)?;
+        let applied = apply(&mut session);
+        let reply = applied.map(|outcome| SessionReply::of(&session, outcome.cached));
+        out.warm = Some(Warm::Session(session));
+        Ok(reply?)
+    }
+
+    /// Closes session `sid`, answering its final digest and report.
+    pub fn close_session(&self, sid: &str) -> Result<SessionReply, SessionError> {
+        // checked out and never checked back in: the entry goes
+        let (_out, session) = self.checkout_session(sid)?;
+        Ok(SessionReply::of(&session, true))
+    }
+
+    /// Checks open session `sid` out.
+    fn checkout_session(&self, sid: &str) -> Result<(Checkout<'_>, Box<SimSession>), SessionError> {
+        let key = WarmKey::Session(sid.to_string());
+        let warm = {
+            let mut state = self.lock();
+            let entry = state.find(&key);
+            let entry = entry.ok_or_else(|| SimError::UnknownSession(sid.to_string()))?;
+            entry.warm.take()
+        };
+        match warm {
+            Some(Warm::Session(session)) => Ok((Checkout::new(self, key), session)),
+            None => Err(SessionError::Busy),
+            Some(Warm::Plan(_)) => unreachable!("a session key holds a session"),
+        }
     }
 }
 
-/// A warm state out of the cache for one run, replayed or being filled.
-/// Dropping it checks the state back in when the run succeeded (`state`
-/// is set); otherwise — an error, or a panic unwinding through the run
-/// — the state is gone and its slot is cleared, so the plan is admitted
-/// afresh.
+/// One entry's payload out of the store. Dropping it checks `warm` back
+/// in when the caller put a payload there; otherwise — a failed run, a
+/// close, or a panic unwinding through the run — the entry goes.
 struct Checkout<'a> {
     cache: &'a GraphCache,
-    graph: &'a Arc<Csr>,
-    plan: PlanKey,
-    state: Option<SessionState>,
+    key: WarmKey,
+    warm: Option<Warm>,
+}
+
+impl<'a> Checkout<'a> {
+    fn new(cache: &'a GraphCache, key: WarmKey) -> Self {
+        Self {
+            cache,
+            key,
+            warm: None,
+        }
+    }
 }
 
 impl Drop for Checkout<'_> {
     fn drop(&mut self) {
-        let Ok(mut cache) = self.cache.state.lock() else {
-            return;
-        };
-        let cache = &mut *cache;
-        // a replaced graph took its warm slot with it
-        if !matches!(&cache.resident, Some((_, g)) if Arc::ptr_eq(g, self.graph)) {
-            return;
-        }
-        let Some(slot) = (cache.warm.as_mut()).filter(|w| w.plan == self.plan && w.state.is_none())
-        else {
-            // the slot moved on to another plan while this run was out
-            return;
-        };
-        let state = self.state.take();
-        let bytes = state.as_ref().map_or(0, SessionState::bytes);
-        if state.is_some() && csr_bytes(self.graph) + bytes <= self.cache.max_bytes {
-            (slot.state, slot.bytes) = (state, bytes);
-        } else {
-            // a failed run, or a state over the cap, takes its slot with it
-            cache.warm = None;
+        if let Ok(mut state) = self.cache.state.lock() {
+            state.check_in(&self.key, self.warm.take(), self.cache.max_bytes);
         }
     }
 }
 
 /// Heap bytes of a CSR's two arrays.
-fn csr_bytes(g: &Csr) -> usize {
+pub(crate) fn csr_bytes(g: &Csr) -> usize {
     std::mem::size_of_val(g.row_ptr()) + std::mem::size_of_val(g.col_idx())
 }
 
@@ -474,6 +681,8 @@ mod tests {
         assert_eq!((cache.bytes(), cache.warm_bytes()), (0, 0));
     }
 
+    /// A new plan joins the warm plans under the byte budget; a new
+    /// resident graph makes its own plans the reachable ones.
     #[test]
     fn a_new_plan_or_graph_replaces_the_warm_state() {
         let cache = GraphCache::new();
@@ -484,16 +693,20 @@ mod tests {
         };
         let (a, b) = (plan_request(rmat(1), 4, 0.3), plan_request(rmat(1), 6, 0.3));
         assert_eq!([warm(&a), warm(&a), warm(&a)], [false, false, true]);
-        // b is admitted on its second miss and replaces a
+        // b is admitted on its second miss beside a, which stays warm
         assert_eq!(
             [warm(&b), warm(&b), warm(&b), warm(&a)],
-            [false, false, true, false]
+            [false, false, true, true]
         );
-        // admitting another graph drops the warm state with the graph
+        assert_eq!(cache.warm_entries(), 2);
+        // admitting another graph leaves rmat(1)'s plans unreachable
         let other = request(rmat(2), 0.3);
         warm(&other);
         warm(&other);
-        assert!(!warm(&b), "rmat(1)'s warm state went with rmat(1)");
+        assert!(!warm(&b), "rmat(1) is no longer resident");
+        // the miss that re-admits rmat(1) replays b at once, and a too
+        assert!(warm(&b), "rmat(1)'s plans outlived its residency");
+        assert!(warm(&a));
     }
 
     #[test]
@@ -548,12 +761,17 @@ mod tests {
                 report_json(&a, Some(&cache));
             }
             assert_eq!(cache.warm_hits(), 1);
-            assert!(cache.warm_bytes() > 0, "a is warm");
+            let a_bytes = cache.warm_bytes();
+            assert!(a_bytes > 0, "a is warm");
             // b's first miss runs cold; its second is the admission
             report_json(&b, Some(&cache));
             let admission = |_: &Csr, session: Option<&mut SessionState>| {
                 assert!(session.is_some(), "the admission checks a fresh state out");
-                assert_eq!(cache.warm_bytes(), 0, "b's placeholder replaced a's state");
+                assert_eq!(
+                    cache.warm_bytes(),
+                    a_bytes,
+                    "b's empty entry holds no bytes"
+                );
                 if panics {
                     panic!("injected");
                 }
@@ -570,12 +788,16 @@ mod tests {
                 }
                 Err(_) => assert!(panics, "only the injected panic unwinds"),
             }
-            assert_eq!(cache.warm_bytes(), 0, "the failed admission left no state");
+            assert_eq!(
+                cache.warm_bytes(),
+                a_bytes,
+                "the failed admission left no state"
+            );
             // the next miss of b admits it again, and the run after replays
             let hits = cache.warm_hits();
             report_json(&b, Some(&cache));
             assert_eq!(cache.warm_hits(), hits, "panics: {panics}");
-            assert!(cache.warm_bytes() > 0, "b was admitted again");
+            assert!(cache.warm_bytes() > a_bytes, "b was admitted again");
             report_json(&b, Some(&cache));
             assert_eq!(cache.warm_hits(), hits + 1, "panics: {panics}");
         }
@@ -702,5 +924,234 @@ mod tests {
             );
         }
         assert_eq!((cache.misses(), cache.hits()), (0, 0));
+    }
+
+    /// A session base request on `rmat(7)`: every density gives the same
+    /// graph and plan, so the same bytes, under a sid of its own.
+    fn session_request(density: f64) -> SimRequest {
+        request(rmat(7), density)
+    }
+
+    fn one_delta(cache: &GraphCache, sid: &str) -> Result<SessionReply, SessionError> {
+        let delta = GraphDelta {
+            add_vertices: 1,
+            ..GraphDelta::default()
+        };
+        cache.apply_delta(sid, &delta)
+    }
+
+    fn unknown(sid: &str) -> SessionError {
+        SessionError::Sim(SimError::UnknownSession(sid.to_string()))
+    }
+
+    /// The store's entries, least recently used first: `plan`, or a
+    /// session's sid.
+    fn lru(cache: &GraphCache) -> Vec<String> {
+        let state = cache.lock();
+        let mut entries: Vec<&Entry> = state.warm.iter().collect();
+        entries.sort_by_key(|e| e.used);
+        let label = |e: &&Entry| match &e.key {
+            WarmKey::Plan(..) => "plan".to_string(),
+            WarmKey::Session(sid) => sid.clone(),
+        };
+        entries.iter().map(label).collect()
+    }
+
+    #[test]
+    fn a_session_opens_reopens_applies_and_closes() {
+        let cache = GraphCache::new();
+        let req = session_request(1.0);
+        let sid = req.digest();
+        let opened = cache.open_session(&req).unwrap();
+        assert!(!opened.cached);
+        assert_eq!(opened.digest, sid);
+        assert_eq!(cache.sessions(), 1);
+        // a re-open replays instead of resetting
+        let reopened = cache.open_session(&req).unwrap();
+        assert!(reopened.cached);
+        assert_eq!(reopened.digest, opened.digest);
+        // a delta advances the chain, and a re-open answers its head
+        let applied = one_delta(&cache, &sid).unwrap();
+        assert!(!applied.cached);
+        assert_ne!(applied.digest, sid);
+        let reopened = cache.open_session(&req).unwrap();
+        assert!(reopened.cached);
+        assert_eq!(reopened.digest, applied.digest);
+        let json = |r: &SimReport| serde_json::to_string(r).unwrap();
+        assert_eq!(json(&reopened.report), json(&applied.report));
+        // close answers the advanced digest; the sid is then unknown
+        let closed = cache.close_session(&sid).unwrap();
+        assert_eq!(closed.digest, applied.digest);
+        assert_eq!((cache.sessions(), cache.warm_bytes()), (0, 0));
+        assert_eq!(cache.close_session(&sid).unwrap_err(), unknown(&sid));
+        assert_eq!(one_delta(&cache, &sid).unwrap_err(), unknown(&sid));
+    }
+
+    #[test]
+    fn a_failed_delta_checks_its_session_back_in() {
+        let cache = GraphCache::new();
+        let req = session_request(1.0);
+        let sid = req.digest();
+        cache.open_session(&req).unwrap();
+        let bad = GraphDelta {
+            remove_edges: vec![(0, 9999)],
+            ..GraphDelta::default()
+        };
+        match cache.apply_delta(&sid, &bad).unwrap_err() {
+            SessionError::Sim(e) => assert_eq!(e.kind(), "invalid_delta"),
+            busy => panic!("expected invalid_delta, got {busy:?}"),
+        }
+        // still open and usable
+        assert!(!one_delta(&cache, &sid).unwrap().cached);
+        cache.close_session(&sid).unwrap();
+    }
+
+    #[test]
+    fn a_failed_or_panicking_delta_or_open_drops_its_session() {
+        let cache = GraphCache::new();
+        let req = session_request(1.0);
+        let sid = req.digest();
+        cache.open_session(&req).unwrap();
+        assert!(cache.warm_bytes() > 0);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.run_delta(&sid, |_| panic!("injected"))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!((cache.sessions(), cache.warm_bytes()), (0, 0));
+        assert_eq!(one_delta(&cache, &sid).unwrap_err(), unknown(&sid));
+        // a failed open leaves no entry either
+        let mut invalid = req.clone();
+        invalid.options.input_density = 2.0;
+        let failed = cache.open_session(&invalid).unwrap_err();
+        assert!(matches!(
+            failed,
+            SessionError::Sim(SimError::InvalidDensity { .. })
+        ));
+        assert_eq!(cache.sessions(), 0);
+        // a re-open starts the session afresh
+        assert!(!cache.open_session(&req).unwrap().cached);
+    }
+
+    #[test]
+    fn a_second_op_answers_busy_while_a_delta_is_out() {
+        let cache = GraphCache::new();
+        let req = session_request(1.0);
+        let sid = req.digest();
+        cache.open_session(&req).unwrap();
+        let first = cache.run_delta(&sid, |session| {
+            assert_eq!(one_delta(&cache, &sid).unwrap_err(), SessionError::Busy);
+            assert_eq!(cache.open_session(&req).unwrap_err(), SessionError::Busy);
+            assert_eq!(cache.close_session(&sid).unwrap_err(), SessionError::Busy);
+            session.apply(&GraphDelta {
+                add_vertices: 1,
+                ..GraphDelta::default()
+            })
+        });
+        assert!(!first.unwrap().cached);
+        // back in: the next delta runs
+        assert!(!one_delta(&cache, &sid).unwrap().cached);
+    }
+
+    #[test]
+    fn the_budget_evicts_idle_entries_least_recently_used_first() {
+        let plan = request(rmat(7), 0.3);
+        let warm_plan = |cache: &GraphCache| {
+            for _ in 0..3 {
+                report_json(&plan, Some(cache));
+            }
+        };
+        // the graph's, the plan's and one session's bytes
+        let probe = GraphCache::new();
+        warm_plan(&probe);
+        let (g, p) = (probe.bytes(), probe.warm_bytes());
+        probe.open_session(&session_request(1.0)).unwrap();
+        let s = probe.warm_bytes() - p;
+        assert!(s > p, "a session holds its own CSR beside its state");
+
+        // room for the graph, the plan and two sessions
+        let cache = GraphCache::with_max_bytes(g + p + 2 * s);
+        warm_plan(&cache);
+        let [s1, s2, s3, s4] = [1.0, 0.5, 0.25, 0.125].map(session_request);
+        let [d1, d2, d3, d4] = [&s1, &s2, &s3, &s4].map(SimRequest::digest);
+        cache.open_session(&s1).unwrap();
+        cache.open_session(&s2).unwrap();
+        report_json(&plan, Some(&cache));
+        assert_eq!(lru(&cache), [d1.as_str(), d2.as_str(), "plan"]);
+        // a third session evicts the least recently used one
+        cache.open_session(&s3).unwrap();
+        assert_eq!(lru(&cache), [d2.as_str(), "plan", d3.as_str()]);
+        assert_eq!(one_delta(&cache, &d1).unwrap_err(), unknown(&d1));
+        // with s2 touched, a fourth evicts the plan and then s3
+        assert!(cache.open_session(&s2).unwrap().cached);
+        cache.open_session(&s4).unwrap();
+        assert_eq!(lru(&cache), [d2.as_str(), d4.as_str()]);
+        assert!(cache.bytes() + cache.warm_bytes() <= g + p + 2 * s);
+        let hits = cache.warm_hits();
+        report_json(&plan, Some(&cache));
+        assert_eq!(cache.warm_hits(), hits, "the plan was evicted");
+    }
+
+    #[test]
+    fn a_checked_out_entry_survives_eviction() {
+        let (s1, s2) = (session_request(1.0), session_request(0.5));
+        let (d1, d2) = (s1.digest(), s2.digest());
+        let g = csr_bytes(&rmat(7).resolve().unwrap());
+        let probe = GraphCache::new();
+        probe.open_session(&s1).unwrap();
+        let s = probe.warm_bytes();
+        // room for the graph and one session, not two
+        let cache = GraphCache::with_max_bytes(g + s + s / 2);
+        cache.open_session(&s1).unwrap();
+        let out = cache.run_delta(&d1, |session| {
+            // s2's open admits the graph; with s1 out, the one idle
+            // entry left to evict is s2 itself
+            assert!(!cache.open_session(&s2).unwrap().cached);
+            assert_eq!(cache.bytes(), g);
+            assert_eq!(lru(&cache), [d1.as_str()]);
+            session.apply(&GraphDelta::default())
+        });
+        assert!(out.unwrap().cached);
+        assert_eq!(lru(&cache), [d1.as_str()]);
+        assert!(!one_delta(&cache, &d1).unwrap().cached);
+        assert_eq!(one_delta(&cache, &d2).unwrap_err(), unknown(&d2));
+    }
+
+    /// A session opened on a resident graph answers the same open and
+    /// delta reports as one opened without the cache, and its deltas
+    /// never reach the shared graph.
+    #[test]
+    fn a_session_on_a_resident_graph_matches_an_uncached_one() {
+        let cache = GraphCache::new();
+        let req = session_request(1.0);
+        let fresh_graph = req.graph.resolve().unwrap();
+        cache.resolve(&req.graph).unwrap();
+        cache.resolve(&req.graph).unwrap(); // the repeated miss admits
+        let opened = cache.open_session(&req).unwrap();
+        assert_eq!(cache.hits(), 1, "the open resolved a resident graph");
+
+        let sim = AuroraSimulator::new(req.config);
+        let mut plain = sim.open_session(&req).unwrap();
+        let json = |r: &SimReport| serde_json::to_string(r).unwrap();
+        assert_eq!(json(&opened.report), json(plain.last_report()));
+
+        let sid = req.digest();
+        let (u, v) = fresh_graph.edges().next().unwrap();
+        for delta in [
+            GraphDelta {
+                remove_edges: vec![(u, v)],
+                ..GraphDelta::default()
+            },
+            GraphDelta {
+                add_vertices: 1,
+                insert_edges: vec![(256, 0)],
+                ..GraphDelta::default()
+            },
+        ] {
+            let applied = cache.apply_delta(&sid, &delta).unwrap();
+            let outcome = plain.apply(&delta).unwrap();
+            assert_eq!(applied.digest, outcome.digest);
+            assert_eq!(json(&applied.report), json(plain.last_report()));
+        }
+        assert_eq!(*cache.resolve(&req.graph).unwrap(), fresh_graph);
     }
 }

@@ -17,8 +17,9 @@
 //! * [`engine`] — the per-subgraph execution pipeline (map → configure →
 //!   execute A ∥ B → write back, overlapped with the next tile's load);
 //! * [`graph_cache`] — the bounded `GraphSpec → Arc<Csr>` cache a
-//!   long-running worker resolves repeated graphs through, and the
-//!   owner of the warm tile state a repeated plan replays;
+//!   long-running worker resolves repeated graphs through, and the one
+//!   byte-budgeted store of warm tile state: the warm plans a repeated
+//!   plan replays and the open sessions deltas apply to;
 //! * [`functional`] — functional-mode execution: numeric results computed
 //!   on the mapped PE array, validated against the reference executors;
 //! * [`report`] — the simulation report (cycles, DRAM, NoC, energy).
@@ -59,7 +60,7 @@ pub use delta::{
     chain_digest, DeltaOutcome, GraphDelta, SessionCommand, SessionRequestBuilder, SimSession,
 };
 pub use engine::AuroraSimulator;
-pub use graph_cache::GraphCache;
+pub use graph_cache::{GraphCache, SessionError, SessionReply};
 pub use instr::Instruction;
 pub use profile::{Bound, BoundMix, LayerProfile, ProfileReport, TileAttribution};
 pub use report::{LayerReport, NocReport, SimReport};

@@ -24,7 +24,9 @@
 //! multiplicity — instead of the seed's O(E·hops) per-edge walk. The
 //! per-edge walker survives as a `#[cfg(test)]` oracle proven
 //! bit-identical (including the `NocError` cases) by the
-//! `kernel_matches_legacy_oracle` property test below.
+//! `kernel_matches_legacy_oracle` property test below, and at full size
+//! (a Pubmed-sized graph at k=32) by
+//! `kernel_matches_legacy_oracle_at_full_size`.
 
 use aurora_mapping::{MapView, VertexMapping};
 use aurora_noc::routing::{Axis, RouteSummary, RouteTable};
@@ -578,6 +580,24 @@ mod tests {
                 DEFAULT_LINK_UTILISATION,
             );
             prop_assert_eq!(kernel, oracle);
+        }
+    }
+
+    /// The kernel matches the walker over a whole Pubmed-sized R-MAT
+    /// graph mapped as one tile onto the paper's 32×32 array (every edge
+    /// routed), on the fabric the planner picks and on the plain mesh.
+    #[test]
+    fn kernel_matches_legacy_oracle_at_full_size() {
+        let g = generate::rmat(19_717, 88_648, Default::default(), 5);
+        let (k, n) = (32, g.num_vertices());
+        let mapping = degree_aware::map(0..n as u32, &g.degrees(), k, n.div_ceil(k * k));
+        let flexible = planned_bypass(&mapping, g.edges());
+        assert!(!flexible.row_bypass.is_empty() || !flexible.col_bypass.is_empty());
+        for cfg in [flexible, mesh_cfg(k)] {
+            let util = DEFAULT_LINK_UTILISATION;
+            let kernel = aggregation_traffic(&cfg, &mapping, g.edges(), 16, util);
+            let oracle = legacy_aggregation_traffic(&cfg, &mapping, g.edges(), 16, util);
+            assert_eq!(kernel.unwrap(), oracle.unwrap());
         }
     }
 

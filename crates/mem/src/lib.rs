@@ -1,30 +1,19 @@
-//! Memory substrate: DRAM timing, memory controller, crossbar, SRAM.
+//! Memory substrate: DRAM timing and the memory controller.
 //!
 //! The paper obtains off-package communication time from DRAMSim2 (§VI-A).
 //! This crate substitutes a DDR3-style bank-timing model with an FR-FCFS
 //! scheduler — the same first-order behaviour DRAMSim2 exposes to the
 //! accelerator simulator: row-buffer locality, bank-level parallelism and a
 //! peak-bandwidth ceiling.
-//!
-//! It also provides:
-//! * [`crossbar`] — the crossbar between the DRAM interface and PE rows
-//!   (§III-A: "to increase memory bandwidth, we implement a crossbar
-//!   between the DRAM interface and processing elements");
-//! * [`sram`] — a simple global scratchpad model used by baseline
-//!   accelerators that stage intermediate results between phases.
 
 pub mod address;
 pub mod controller;
-pub mod crossbar;
 pub mod dram;
 pub mod multichannel;
-pub mod sram;
 pub mod timing;
 
 pub use address::{AddressMapping, Interleave};
 pub use controller::MemoryController;
-pub use crossbar::Crossbar;
 pub use dram::{Dram, DramRequest, DramStats};
 pub use multichannel::MultiChannelDram;
-pub use sram::Scratchpad;
 pub use timing::DramTiming;

@@ -46,7 +46,6 @@ pub mod observe;
 pub mod router;
 pub mod server;
 pub mod service;
-pub mod sessions;
 mod wire;
 
 pub use backend::{
@@ -64,4 +63,3 @@ pub use server::{
     ServerOptions, SessionLine, MAX_LINE_BYTES,
 };
 pub use service::{LatencySummary, ServeConfig, ServeOutcome, ServiceStats, SimService};
-pub use sessions::{SessionReply, SessionTable};

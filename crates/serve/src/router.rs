@@ -160,6 +160,7 @@ pub struct ClusterStats {
     pub warm_hits: u64,
     pub warm_misses: u64,
     pub warm_bytes: u64,
+    pub warm_entries: u64,
     pub latency_us: QuantileBound,
     pub queue_wait_us: QuantileBound,
 }
@@ -610,6 +611,7 @@ impl Router {
                 agg.warm_hits += at("warm_hits");
                 agg.warm_misses += at("warm_misses");
                 agg.warm_bytes += at("warm_bytes");
+                agg.warm_entries += at("warm_entries");
                 agg.latency_us.absorb(stats, "latency_us");
                 agg.queue_wait_us.absorb(stats, "queue_wait_us");
             }

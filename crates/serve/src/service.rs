@@ -25,6 +25,10 @@
 //!    get [`ServeError::ShuttingDown`]), lets queued jobs finish, and
 //!    joins the workers.
 //!
+//! Session lines (the `"session"` verb) skip the result cache and the
+//! queue: they run on the connection thread against the [`GraphCache`]'s
+//! store of warm entries, under the same panic guard as a job.
+//!
 //! Every request is also *observed*: [`SimService::handle_traced`]
 //! returns an [`AccessRecord`] alongside the result (the transport
 //! fills in `bytes_out` and writes it through the service's
@@ -39,10 +43,9 @@ use crate::observe::{
     AccessRecord, EventLog, FlightProfile, FlightRecord, FlightRecorder, JobTiming, NullLog,
     Outcome,
 };
-use crate::sessions::{SessionReply, SessionTable};
 use aurora_core::{
     metric_names as names, AuroraSimulator, GraphCache, Histogram, Scope, SessionCommand,
-    SimReport, SimRequest, Telemetry,
+    SessionError, SessionReply, SimError, SimReport, SimRequest, Telemetry,
 };
 use serde::Serialize;
 use std::collections::VecDeque;
@@ -71,12 +74,6 @@ pub struct ServeConfig {
     pub slow_ms: u64,
     /// Flight-recorder ring capacity (`0` disables recording).
     pub flight_capacity: usize,
-    /// Open streaming sessions retained (LRU-evicted beyond this; an
-    /// evicted client gets `unknown_session` and re-opens).
-    pub session_capacity: usize,
-    /// Idle budget for an open session in milliseconds; `0` disables
-    /// TTL eviction.
-    pub session_ttl_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -88,8 +85,6 @@ impl Default for ServeConfig {
             timeout_ms: 30_000,
             slow_ms: 1_000,
             flight_capacity: 32,
-            session_capacity: 16,
-            session_ttl_ms: 600_000,
         }
     }
 }
@@ -135,9 +130,8 @@ struct Inner {
     telemetry: Telemetry,
     recorder: FlightRecorder,
     access_log: Arc<dyn EventLog>,
-    sessions: SessionTable,
-    /// The process's resolved graphs, shared by engine runs and
-    /// session opens.
+    /// The process's resolved graphs and warm tile state: the warm
+    /// plans engine runs replay and the open sessions.
     graphs: GraphCache,
 }
 
@@ -151,22 +145,9 @@ impl Inner {
         let queue_wait_us = job.enqueued.elapsed().as_micros() as u64;
         let run_started = Instant::now();
         let sim = AuroraSimulator::new(job.request.config);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim.run_with(&job.request, Some(&self.graphs))
-        }));
+        let result =
+            caught(|| sim.run_with(&job.request, Some(&self.graphs))).map_err(ServeError::Sim);
         self.export_graph_cache();
-        let result = match result {
-            Ok(Ok(report)) => Ok(report),
-            Ok(Err(e)) => Err(ServeError::Sim(e)),
-            Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "engine panicked".into());
-                Err(ServeError::Sim(aurora_core::SimError::Internal(msg)))
-            }
-        };
         let timing = JobTiming {
             queue_wait_us,
             execute_us: run_started.elapsed().as_micros() as u64,
@@ -191,6 +172,30 @@ impl Inner {
         ] {
             self.telemetry.gauge_set(name, &Scope::ROOT, value as f64);
         }
+    }
+
+    /// Runs one session op on the store, under the same panic guard
+    /// as [`Self::execute`]: a panicking open or delta answers a typed
+    /// internal error, and its entry went as the panic unwound.
+    fn session(&self, cmd: &SessionCommand) -> Result<SessionReply, ServeError> {
+        let graphs = &self.graphs;
+        let sid = || cmd.sid.as_deref().expect("validated");
+        let answer = caught(|| match cmd.op.as_str() {
+            SessionCommand::OPEN => graphs.open_session(cmd.sim.as_ref().expect("validated")),
+            SessionCommand::DELTA => {
+                graphs.apply_delta(sid(), cmd.delta.as_ref().expect("validated"))
+            }
+            SessionCommand::CLOSE => graphs.close_session(sid()),
+            _ => unreachable!("validate() rejected unknown ops"),
+        });
+        self.export_graph_cache();
+        answer.map_err(|e| match e {
+            SessionError::Sim(e) => ServeError::Sim(e),
+            SessionError::Busy => ServeError::BadRequest(format!(
+                "session {} is busy (delta in flight)",
+                cmd.routing_digest().unwrap_or_default()
+            )),
+        })
     }
 
     fn worker_loop(&self) {
@@ -247,10 +252,6 @@ impl SimService {
             telemetry,
             recorder: FlightRecorder::new(config.flight_capacity),
             access_log,
-            sessions: SessionTable::new(
-                config.session_capacity,
-                Duration::from_millis(config.session_ttl_ms),
-            ),
             graphs: GraphCache::new(),
         });
         let workers = (0..config.workers)
@@ -335,14 +336,15 @@ impl SimService {
 
     /// Open streaming sessions currently resident.
     pub fn session_len(&self) -> usize {
-        self.inner.sessions.len()
+        self.inner.graphs.sessions()
     }
 
     /// Answers one session command (the `"session"` protocol verb):
-    /// open runs the base request from scratch and caches the warm
-    /// state, delta applies incrementally, close evicts and answers the
-    /// final state. Returns the op's [`AccessRecord`] alongside
-    /// (`bytes_out` is 0; the transport owns the wire size). Session
+    /// open runs the base request from scratch and keeps the session in
+    /// the graph cache's store of warm entries, delta applies
+    /// incrementally, close drops it and answers the final state.
+    /// Returns the op's [`AccessRecord`] alongside (`bytes_out` is 0;
+    /// the transport owns the wire size). Session
     /// lines share the sim lines' access log and error counters —
     /// dashboards see one request stream.
     pub fn handle_session_traced(
@@ -395,21 +397,7 @@ impl SimService {
         inner
             .telemetry
             .counter_add(names::SERVE_REQUESTS, &Scope::ROOT, 1);
-        match cmd.op.as_str() {
-            SessionCommand::OPEN => {
-                let opened = inner
-                    .sessions
-                    .open(cmd.sim.as_ref().expect("validated"), &inner.graphs);
-                inner.export_graph_cache();
-                opened
-            }
-            SessionCommand::DELTA => inner.sessions.apply(
-                cmd.sid.as_deref().expect("validated"),
-                cmd.delta.as_ref().expect("validated"),
-            ),
-            SessionCommand::CLOSE => inner.sessions.close(cmd.sid.as_deref().expect("validated")),
-            _ => unreachable!("validate() rejected unknown ops"),
-        }
+        inner.session(cmd)
     }
 
     /// [`SimService::handle`] plus the request's [`AccessRecord`]. The
@@ -618,6 +606,7 @@ impl SimService {
             warm_hits: self.inner.graphs.warm_hits(),
             warm_misses: self.inner.graphs.warm_misses(),
             warm_bytes: self.inner.graphs.warm_bytes() as u64,
+            warm_entries: self.inner.graphs.warm_entries() as u64,
             pool: PoolSummary::current(),
         }
     }
@@ -626,7 +615,6 @@ impl SimService {
     /// the workers. Idempotent.
     pub fn drain(&self) {
         self.inner.draining.store(true, Ordering::SeqCst);
-        self.inner.sessions.clear();
         self.inner.queue.available.notify_all();
         let handles: Vec<_> = self.workers.lock().unwrap().drain(..).collect();
         for h in handles {
@@ -711,8 +699,11 @@ pub struct ServiceStats {
     pub warm_hits: u64,
     /// Spec-graph runs without warm state (cold, or admitting a plan).
     pub warm_misses: u64,
-    /// Bytes of warm state resident beside the cached graph.
+    /// Bytes of warm state (warm plans and open sessions) resident
+    /// beside the cached graph.
     pub warm_bytes: u64,
+    /// Warm entries resident: warm plans and open sessions.
+    pub warm_entries: u64,
     /// Engine worker-pool counters (cumulative since process start).
     pub pool: PoolSummary,
 }
@@ -748,6 +739,18 @@ impl PoolSummary {
             idle_us: totals.idle_us,
         }
     }
+}
+
+/// Runs `f`, answering a panic as a typed internal error.
+fn caught<T, E: From<SimError>>(f: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "engine panicked".into());
+        Err(SimError::Internal(msg).into())
+    })
 }
 
 /// RAII tracker of the `serve.inflight` gauge.

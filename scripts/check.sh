@@ -158,11 +158,12 @@ if ratio > 1.05:
     sys.exit(1)
 EOF
 
-echo "==> noc_kernel_bench --quick (informational: traffic-kernel speedup)"
-# Wall-clock comparison of the route-table kernel (leg-table build and
-# leg binning, at k=8 and at the paper's k=32) vs the seed's per-edge
-# walker. Informational only — host timing never gates — but the binary
-# asserts the two estimators produce bit-identical results.
+echo "==> noc_kernel_bench --quick (informational: traffic-kernel timing)"
+# Absolute wall-clock times of the route-table kernel's two steps (leg-
+# table build and leg binning, at k=8 and at the paper's k=32).
+# Informational only — host timing never gates. The kernel's bit-identity
+# with the seed's per-edge walker at full size is the noc_model unit test
+# kernel_matches_legacy_oracle_at_full_size, run with the workspace tests.
 cargo run --release -q -p aurora-bench --bin noc_kernel_bench -- --quick
 
 echo "==> engine_kernel_bench --quick (alloc budget; timing informational)"
