@@ -69,9 +69,11 @@
 //!   in. An evicted session answers `unknown_session`, and its client
 //!   re-opens it: nothing is lost but warmth.
 //!
-//! A warm plan outlives its graph's residency: it is unreachable while
-//! another graph is resident, and replays again once its graph is
-//! re-admitted, unless the budget evicted it meanwhile.
+//! A warm plan belongs to its graph's residency: admitting a new
+//! resident graph drops the idle plans of the one it replaces, which no
+//! run could reach until that graph was admitted again. Kept, they
+//! fragment the heap: a five-dataset stream peaked 17 MiB higher in a
+//! third of its runs (EXPERIMENTS.md, "One store for warm tile state").
 //!
 //! `Inline` graphs are never cached: the engine borrows them.
 
@@ -430,6 +432,9 @@ impl GraphCache {
         let resident = admit && csr_bytes(&graph) <= self.max_bytes;
         if resident {
             state.resident = Some((key, Arc::clone(&graph)));
+            // the replaced graph's idle plans can no longer be reached
+            let stale = |e: &Entry| matches!(&e.key, WarmKey::Plan(k, _) if *k != key);
+            state.warm.retain(|e| e.warm.is_none() || !stale(e));
             state.fit(self.max_bytes);
         }
         let warm = plan.and_then(|plan| state.checkout_plan(plan, resident));
@@ -682,7 +687,7 @@ mod tests {
     }
 
     /// A new plan joins the warm plans under the byte budget; a new
-    /// resident graph makes its own plans the reachable ones.
+    /// resident graph drops the plans of the graph it replaces.
     #[test]
     fn a_new_plan_or_graph_replaces_the_warm_state() {
         let cache = GraphCache::new();
@@ -699,14 +704,12 @@ mod tests {
             [false, false, true, true]
         );
         assert_eq!(cache.warm_entries(), 2);
-        // admitting another graph leaves rmat(1)'s plans unreachable
+        // admitting another graph drops the warm state with the graph
         let other = request(rmat(2), 0.3);
         warm(&other);
         warm(&other);
-        assert!(!warm(&b), "rmat(1) is no longer resident");
-        // the miss that re-admits rmat(1) replays b at once, and a too
-        assert!(warm(&b), "rmat(1)'s plans outlived its residency");
-        assert!(warm(&a));
+        assert_eq!(cache.warm_entries(), 1, "only rmat(2)'s plan is left");
+        assert!(!warm(&b), "rmat(1)'s warm state went with rmat(1)");
     }
 
     #[test]

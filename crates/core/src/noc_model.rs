@@ -583,21 +583,32 @@ mod tests {
         }
     }
 
-    /// The kernel matches the walker over a whole Pubmed-sized R-MAT
-    /// graph mapped as one tile onto the paper's 32×32 array (every edge
-    /// routed), on the fabric the planner picks and on the plain mesh.
+    /// The kernel matches the walker over whole R-MAT graphs, each
+    /// mapped as one tile (every edge routed): two at a k=8 sub-array on
+    /// the plain mesh, and a Pubmed-sized one on the paper's 32×32 array,
+    /// on the fabric the planner picks and on the plain mesh.
     #[test]
     fn kernel_matches_legacy_oracle_at_full_size() {
-        let g = generate::rmat(19_717, 88_648, Default::default(), 5);
-        let (k, n) = (32, g.num_vertices());
-        let mapping = degree_aware::map(0..n as u32, &g.degrees(), k, n.div_ceil(k * k));
-        let flexible = planned_bypass(&mapping, g.edges());
-        assert!(!flexible.row_bypass.is_empty() || !flexible.col_bypass.is_empty());
-        for cfg in [flexible, mesh_cfg(k)] {
-            let util = DEFAULT_LINK_UTILISATION;
-            let kernel = aggregation_traffic(&cfg, &mapping, g.edges(), 16, util);
-            let oracle = legacy_aggregation_traffic(&cfg, &mapping, g.edges(), 16, util);
-            assert_eq!(kernel.unwrap(), oracle.unwrap());
+        let rmat = |n, m, seed| generate::rmat(n, m, Default::default(), seed);
+        for (k, g) in [
+            (8, rmat(4_096, 40_000, 7)),
+            (8, rmat(16_384, 160_000, 9)),
+            (32, rmat(19_717, 88_648, 5)),
+        ] {
+            let n = g.num_vertices();
+            let mapping = degree_aware::map(0..n as u32, &g.degrees(), k, n.div_ceil(k * k));
+            let mut cfgs = vec![mesh_cfg(k)];
+            if k == 32 {
+                let flexible = planned_bypass(&mapping, g.edges());
+                assert!(!flexible.row_bypass.is_empty() || !flexible.col_bypass.is_empty());
+                cfgs.push(flexible);
+            }
+            for cfg in cfgs {
+                let util = DEFAULT_LINK_UTILISATION;
+                let kernel = aggregation_traffic(&cfg, &mapping, g.edges(), 16, util);
+                let oracle = legacy_aggregation_traffic(&cfg, &mapping, g.edges(), 16, util);
+                assert_eq!(kernel.unwrap(), oracle.unwrap(), "k={k}, {n} vertices");
+            }
         }
     }
 
