@@ -65,13 +65,17 @@
 //!   [`GRAPH_CACHE_MAX_BYTES`]. Whenever a check-in or a new resident
 //!   graph overruns it, idle entries are evicted least recently used
 //!   first until the total fits. A checked-out entry is never evicted,
-//!   so an entry too large for the budget goes as soon as it is checked
-//!   in. An evicted session answers `unknown_session`, and its client
-//!   re-opens it: nothing is lost but warmth.
+//!   and a check-in evicts only other entries: an entry too large for
+//!   the budget (a session on Reddit at scale 16 holds 19.2 MiB after
+//!   its first delta) stays usable until another check-in or a new
+//!   resident graph needs its room. An evicted session answers
+//!   `unknown_session`, and its client re-opens it: nothing is lost but
+//!   warmth.
 //!
 //! A warm plan belongs to its graph's residency: admitting a new
-//! resident graph drops the idle plans of the one it replaces, which no
-//! run could reach until that graph was admitted again. Kept, they
+//! resident graph drops the idle plans of the one it replaces, and a
+//! plan checked out across that admission goes at its check-in. No run
+//! could reach either until that graph was admitted again. Kept, they
 //! fragment the heap: a five-dataset stream peaked 17 MiB higher in a
 //! third of its runs (EXPERIMENTS.md, "One store for warm tile state").
 //!
@@ -243,7 +247,10 @@ impl State {
     }
 
     /// Ends the checkout of `key`: puts `warm` back, or drops the entry
-    /// when there is nothing to put back.
+    /// when there is nothing to put back or it is a plan of a graph that
+    /// is no longer resident. Only other idle entries make room for the
+    /// entry checked in, so an entry over the budget stays until another
+    /// check-in or a new resident graph needs its bytes.
     fn check_in(&mut self, key: &WarmKey, warm: Option<Warm>, max_bytes: usize) {
         let out = self
             .warm
@@ -252,15 +259,16 @@ impl State {
         let Some(i) = out else {
             return;
         };
-        let Some(warm) = warm else {
-            self.warm.swap_remove(i);
+        let mut entry = self.warm.swap_remove(i);
+        let orphaned = self.resident.as_ref().is_some_and(|(r, _)| stale(key, *r));
+        let Some(warm) = warm.filter(|_| !orphaned) else {
             return;
         };
         self.tick += 1;
-        let entry = &mut self.warm[i];
         (entry.bytes, entry.used) = (warm.bytes(), self.tick);
         entry.warm = Some(warm);
-        self.fit(max_bytes);
+        self.fit(max_bytes.saturating_sub(entry.bytes));
+        self.warm.push(entry);
     }
 
     /// Evicts idle entries, least recently used first, until the
@@ -432,9 +440,11 @@ impl GraphCache {
         let resident = admit && csr_bytes(&graph) <= self.max_bytes;
         if resident {
             state.resident = Some((key, Arc::clone(&graph)));
-            // the replaced graph's idle plans can no longer be reached
-            let stale = |e: &Entry| matches!(&e.key, WarmKey::Plan(k, _) if *k != key);
-            state.warm.retain(|e| e.warm.is_none() || !stale(e));
+            // drop the replaced graph's idle plans; a checked-out one
+            // goes at its check-in
+            state
+                .warm
+                .retain(|e| e.warm.is_none() || !stale(&e.key, key));
             state.fit(self.max_bytes);
         }
         let warm = plan.and_then(|plan| state.checkout_plan(plan, resident));
@@ -473,7 +483,18 @@ impl GraphCache {
     /// base request, same sid) answers its current digest and report with
     /// `cached: true` rather than resetting it: a client retrying a
     /// dropped open must not rewind a session that already advanced.
+    /// An open that finds the sid's entry checked out — a delta, a close,
+    /// or an earlier open still running — answers [`SessionError::Busy`].
     pub fn open_session(&self, req: &SimRequest) -> Result<SessionReply, SessionError> {
+        self.run_open(req, || SimSession::open(req, Some(self)))
+    }
+
+    /// [`Self::open_session`] with the open step given as `open`.
+    fn run_open(
+        &self,
+        req: &SimRequest,
+        open: impl FnOnce() -> Result<SimSession, SimError>,
+    ) -> Result<SessionReply, SessionError> {
         let key = WarmKey::Session(req.digest());
         {
             let mut state = self.lock();
@@ -487,7 +508,7 @@ impl GraphCache {
             }
         }
         let mut out = Checkout::new(self, key);
-        let session = SimSession::open(req, Some(self))?;
+        let session = open()?;
         let reply = SessionReply::of(&session, false);
         out.warm = Some(Warm::Session(Box::new(session)));
         Ok(reply)
@@ -562,6 +583,12 @@ impl Drop for Checkout<'_> {
             state.check_in(&self.key, self.warm.take(), self.cache.max_bytes);
         }
     }
+}
+
+/// Whether `key` is a plan of a graph other than the `resident` one: no
+/// run can reach it until that graph is admitted again.
+fn stale(key: &WarmKey, resident: SpecKey) -> bool {
+    matches!(key, WarmKey::Plan(k, _) if *k != resident)
 }
 
 /// Heap bytes of a CSR's two arrays.
@@ -1053,6 +1080,62 @@ mod tests {
         assert!(!first.unwrap().cached);
         // back in: the next delta runs
         assert!(!one_delta(&cache, &sid).unwrap().cached);
+        // an open retried while the first open still runs answers busy
+        cache.close_session(&sid).unwrap();
+        let opened = cache.run_open(&req, || {
+            assert_eq!(cache.open_session(&req).unwrap_err(), SessionError::Busy);
+            assert_eq!(one_delta(&cache, &sid).unwrap_err(), SessionError::Busy);
+            SimSession::open(&req, Some(&cache))
+        });
+        assert!(!opened.unwrap().cached);
+        assert!(cache.open_session(&req).unwrap().cached);
+    }
+
+    #[test]
+    fn an_entry_over_the_budget_stays_until_another_needs_its_room() {
+        let req = session_request(1.0);
+        let sid = req.digest();
+        let probe = GraphCache::new();
+        probe.open_session(&req).unwrap();
+        let s = probe.warm_bytes();
+        let g = csr_bytes(&rmat(7).resolve().unwrap());
+        assert!(g < s - 1, "the graph fits, the session does not");
+        let cache = GraphCache::with_max_bytes(s - 1);
+        cache.open_session(&req).unwrap();
+        assert_eq!(cache.sessions(), 1, "the open kept its session");
+        // each delta finds the session its last op checked in
+        for _ in 0..2 {
+            assert!(!one_delta(&cache, &sid).unwrap().cached);
+            assert!(cache.warm_bytes() > s, "recycled arrays joined it");
+        }
+        // a plan's check-in needs the room: the idle session goes
+        let plan = request(rmat(7), 0.3);
+        for _ in 0..3 {
+            report_json(&plan, Some(&cache));
+        }
+        assert_eq!((cache.warm_hits(), cache.sessions()), (1, 0));
+        assert_eq!(one_delta(&cache, &sid).unwrap_err(), unknown(&sid));
+    }
+
+    #[test]
+    fn a_plan_checked_out_across_a_new_graph_goes_at_its_check_in() {
+        let cache = GraphCache::new();
+        let req = request(rmat(1), 0.3);
+        let cold = AuroraSimulator::new(req.config).run(&req).unwrap();
+        for _ in 0..3 {
+            report_json(&req, Some(&cache));
+        }
+        assert_eq!((cache.warm_hits(), cache.warm_entries()), (1, 1));
+        let plan = PlanKey::new(req.config, req.model, &req.layers);
+        let replayed = cache.run_planned(&req.graph, plan, |_, state| {
+            assert!(state.is_some(), "the replay checks the plan out");
+            cache.resolve(&rmat(2)).unwrap();
+            cache.resolve(&rmat(2)).unwrap(); // admits rmat(2)
+            assert_eq!(cache.warm_entries(), 1, "the checked-out plan stays");
+            Ok(cold.clone())
+        });
+        assert!(replayed.is_ok());
+        assert_eq!((cache.warm_entries(), cache.warm_bytes()), (0, 0));
     }
 
     #[test]
@@ -1096,8 +1179,8 @@ mod tests {
 
     #[test]
     fn a_checked_out_entry_survives_eviction() {
-        let (s1, s2) = (session_request(1.0), session_request(0.5));
-        let (d1, d2) = (s1.digest(), s2.digest());
+        let [s1, s2, s3] = [1.0, 0.5, 0.25].map(session_request);
+        let [d1, d2, d3] = [&s1, &s2, &s3].map(SimRequest::digest);
         let g = csr_bytes(&rmat(7).resolve().unwrap());
         let probe = GraphCache::new();
         probe.open_session(&s1).unwrap();
@@ -1106,17 +1189,22 @@ mod tests {
         let cache = GraphCache::with_max_bytes(g + s + s / 2);
         cache.open_session(&s1).unwrap();
         let out = cache.run_delta(&d1, |session| {
-            // s2's open admits the graph; with s1 out, the one idle
-            // entry left to evict is s2 itself
+            // s2's open admits the graph; its check-in finds s1 out and
+            // no other idle entry
             assert!(!cache.open_session(&s2).unwrap().cached);
             assert_eq!(cache.bytes(), g);
-            assert_eq!(lru(&cache), [d1.as_str()]);
+            assert_eq!(lru(&cache), [d1.as_str(), d2.as_str()]);
+            // s3's check-in evicts the idle s2, never the checked-out s1
+            assert!(!cache.open_session(&s3).unwrap().cached);
+            assert_eq!(lru(&cache), [d1.as_str(), d3.as_str()]);
             session.apply(&GraphDelta::default())
         });
         assert!(out.unwrap().cached);
+        // s1's check-in evicts s3
         assert_eq!(lru(&cache), [d1.as_str()]);
         assert!(!one_delta(&cache, &d1).unwrap().cached);
         assert_eq!(one_delta(&cache, &d2).unwrap_err(), unknown(&d2));
+        assert_eq!(one_delta(&cache, &d3).unwrap_err(), unknown(&d3));
     }
 
     /// A session opened on a resident graph answers the same open and
